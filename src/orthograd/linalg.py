@@ -23,6 +23,12 @@ __all__ = [
 ]
 
 
+# Gram-route floor on a squared residual, relative to the column's squared
+# norm: an exact duplicate column reads about eps * norm^2 there, not 0.
+_GRAM_FLOOR = 64.0 * np.finfo(np.float64).eps
+_BLOCK_SIZE = 1 << 14   # entries per row block of the in-place second pass
+
+
 def default_drop_tol(dim: int) -> float:
     """Default rank tolerance for a basis over vectors of length ``dim``."""
     return 1e-10 * math.sqrt(dim)
@@ -68,14 +74,37 @@ def _check_matrix(g, name: str) -> np.ndarray:
     return g
 
 
+def _cholesky_keep(gram: np.ndarray, tol: float) -> np.ndarray:
+    """In-order Cholesky of ``gram`` under the drop rule of qr_orthonormal_basis.
+
+    Returns the (k, r) inverse of the kept triangle scattered into the kept rows.
+    """
+    norm2 = np.diag(gram)
+    floor = np.maximum((tol * np.maximum(np.sqrt(norm2), 1.0)) ** 2, _GRAM_FLOOR * norm2)
+    r = np.zeros_like(gram)
+    kept: list[int] = []
+    for j in range(gram.shape[0]):
+        s = gram[j, j:] - r[:j, j] @ r[:j, j:]   # Schur residual row of column j
+        if s[0] > floor[j]:
+            r[j, j:] = s / math.sqrt(s[0])
+            kept.append(j)
+    w = np.zeros((gram.shape[0], len(kept)))
+    w[kept] = np.linalg.inv(r[np.ix_(kept, kept)])
+    return w
+
+
 def qr_orthonormal_basis(g: np.ndarray, tol: float | None = None) -> OrthonormalBasis:
     """Orthonormal basis for the column span of ``g``.
 
-    Modified Gram-Schmidt over the columns in left-to-right order, with one
-    reorthogonalization pass per column for numerical robustness.  A column
-    whose residual norm after orthogonalization is at most
-    ``tol * max(norm(column), 1)`` is dropped, so near-dependent columns are
-    discarded deterministically (earlier columns win).
+    CholeskyQR2 with an in-order rank drop.  A Cholesky over the Gram matrix
+    ``g^T g`` visits the columns left to right and drops a column whose
+    residual against the kept columns before it has norm at most
+    ``tol * max(norm(column), 1)``, or squared norm at most the Gram roundoff
+    floor ``64 * eps * norm(column)^2``; so near-dependent columns are
+    discarded deterministically (earlier columns win).  ``q1 = g R^-1``
+    spans the kept columns.  A second pass of the same rule over ``q1``,
+    applied in place in row blocks, restores orthogonality to roundoff
+    ("twice is enough") and drops what the first pass kept beyond ``d``.
 
     Parameters
     ----------
@@ -89,24 +118,12 @@ def qr_orthonormal_basis(g: np.ndarray, tol: float | None = None) -> Orthonormal
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
 
-    accepted: list[np.ndarray] = []
-    for j in range(g.shape[1]):
-        v = g[:, j].copy()
-        orig_norm = float(np.linalg.norm(v))
-        # two orthogonalization sweeps ("twice is enough")
-        for _ in range(2):
-            for q in accepted:
-                v -= (q @ v) * q
-        res_norm = float(np.linalg.norm(v))
-        if res_norm <= tol * max(orig_norm, 1.0):
-            continue
-        accepted.append(v / res_norm)
-
-    if accepted:
-        q_mat = np.column_stack(accepted)
-    else:
-        q_mat = np.zeros((d, 0))
-    return OrthonormalBasis(q=q_mat, drop_tol=float(tol))
+    q = g @ _cholesky_keep(g.T @ g, tol)
+    w = _cholesky_keep(q.T @ q, tol)
+    rows = max(1, _BLOCK_SIZE // max(1, q.shape[1]))
+    for start in range(0, d, rows):
+        q[start:start + rows, :w.shape[1]] = q[start:start + rows] @ w
+    return OrthonormalBasis(q=q[:, :w.shape[1]], drop_tol=float(tol))
 
 
 def project_onto_complement(v: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:

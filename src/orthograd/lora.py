@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import (
-    Batch, NetworkSpec, ParamVector, _backprop_deltas, _check_batch,
-    _cross_entropy_losses, _decode_checkpoint, _encode_checkpoint,
-    _forward_layers, _softmax,
+    Batch, NetworkSpec, ParamVector, _cross_entropy_losses, _decode_checkpoint,
+    _encode_checkpoint, _engine_pass, _forward_layers,
 )
 
 __all__ = [
@@ -64,17 +63,8 @@ class LoraAdapterSet:
             if self.rank > min(n_in, n_out):
                 raise ValueError(
                     f"rank {self.rank} exceeds min(n_in, n_out)={min(n_in, n_out)} at layer {l}")
-
-    @property
-    def multiplier(self) -> float:
-        """Effective low-rank update multiplier scale/rank."""
-        return self.scale / self.rank
-
-    def layout(self) -> list[tuple[int, int, tuple[int, int], int, tuple[int, int]]]:
-        """Per adapted layer: (layer, A offset, A shape, B offset, B shape)."""
         slots = []
         off = 0
-        shapes = self.spec.layer_shapes()
         for l in self.layers:
             (n_in, n_out), _ = shapes[l]
             a_off = off
@@ -82,7 +72,16 @@ class LoraAdapterSet:
             b_off = off
             off += n_out * self.rank
             slots.append((l, a_off, (self.rank, n_in), b_off, (n_out, self.rank)))
-        return slots
+        object.__setattr__(self, "_layout", tuple(slots))   # not a field: eq/hash/repr skip it
+
+    @property
+    def multiplier(self) -> float:
+        """Effective low-rank update multiplier scale/rank."""
+        return self.scale / self.rank
+
+    def layout(self) -> tuple[tuple[int, int, tuple[int, int], int, tuple[int, int]], ...]:
+        """Per adapted layer: (layer, A offset, A shape, B offset, B shape)."""
+        return self._layout
 
     @property
     def param_dim(self) -> int:
@@ -139,27 +138,14 @@ class AdaptedModel:
         x = np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.in_dim:
             raise ValueError(f"inputs must be (k, {self.spec.in_dim}), got shape {x.shape}")
-        logits, _, _ = _forward_layers(self.effective_weights(), self.base.bias_list(),
-                                       self.spec.activation, x)
+        logits, _ = _forward_layers(self.effective_weights(), self.base.bias_list(),
+                                    self.spec.activation, x)
         return logits
-
-    def _engine_pass(self, batch: Batch, per_sample: bool):
-        spec = self.spec
-        _check_batch(batch, spec.in_dim, spec.n_classes)
-        weights = self.effective_weights()
-        logits, pres, acts = _forward_layers(weights, self.base.bias_list(),
-                                             spec.activation, batch.inputs)
-        k = batch.size
-        delta_out = _softmax(logits)
-        delta_out[np.arange(k), batch.labels] -= 1.0
-        if not per_sample:
-            delta_out /= k
-        deltas = _backprop_deltas(weights, spec.activation, pres, delta_out)
-        return logits, acts, deltas
 
     def mean_loss_and_grad(self, batch: Batch) -> tuple[float, np.ndarray]:
         """Mean cross-entropy and its gradient in adapter coordinates."""
-        logits, acts, deltas = self._engine_pass(batch, per_sample=False)
+        logits, acts, deltas = _engine_pass(self.effective_weights(), self.base.bias_list(),
+                                            self.spec, batch, per_sample=False)
         loss = float(np.mean(_cross_entropy_losses(logits, batch.labels)))
         mult = self.adapters.multiplier
         grad = np.empty(self.param_dim)
@@ -173,7 +159,8 @@ class AdaptedModel:
 
     def per_sample_grads(self, batch: Batch) -> np.ndarray:
         """Per-sample adapter gradients as columns of a (d', k) matrix."""
-        _, acts, deltas = self._engine_pass(batch, per_sample=True)
+        _, acts, deltas = _engine_pass(self.effective_weights(), self.base.bias_list(),
+                                       self.spec, batch, per_sample=True)
         k = batch.size
         mult = self.adapters.multiplier
         grads = np.empty((self.param_dim, k))

@@ -56,6 +56,15 @@ class NetworkSpec:
             raise ValueError(f"layer sizes must be positive, got {sizes}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+        slots = []
+        off = 0
+        for w_shape, b_shape in self.layer_shapes():
+            w_off = off
+            off += w_shape[0] * w_shape[1]
+            b_off = off
+            off += b_shape[0]
+            slots.append((w_off, w_shape, b_off, b_shape))
+        object.__setattr__(self, "_layout", tuple(slots))   # not a field: eq/hash/repr skip it
 
     @property
     def n_layers(self) -> int:
@@ -74,17 +83,9 @@ class NetworkSpec:
         sizes = self.layer_sizes
         return [((sizes[l], sizes[l + 1]), (sizes[l + 1],)) for l in range(self.n_layers)]
 
-    def layout(self) -> list[tuple[int, tuple[int, int], int, tuple[int]]]:
+    def layout(self) -> tuple[tuple[int, tuple[int, int], int, tuple[int]], ...]:
         """Per layer: (weight offset, weight shape, bias offset, bias shape)."""
-        slots = []
-        off = 0
-        for w_shape, b_shape in self.layer_shapes():
-            w_off = off
-            off += w_shape[0] * w_shape[1]
-            b_off = off
-            off += b_shape[0]
-            slots.append((w_off, w_shape, b_off, b_shape))
-        return slots
+        return self._layout
 
     @property
     def param_dim(self) -> int:
@@ -172,29 +173,27 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return np.tanh(z)
 
 
-def _activation_grad(name: str, pre: np.ndarray, act: np.ndarray) -> np.ndarray:
-    # act is the stored activation output for the same pre-activation
+def _activation_grad(name: str, act: np.ndarray) -> np.ndarray:
+    # from the stored activation output; relu's output is > 0 exactly where its input is
     if name == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return (act > 0.0).astype(np.float64)
     return 1.0 - act * act
 
 
 def _forward_layers(weights, biases, activation, x):
-    """Forward pass; returns (logits, pre-activations, activations).
+    """Forward pass; returns (logits, activations).
 
     ``acts[0]`` is the input; ``acts[l+1]`` is layer l's output.  The final
     layer is linear (logits), hidden layers apply the activation.
     """
     a = np.asarray(x, dtype=np.float64)
     acts = [a]
-    pres = []
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
         z = a @ w + b
-        pres.append(z)
         a = z if l == last else _activate(activation, z)
         acts.append(a)
-    return acts[-1], pres, acts
+    return acts[-1], acts
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -213,21 +212,26 @@ def _cross_entropy_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -logp[np.arange(logits.shape[0]), labels]
 
 
-def _backprop_deltas(weights, activation, pres, delta_out):
-    """Per-layer deltas from an output-layer delta (any scaling).
+def _engine_pass(weights, biases, spec: NetworkSpec, batch: Batch, per_sample: bool):
+    """Forward and backward pass over a batch; returns (logits, acts, deltas).
 
-    Rows of each delta stay per-sample, so the same pass serves both the
-    mean gradient (pre-scaled delta) and per-sample gradients (unscaled).
+    ``deltas[l]`` is the loss gradient at layer l's pre-activation, one row
+    per sample: each sample's own gradient when ``per_sample``, otherwise
+    divided by the batch size so that row sums give the mean gradient.
     """
-    n = len(weights)
-    deltas = [None] * n
-    delta = delta_out
-    for l in range(n - 1, -1, -1):
+    _check_batch(batch, spec.in_dim, spec.n_classes)
+    logits, acts = _forward_layers(weights, biases, spec.activation, batch.inputs)
+    k = batch.size
+    delta = _softmax(logits)
+    delta[np.arange(k), batch.labels] -= 1.0
+    if not per_sample:
+        delta /= k
+    deltas = [None] * len(weights)
+    for l in range(len(weights) - 1, -1, -1):
         deltas[l] = delta
         if l > 0:
-            act = _activate(activation, pres[l - 1])
-            delta = (delta @ weights[l].T) * _activation_grad(activation, pres[l - 1], act)
-    return deltas
+            delta = (delta @ weights[l].T) * _activation_grad(spec.activation, acts[l])
+    return logits, acts, deltas
 
 
 # ---------------------------------------------------------------------------
@@ -256,24 +260,17 @@ def forward(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.in_dim:
         raise ValueError(f"inputs must be (k, {params.spec.in_dim}), got shape {x.shape}")
-    logits, _, _ = _forward_layers(params.weight_list(), params.bias_list(),
-                                   params.spec.activation, x)
+    logits, _ = _forward_layers(params.weight_list(), params.bias_list(),
+                                params.spec.activation, x)
     return logits
 
 
 def mean_loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch and its gradient in R^d."""
     spec = params.spec
-    _check_batch(batch, spec.in_dim, spec.n_classes)
-    weights = params.weight_list()
-    logits, pres, acts = _forward_layers(weights, params.bias_list(), spec.activation, batch.inputs)
-    k = batch.size
+    logits, acts, deltas = _engine_pass(params.weight_list(), params.bias_list(), spec, batch,
+                                        per_sample=False)
     loss = float(np.mean(_cross_entropy_losses(logits, batch.labels)))
-
-    delta_out = _softmax(logits)
-    delta_out[np.arange(k), batch.labels] -= 1.0
-    delta_out /= k
-    deltas = _backprop_deltas(weights, spec.activation, pres, delta_out)
 
     grad = np.empty(spec.param_dim)
     for l, (w_off, w_shape, b_off, b_shape) in enumerate(spec.layout()):
@@ -291,15 +288,9 @@ def per_sample_grads(params: ParamVector, batch: Batch) -> np.ndarray:
     ``mean_loss_and_grad`` up to roundoff.
     """
     spec = params.spec
-    _check_batch(batch, spec.in_dim, spec.n_classes)
-    weights = params.weight_list()
-    logits, pres, acts = _forward_layers(weights, params.bias_list(), spec.activation, batch.inputs)
+    _, acts, deltas = _engine_pass(params.weight_list(), params.bias_list(), spec, batch,
+                                   per_sample=True)
     k = batch.size
-
-    delta_out = _softmax(logits)
-    delta_out[np.arange(k), batch.labels] -= 1.0
-    deltas = _backprop_deltas(weights, spec.activation, pres, delta_out)
-
     grads = np.empty((spec.param_dim, k))
     for l, (w_off, w_shape, b_off, b_shape) in enumerate(spec.layout()):
         # per-sample outer products a_i (x) delta_i, kept unreduced

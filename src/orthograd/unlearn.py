@@ -28,7 +28,7 @@ import numpy as np
 from . import net
 from .data import Splits
 from .evaluation import AccuracyReport, evaluate_splits
-from .linalg import cosine, project_onto_complement, qr_orthonormal_basis
+from .linalg import project_onto_complement, qr_orthonormal_basis
 from .lora import AdaptedModel, attach_lora
 
 __all__ = [
@@ -198,13 +198,15 @@ def orthograd_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnCo
     g = combine_update(g_r_mean, g_u_perp, cfg.alpha)
     updated = _update(model, g, cfg.eta)
 
-    max_cos = max((abs(cosine(g_u_perp, per_sample[:, i]))
-                   for i in range(per_sample.shape[1])), default=0.0)
+    # |cos| against every retain column in one matvec; a zero norm counts as 0
+    perp_norm = float(np.linalg.norm(g_u_perp))
+    denom = np.sqrt(np.einsum("ij,ij->j", per_sample, per_sample)) * perp_norm
+    cos = np.divide(g_u_perp @ per_sample, denom, out=np.zeros_like(denom), where=denom > 0.0)
     diag = StepDiagnostics(
         basis_rank=basis.rank,
         g_u_norm=float(np.linalg.norm(g_u)),
-        g_u_perp_norm=float(np.linalg.norm(g_u_perp)),
-        max_abs_cos=max_cos,
+        g_u_perp_norm=perp_norm,
+        max_abs_cos=float(np.max(np.abs(cos))),
     )
     return updated, diag
 

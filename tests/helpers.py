@@ -7,6 +7,31 @@ import numpy as np
 from orthograd.net import Batch, ParamVector, mean_loss_and_grad
 
 
+def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
+    """Reference oracle for ``qr_orthonormal_basis``: modified Gram-Schmidt.
+
+    Visits the columns left to right with two orthogonalization sweeps per
+    column ("twice is enough") and drops a column whose residual norm is at
+    most ``tol * max(norm(column), 1)``.  Returns the (d, r) orthonormal
+    basis and the indices of the kept columns.
+    """
+    accepted: list[np.ndarray] = []
+    kept: list[int] = []
+    for j in range(g.shape[1]):
+        v = g[:, j].copy()
+        orig_norm = float(np.linalg.norm(v))
+        for _ in range(2):
+            for q in accepted:
+                v -= (q @ v) * q
+        res_norm = float(np.linalg.norm(v))
+        if res_norm <= tol * max(orig_norm, 1.0):
+            continue
+        accepted.append(v / res_norm)
+        kept.append(j)
+    q_mat = np.column_stack(accepted) if accepted else np.zeros((g.shape[0], 0))
+    return q_mat, kept
+
+
 def sample_loss(params: ParamVector, x: np.ndarray, y: int) -> float:
     """Cross-entropy of a single sample."""
     loss, _ = mean_loss_and_grad(params, Batch(x[None, :], np.array([y])))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import gram_schmidt_basis
 from orthograd.linalg import (
     OrthonormalBasis, cosine, default_drop_tol, least_squares_residual,
     project_onto_complement, qr_orthonormal_basis,
@@ -153,3 +154,95 @@ def test_invalid_inputs_rejected():
 def test_cosine_zero_norm_convention():
     assert cosine(np.zeros(3), np.ones(3)) == 0.0
     assert cosine(np.ones(2), np.ones(2)) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the CholeskyQR2 kernel against the Gram-Schmidt oracle
+
+
+def kept_columns(g, tol):
+    """Indices the kernel keeps: the drop rule is in order, so column j is kept
+    exactly when it raises the rank of the prefix g[:, :j+1]."""
+    ranks = [0] + [qr_orthonormal_basis(g[:, :j + 1], tol=tol).rank for j in range(g.shape[1])]
+    return [j for j in range(g.shape[1]) if ranks[j + 1] > ranks[j]]
+
+
+def planted_matrix(rng, d, k):
+    """Gaussian columns of mixed scale with planted degenerate columns."""
+    g = rng.normal(size=(d, k)) * rng.choice([1e-3, 1.0, 1e3], size=k)
+    for j in range(1, k):
+        u = rng.random()
+        if u < 0.1:
+            g[:, j] = 0.0                                       # zero column
+        elif u < 0.2:
+            g[:, j] = g[:, rng.integers(0, j)]                  # exact duplicate
+        elif u < 0.3:
+            g[:, j] = g[:, rng.integers(0, j)] * (1.0 + 1e-14)  # near-duplicate
+        elif u < 0.4:
+            v = rng.normal(size=d)
+            g[:, j] = 1e-8 * v / np.linalg.norm(v)              # independent, norm 1e-8
+    return g
+
+
+def test_kernel_keeps_oracle_columns_on_planted_matrices():
+    rng = np.random.default_rng(23)
+    matrices_with_drops = 0
+    for _ in range(150):
+        d = int(rng.integers(20, 200))
+        k = int(rng.integers(2, 20))
+        g = planted_matrix(rng, d, k)
+        tol = default_drop_tol(d)
+        q_ref, kept_ref = gram_schmidt_basis(g, tol)
+        basis = qr_orthonormal_basis(g)
+        assert kept_columns(g, tol) == kept_ref
+        assert basis.rank == len(kept_ref)
+        assert np.abs(basis.q.T @ basis.q - np.eye(basis.rank)).max() <= 1e-12
+        assert np.abs(basis.q - q_ref).max() <= 1e-8   # same kept columns, same order
+        matrices_with_drops += len(kept_ref) < k
+    assert matrices_with_drops > 50
+
+
+def test_kernel_orthonormal_to_roundoff_on_ill_conditioned_columns():
+    rng = np.random.default_rng(29)
+    for _ in range(50):
+        d = int(rng.integers(50, 400))
+        k = int(rng.integers(2, 40))
+        # singular values spread over six decades
+        u, _ = np.linalg.qr(rng.normal(size=(d, k)))
+        v, _ = np.linalg.qr(rng.normal(size=(k, k)))
+        g = (u * np.logspace(0, -6, k)) @ v.T
+        basis = qr_orthonormal_basis(g)
+        assert basis.rank == k
+        assert np.abs(basis.q.T @ basis.q - np.eye(k)).max() <= 1e-12
+        assert np.abs(basis.q.T @ g - np.triu(basis.q.T @ g)).max() <= 1e-9
+
+
+def test_more_columns_than_dimensions_saturates_the_space():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        d = int(rng.integers(1, 30))
+        k = d + int(rng.integers(1, 30))
+        g = rng.normal(size=(d, k))
+        basis = qr_orthonormal_basis(g)
+        assert basis.rank == d
+        assert np.abs(basis.q.T @ basis.q - np.eye(d)).max() <= 1e-12
+        v = rng.normal(size=d)
+        assert np.linalg.norm(project_onto_complement(v, basis)) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_fortran_ordered_input_gives_the_same_basis():
+    rng = np.random.default_rng(37)
+    g = planted_matrix(rng, 120, 16)
+    basis_c = qr_orthonormal_basis(np.ascontiguousarray(g))
+    basis_f = qr_orthonormal_basis(np.asfortranarray(g))
+    assert basis_f.rank == basis_c.rank
+    assert np.abs(basis_f.q - basis_c.q).max() <= 1e-12
+
+
+def test_columns_below_tolerance_give_rank_zero():
+    g = np.full((5, 3), 1e-12)
+    basis = qr_orthonormal_basis(g)
+    assert basis.rank == 0
+    assert basis.q.shape == (5, 0)
+    v = np.arange(5.0)
+    assert np.array_equal(project_onto_complement(v, basis), v)

@@ -116,6 +116,30 @@ def test_per_sample_projection_orthogonal_to_every_retain_gradient():
         assert diag.max_abs_cos <= 1e-6
 
 
+def test_max_abs_cos_matches_per_column_cosine_loop():
+    # scaled-up weights saturate the softmax on some samples, whose
+    # per-sample gradients are then exactly zero and count as cosine 0
+    spec = NetworkSpec((6, 16, 4), "relu")
+    zero_columns_seen = 0
+    for seed in range(6):
+        params = init_params(spec, seed)
+        if seed % 2:
+            params = apply_update(params, -30.0 * params.flat, 1.0)
+        b_u = random_batch(spec, 9, 300 + seed)
+        b_r = random_batch(spec, 12, 400 + seed)
+        cols = per_sample_grads(params, b_r)
+        zero_columns_seen += int(np.count_nonzero(~cols.any(axis=0)))
+        for method in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN):
+            cfg = make_cfg(method=method)
+            _, diag = orthograd_step(params, b_u, b_r, cfg)
+            _, g_u = mean_loss_and_grad(params, b_u)
+            basis_input = cols if method is MethodKind.ORTHOGRAD_PER_SAMPLE else cols.mean(axis=1)[:, None]
+            perp = project_onto_complement(g_u, qr_orthonormal_basis(basis_input))
+            loop = max(abs(cosine(perp, cols[:, i])) for i in range(cols.shape[1]))
+            assert abs(diag.max_abs_cos - loop) <= 1e-12
+    assert zero_columns_seen > 0
+
+
 def test_mean_variant_leaks_on_conflicting_retain_batch():
     # one shared input with two different labels makes the two per-sample
     # gradients conflict; the mean direction cannot represent both
