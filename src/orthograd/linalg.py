@@ -1,9 +1,9 @@
-"""Dense linear-algebra kernels for gradient subspace projection.
+"""Linear-algebra kernels for gradient subspace projection.
 
-Vectors are 1-D float64 arrays of length ``d``.  A collection of per-sample
-gradients is stored column-wise as a ``(d, k)`` array, one gradient per
-column.  Everything here is plain numpy and free of hidden state, so results
-are bit-reproducible for identical inputs.
+Vectors are 1-D float64 arrays of length ``d``.  k gradients are either a
+dense ``(d, k)`` array, one per column, or a factored ``net.PerSampleGrads``
+(the unlearning steps' route).  Everything here is plain numpy and free of
+hidden state, so results are bit-reproducible for identical inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "default_drop_tol",
     "qr_orthonormal_basis",
     "project_onto_complement",
+    "project_out_span",
     "least_squares_residual",
     "cosine",
 ]
@@ -142,6 +143,27 @@ def project_onto_complement(v: np.ndarray, basis: OrthonormalBasis) -> np.ndarra
     out = v - q @ (q.T @ v)
     out -= q @ (q.T @ out)
     return out
+
+
+def project_out_span(v: np.ndarray, grads, tol: float | None = None) -> tuple[np.ndarray, int]:
+    """``(v_perp, rank)``: ``v`` minus its projection onto the span of a factored G.
+
+    A Cholesky over ``G^T G`` keeps columns by the drop rule of ``qr_orthonormal_basis``
+    (the rank can read above d on roundoff when k > d); with W its kept inverse,
+    ``v -= G W W^T G^T v`` runs twice ("twice is enough", in k-space).  G is never formed.
+    """
+    v = _check_vector(v, "v")
+    if grads.dim != v.shape[0]:
+        raise ValueError(f"dimension mismatch: v has length {v.shape[0]}, grads have dim {grads.dim}")
+    if tol is None:
+        tol = default_drop_tol(grads.dim)
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol}")
+    w = _cholesky_keep(grads.gram(), tol)
+    out = v.copy()
+    for _ in range(2):   # rank 0 subtracts exact zeros: v comes back bit for bit
+        out -= grads.matvec(w @ (w.T @ grads.rmatvec(out)))
+    return out, w.shape[1]
 
 
 def least_squares_residual(v: np.ndarray, g: np.ndarray) -> np.ndarray:

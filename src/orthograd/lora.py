@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .net import (
-    Batch, NetworkSpec, ParamVector, _cross_entropy_losses, _decode_checkpoint,
-    _encode_checkpoint, _engine_pass, _forward_layers,
+    Batch, NetworkSpec, ParamVector, PerSampleGrads, _cross_entropy_losses,
+    _decode_checkpoint, _encode_checkpoint, _engine_pass, _forward_layers,
 )
 
 __all__ = [
@@ -157,21 +157,21 @@ class AdaptedModel:
             grad[b_off:b_off + db.size] = db.reshape(-1)
         return loss, grad
 
-    def per_sample_grads(self, batch: Batch) -> np.ndarray:
-        """Per-sample adapter gradients as columns of a (d', k) matrix."""
+    def per_sample_factors(self, batch: Batch) -> PerSampleGrads:
+        """Per-sample adapter gradients, factored: per adapted layer, with m the
+        multiplier, the A block is (m delta_i B) (x) a_i and the B block delta_i (x) (m A a_i)."""
         _, acts, deltas = _engine_pass(self.effective_weights(), self.base.bias_list(),
                                        self.spec, batch, per_sample=True)
-        k = batch.size
         mult = self.adapters.multiplier
-        grads = np.empty((self.param_dim, k))
-        for slot, (l, a_off, a_shape, b_off, b_shape) in enumerate(self.adapters.layout()):
-            u = deltas[l] @ self.b_matrix(slot)               # (k, r)
-            da = mult * np.einsum("kr,ki->kri", u, acts[l])   # (k, r, n_in)
-            v = acts[l] @ self.a_matrix(slot).T               # (k, r)
-            db = mult * np.einsum("ko,kr->kor", deltas[l], v) # (k, n_out, r)
-            grads[a_off:a_off + da[0].size, :] = da.reshape(k, -1).T
-            grads[b_off:b_off + db[0].size, :] = db.reshape(k, -1).T
-        return grads
+        blocks = []
+        for slot, (l, a_off, _, b_off, _) in enumerate(self.adapters.layout()):
+            blocks.append((a_off, mult * (deltas[l] @ self.b_matrix(slot)), acts[l]))
+            blocks.append((b_off, deltas[l], mult * (acts[l] @ self.a_matrix(slot).T)))
+        return PerSampleGrads(self.param_dim, blocks)
+
+    def per_sample_grads(self, batch: Batch) -> np.ndarray:
+        """Per-sample adapter gradients as columns of a (d', k) matrix."""
+        return self.per_sample_factors(batch).dense()
 
     def apply_update(self, g: np.ndarray, eta: float) -> "AdaptedModel":
         g = np.asarray(g, dtype=np.float64)

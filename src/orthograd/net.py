@@ -7,7 +7,8 @@ layers are laid out in network order.
 
 The forward/backward engine is shared with the LoRA module: the private
 helpers operate on explicit weight/bias lists, so adapted effective weights
-can be pushed through the identical code path.
+can be pushed through the identical code path.  Per-sample gradients come
+out factored per layer (``PerSampleGrads``), not as a dense (d, k) matrix.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ __all__ = [
     "NetworkSpec",
     "ParamVector",
     "Batch",
+    "PerSampleGrads",
     "init_params",
     "forward",
     "mean_loss_and_grad",
+    "per_sample_factors",
     "per_sample_grads",
     "evaluate_accuracy",
     "apply_update",
@@ -147,6 +150,48 @@ class Batch:
     @property
     def size(self) -> int:
         return self.inputs.shape[0]
+
+
+class PerSampleGrads:
+    """k per-sample gradients in R^d as per-layer outer-product factors, O(k * width).
+
+    ``blocks`` holds ``(offset, L (k, p), R (k, q))``: sample i's entries from ``offset``
+    on are the row-major ``p x q`` matrix ``outer(L[i], R[i])``; no other entry is nonzero.
+    The methods act as the (d, k) matrix G without forming it (Goodfellow, arXiv:1510.01799).
+    """
+
+    def __init__(self, dim: int, blocks):
+        self.dim, self.blocks, self.k = dim, blocks, blocks[0][1].shape[0]
+
+    def gram(self) -> np.ndarray:
+        """G^T G, (k, k): the sum over blocks of (L L^T) * (R R^T)."""
+        return sum((l @ l.T) * (r @ r.T) for _, l, r in self.blocks)
+
+    def sq_norms(self) -> np.ndarray:
+        """The diagonal of ``gram()`` without the rest of it."""
+        return sum(np.einsum("ij,ij->i", l, l) * np.einsum("ij,ij->i", r, r) for _, l, r in self.blocks)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """G^T x, (k,): per block, the row sums of (L X) * R with X that block of x."""
+        return sum(np.einsum("ij,ij->i", l @ x[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1), r)
+                   for o, l, r in self.blocks)
+
+    def matvec(self, c: np.ndarray) -> np.ndarray:
+        """G c, (d,): per block, (c * L)^T R."""
+        out = np.zeros(self.dim)
+        for o, l, r in self.blocks:
+            out[o:o + l.shape[1] * r.shape[1]] = ((c[:, None] * l).T @ r).reshape(-1)
+        return out
+
+    def mean(self) -> np.ndarray:
+        return self.matvec(np.full(self.k, 1.0 / self.k))
+
+    def dense(self) -> np.ndarray:
+        """The (d, k) matrix itself, for tests and demos."""
+        g = np.zeros((self.dim, self.k))
+        for o, l, r in self.blocks:
+            g[o:o + l.shape[1] * r.shape[1]] = np.einsum("kp,kq->pqk", l, r).reshape(-1, self.k)
+        return g
 
 
 def _check_batch(batch, n_in: int, n_classes: int) -> None:
@@ -280,24 +325,20 @@ def mean_loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.nda
     return loss, grad
 
 
-def per_sample_grads(params: ParamVector, batch: Batch) -> np.ndarray:
-    """Gradient of each sample's individual loss, columns of a (d, k) matrix.
+def per_sample_factors(params: ParamVector, batch: Batch) -> PerSampleGrads:
+    """Each sample's own loss gradient, factored: per layer one ``(n_in + 1) x n_out``
+    block ``[a_i, 1] (x) delta_i``, weight rows then the bias row as the flat layout
+    stores them.  ``mean()`` matches ``mean_loss_and_grad`` up to roundoff."""
+    _, acts, deltas = _engine_pass(params.weight_list(), params.bias_list(), params.spec,
+                                   batch, per_sample=True)
+    ones = np.ones((batch.size, 1))
+    return PerSampleGrads(params.dim, [(w_off, np.hstack([acts[l], ones]), deltas[l])
+                                       for l, (w_off, *_) in enumerate(params.spec.layout())])
 
-    Column i is the full-parameter gradient of sample i's cross-entropy, not
-    divided by the batch size; the column mean therefore matches
-    ``mean_loss_and_grad`` up to roundoff.
-    """
-    spec = params.spec
-    _, acts, deltas = _engine_pass(params.weight_list(), params.bias_list(), spec, batch,
-                                   per_sample=True)
-    k = batch.size
-    grads = np.empty((spec.param_dim, k))
-    for l, (w_off, w_shape, b_off, b_shape) in enumerate(spec.layout()):
-        # per-sample outer products a_i (x) delta_i, kept unreduced
-        dw = np.einsum("ki,ko->kio", acts[l], deltas[l])
-        grads[w_off:w_off + w_shape[0] * w_shape[1], :] = dw.reshape(k, -1).T
-        grads[b_off:b_off + b_shape[0], :] = deltas[l].T
-    return grads
+
+def per_sample_grads(params: ParamVector, batch: Batch) -> np.ndarray:
+    """``per_sample_factors`` as columns of a dense (d, k) matrix."""
+    return per_sample_factors(params, batch).dense()
 
 
 def evaluate_accuracy(params: ParamVector, data) -> float:

@@ -15,7 +15,8 @@ Baselines share the plumbing: plain gradient ascent on the unlearn batch
 (``neggrad``), the same combination without the projection
 (``neggrad_plus``), and descent on the retain batch only (``finetune``).
 Any method can run either on the full parameter vector or inside a low-rank
-adapter space attached to a frozen base model.
+adapter space attached to a frozen base model.  Retain means, projections
+and diagnostics come from factored per-sample gradients (``net.PerSampleGrads``).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import net
 from .data import Splits
 from .evaluation import AccuracyReport, evaluate_splits
-from .linalg import project_onto_complement, qr_orthonormal_basis
+from .linalg import project_out_span
 from .lora import AdaptedModel, attach_lora
 
 __all__ = [
@@ -136,10 +137,10 @@ def _mean_grad(model, batch):
     return net.mean_loss_and_grad(model, batch)
 
 
-def _per_sample(model, batch):
+def _per_sample(model, batch) -> net.PerSampleGrads:
     if isinstance(model, AdaptedModel):
-        return model.per_sample_grads(batch)
-    return net.per_sample_grads(model, batch)
+        return model.per_sample_factors(batch)
+    return net.per_sample_factors(model, batch)
 
 
 def _update(model, g, eta):
@@ -185,25 +186,22 @@ def orthograd_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnCo
     if cfg.method not in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN):
         raise ValueError(f"orthograd_step cannot run method {cfg.method.value}")
     _, g_u = _mean_grad(model, batch_u)
-    per_sample = _per_sample(model, batch_r)
-    g_r_mean = per_sample.mean(axis=1)
+    grads = _per_sample(model, batch_r)
+    g_r_mean = grads.mean()
 
-    if cfg.method is MethodKind.ORTHOGRAD_PER_SAMPLE:
-        basis_input = per_sample
-    else:
-        basis_input = g_r_mean[:, None]
-    basis = qr_orthonormal_basis(basis_input, tol=cfg.drop_tol)
-    g_u_perp = project_onto_complement(g_u, basis)
+    span = grads if cfg.method is MethodKind.ORTHOGRAD_PER_SAMPLE else net.PerSampleGrads(
+        g_r_mean.shape[0], [(0, np.ones((1, 1)), g_r_mean[None, :])])   # the mean as one column
+    g_u_perp, rank = project_out_span(g_u, span, tol=cfg.drop_tol)
 
     g = combine_update(g_r_mean, g_u_perp, cfg.alpha)
     updated = _update(model, g, cfg.eta)
 
-    # |cos| against every retain column in one matvec; a zero norm counts as 0
+    # |cos| against every retain gradient from one G^T matvec; a zero norm counts as 0
     perp_norm = float(np.linalg.norm(g_u_perp))
-    denom = np.sqrt(np.einsum("ij,ij->j", per_sample, per_sample)) * perp_norm
-    cos = np.divide(g_u_perp @ per_sample, denom, out=np.zeros_like(denom), where=denom > 0.0)
+    denom = np.sqrt(grads.sq_norms()) * perp_norm
+    cos = np.divide(grads.rmatvec(g_u_perp), denom, out=np.zeros_like(denom), where=denom > 0.0)
     diag = StepDiagnostics(
-        basis_rank=basis.rank,
+        basis_rank=rank,
         g_u_norm=float(np.linalg.norm(g_u)),
         g_u_perp_norm=perp_norm,
         max_abs_cos=float(np.max(np.abs(cos))),
@@ -218,11 +216,10 @@ def baseline_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnCon
         return _update(model, -g_u, cfg.eta)
     if cfg.method is MethodKind.NEGGRAD_PLUS:
         _, g_u = _mean_grad(model, batch_u)
-        g_r_mean = _per_sample(model, batch_r).mean(axis=1)
+        g_r_mean = _per_sample(model, batch_r).mean()
         return _update(model, combine_update(g_r_mean, g_u, cfg.alpha), cfg.eta)
     if cfg.method is MethodKind.FINETUNE:
-        g_r_mean = _per_sample(model, batch_r).mean(axis=1)
-        return _update(model, g_r_mean, cfg.eta)
+        return _update(model, _per_sample(model, batch_r).mean(), cfg.eta)
     raise ValueError(f"baseline_step cannot run method {cfg.method.value}")
 
 

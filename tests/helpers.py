@@ -32,6 +32,28 @@ def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]
     return q_mat, kept
 
 
+def check_factors_against_dense(grads, dense: np.ndarray, mean_grad: np.ndarray,
+                                seed: int) -> None:
+    """Assert that a factored per-sample matrix acts as its dense form ``dense``.
+
+    Gram, column norms, ``G^T x``, ``G c`` and the mean must each match the
+    dense computation within 1e-12 of the largest entry of the dense result.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=dense.shape[0])
+    c = rng.normal(size=dense.shape[1])
+    pairs = {
+        "gram": (grads.gram(), dense.T @ dense),
+        "sq_norms": (grads.sq_norms(), np.einsum("ij,ij->j", dense, dense)),
+        "rmatvec": (grads.rmatvec(x), dense.T @ x),
+        "matvec": (grads.matvec(c), dense @ c),
+        "mean": (grads.mean(), mean_grad),
+    }
+    for name, (got, want) in pairs.items():
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
 def sample_loss(params: ParamVector, x: np.ndarray, y: int) -> float:
     """Cross-entropy of a single sample."""
     loss, _ = mean_loss_and_grad(params, Batch(x[None, :], np.array([y])))

@@ -27,7 +27,7 @@ from orthograd.linalg import (
     project_onto_complement,
     qr_orthonormal_basis,
 )
-from orthograd.lora import attach_lora, merge_lora
+from orthograd.lora import AdaptedModel, attach_lora, merge_lora
 from orthograd.net import (
     Batch,
     NetworkSpec,
@@ -355,6 +355,47 @@ def test_10_retain_size_robustness(random_sweep):
     for other in per_seed[1:]:
         assert other == per_seed[0]
     print("PASS retain sweep: " + "; ".join(lines) + "; ascent baseline invariant")
+
+
+# ---------------------------------------------------------------------------
+# 12: factored steps on the desk model, checked against the dense columns
+
+
+def test_12_factored_steps_orthogonal_to_dense_retain_columns(world):
+    # g_u_perp is recovered from each step's update,
+    # alpha * mean - (1 - alpha) * g_u_perp, using the dense columns' mean
+    splits = make_unlearn_split(world["train"], world["test"], mode="random",
+                                retain_size=500, seed=1, fraction=0.05)
+    rule = StoppingRule.random_forget(target=world["a_test"])
+    rng = np.random.default_rng(12)
+    steps = 20
+    lines = []
+    for model, k_r, eta in ((attach_lora(world["params"], rank=8, scale=32.0, seed=0), 64, 0.12),
+                            (world["params"], 32, 0.05)):
+        adapted = isinstance(model, AdaptedModel)
+        cfg = UnlearnConfig(method=MethodKind.ORTHOGRAD_PER_SAMPLE, stopping=rule,
+                            alpha=0.9, eta=eta, retain_batch=k_r)
+        worst, same_rank = 0.0, 0
+        for _ in range(steps):
+            iu = rng.choice(len(splits.unlearn), 32, replace=False)
+            ir = rng.choice(len(splits.retain), k_r, replace=False)
+            b_u = Batch(splits.unlearn.inputs[iu], splits.unlearn.labels[iu])
+            b_r = Batch(splits.retain.inputs[ir], splits.retain.labels[ir])
+            cols = model.per_sample_grads(b_r) if adapted else per_sample_grads(model, b_r)
+            stepped, diag = orthograd_step(model, b_u, b_r, cfg)
+            before, after = (model.theta, stepped.theta) if adapted else (model.flat, stepped.flat)
+            perp = (0.9 * cols.mean(axis=1) - (before - after) / eta) / 0.1
+            norms = np.linalg.norm(cols, axis=0)
+            live = norms > 1e-6
+            cos = np.abs(perp @ cols[:, live]) / (norms[live] * np.linalg.norm(perp))
+            assert cos.max(initial=0.0) <= 1e-6
+            worst = max(worst, float(cos.max(initial=0.0)))
+            same_rank += diag.basis_rank == qr_orthonormal_basis(cols).rank
+            model = stepped
+        assert same_rank >= 0.95 * steps
+        lines.append(f"{'adapter' if adapted else 'full'} (d={len(before)}, k={k_r}): "
+                     f"max |cos| {worst:.1e}, rank agrees on {same_rank}/{steps}")
+    print("PASS factored steps: " + "; ".join(lines))
 
 
 # ---------------------------------------------------------------------------

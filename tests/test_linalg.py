@@ -8,8 +8,9 @@ import pytest
 from helpers import gram_schmidt_basis
 from orthograd.linalg import (
     OrthonormalBasis, cosine, default_drop_tol, least_squares_residual,
-    project_onto_complement, qr_orthonormal_basis,
+    project_onto_complement, project_out_span, qr_orthonormal_basis,
 )
+from orthograd.net import PerSampleGrads
 
 # Hand-solved oracle, frozen: fit v=(1,1,1) by columns (1,0,0) and (1,1,0).
 # Normal equations G^T G c = G^T v:  [[1,1],[1,2]] c = [1,2]  ->  c = (0, 1),
@@ -66,9 +67,12 @@ def test_default_tolerance_scales_with_dimension():
 
 
 def test_projection_matches_least_squares_oracle_randomized():
-    # independent routes: hand-rolled Gram-Schmidt vs numpy normal equations
+    # the kernel and the normal-equations oracle both start from G^T G and
+    # share its squared condition number; modified Gram-Schmidt on the
+    # columns themselves is the independent route, held to roundoff
     rng = np.random.default_rng(42)
     worst = 0.0
+    worst_gs = 0.0
     for _ in range(300):
         d = int(rng.integers(5, 120))
         k = int(rng.integers(1, min(d, 24) + 1))
@@ -76,9 +80,13 @@ def test_projection_matches_least_squares_oracle_randomized():
         v = rng.normal(size=d)
         a = project_onto_complement(v, qr_orthonormal_basis(g))
         b = least_squares_residual(v, g)
+        q_gs, _ = gram_schmidt_basis(g, default_drop_tol(d))
+        c = project_onto_complement(v, OrthonormalBasis(q=q_gs, drop_tol=default_drop_tol(d)))
         denom = max(1.0, float(np.linalg.norm(v)))
         worst = max(worst, float(np.linalg.norm(a - b)) / denom)
+        worst_gs = max(worst_gs, float(np.linalg.norm(a - c)) / denom)
     assert worst <= 1e-7
+    assert worst_gs <= 1e-12
 
 
 def test_basis_orthonormality_randomized():
@@ -246,3 +254,54 @@ def test_columns_below_tolerance_give_rank_zero():
     assert basis.q.shape == (5, 0)
     v = np.arange(5.0)
     assert np.array_equal(project_onto_complement(v, basis), v)
+
+
+# ---------------------------------------------------------------------------
+# the factored projection against the dense routes
+
+
+def as_factored(g):
+    """A dense (d, k) matrix as one factored block: column i is 1 (x) g[:, i]."""
+    return PerSampleGrads(g.shape[0], [(0, np.ones((g.shape[1], 1)), g.T.copy())])
+
+
+def test_project_out_span_matches_gram_schmidt_on_planted_matrices():
+    rng = np.random.default_rng(41)
+    for _ in range(150):
+        d = int(rng.integers(20, 200))
+        k = int(rng.integers(2, 20))
+        g = planted_matrix(rng, d, k)
+        v = rng.normal(size=d)
+        perp, rank = project_out_span(v, as_factored(g))
+        q_ref, kept = gram_schmidt_basis(g, default_drop_tol(d))
+        ref = project_onto_complement(v, OrthonormalBasis(q=q_ref, drop_tol=default_drop_tol(d)))
+        assert rank == len(kept)
+        assert np.linalg.norm(perp - ref) <= 1e-12 * np.linalg.norm(v)
+        assert np.abs(q_ref.T @ perp).max(initial=0.0) <= 1e-12 * np.linalg.norm(perp)
+
+
+def test_project_out_span_with_more_columns_than_dimensions():
+    # the Gram route can keep a column or two beyond d on roundoff, so only
+    # the projection is pinned, not the rank
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        d = int(rng.integers(1, 30))
+        k = d + int(rng.integers(1, 30))
+        v = rng.normal(size=d)
+        perp, rank = project_out_span(v, as_factored(rng.normal(size=(d, k))))
+        assert rank >= d
+        assert np.linalg.norm(perp) <= 1e-12 * np.linalg.norm(v)
+
+
+def test_project_out_span_rank_zero_passthrough_and_validation():
+    v = np.arange(5.0)
+    perp, rank = project_out_span(v, as_factored(np.full((5, 3), 1e-12)))
+    assert rank == 0
+    assert np.array_equal(perp, v)
+    assert perp is not v
+    with pytest.raises(ValueError):
+        project_out_span(np.ones(4), as_factored(np.eye(3)))
+    with pytest.raises(ValueError):
+        project_out_span(np.array([1.0, np.nan, 0.0]), as_factored(np.eye(3)))
+    with pytest.raises(ValueError):
+        project_out_span(np.ones(3), as_factored(np.eye(3)), tol=0.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import check_factors_against_dense
 from orthograd.lora import (
     AdaptedModel, LoraAdapterSet, attach_lora, load_adapter_checkpoint,
     merge_lora, save_adapter_checkpoint,
@@ -104,6 +105,31 @@ def test_per_sample_adapter_columns_average_to_mean():
     cols = model.per_sample_grads(batch)
     assert cols.shape == (model.param_dim, 21)
     assert np.abs(cols.mean(axis=1) - mean_grad).max() <= 1e-12
+
+
+def test_per_sample_adapter_factors_act_as_the_dense_matrix():
+    # every layer and a partial set; saturated models (weights scaled 31x)
+    # give exactly-zero per-sample gradients
+    zero_columns = 0
+    for activation in ("relu", "tanh"):
+        for layers in (None, (1,), (0, 2)):
+            for saturate in (False, True):
+                base = make_base((6, 12, 9, 4), activation, seed=30)
+                if saturate:
+                    base = ParamVector(31.0 * base.flat, base.spec)
+                model = attach_lora(base, rank=3, scale=6.0, layers=layers, seed=31)
+                model = model.apply_update(np.random.default_rng(32).normal(size=model.param_dim),
+                                           0.05)
+                batch = random_batch(base.spec, 10, 33)
+                dense = model.per_sample_grads(batch)
+                for i in range(batch.size):   # each column is that sample's own gradient
+                    _, g = model.mean_loss_and_grad(Batch(batch.inputs[i:i + 1],
+                                                          batch.labels[i:i + 1]))
+                    assert np.abs(dense[:, i] - g).max() <= 1e-12 * max(1.0, np.abs(g).max())
+                zero_columns += int(np.count_nonzero(~dense.any(axis=0)))
+                _, mean_grad = model.mean_loss_and_grad(batch)
+                check_factors_against_dense(model.per_sample_factors(batch), dense, mean_grad, 34)
+    assert zero_columns > 0
 
 
 def test_biases_never_adapted():

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import check_factors_against_dense
 from orthograd.net import (
     Batch, NetworkSpec, ParamVector, apply_update, evaluate_accuracy, forward,
-    init_params, load_checkpoint, mean_loss_and_grad, per_sample_grads,
-    pretrain, save_checkpoint,
+    init_params, load_checkpoint, mean_loss_and_grad, per_sample_factors,
+    per_sample_grads, pretrain, save_checkpoint,
 )
 
 
@@ -103,6 +104,24 @@ def test_per_sample_column_is_single_sample_gradient():
         single = Batch(batch.inputs[i:i + 1], batch.labels[i:i + 1])
         _, g = mean_loss_and_grad(params, single)
         assert np.abs(cols[:, i] - g).max() <= 1e-12
+
+
+def test_per_sample_factors_act_as_the_dense_matrix():
+    # odd seeds scale the weights up 31x: the softmax saturates on some
+    # samples, whose per-sample gradients are then exactly zero
+    zero_columns = 0
+    for activation in ("relu", "tanh"):
+        spec = NetworkSpec((6, 12, 9, 4), activation)
+        for seed in range(4):
+            params = init_params(spec, seed)
+            if seed % 2:
+                params = apply_update(params, -30.0 * params.flat, 1.0)
+            batch = random_batch(spec, 11, 60 + seed)
+            dense = per_sample_grads(params, batch)
+            zero_columns += int(np.count_nonzero(~dense.any(axis=0)))
+            _, mean_grad = mean_loss_and_grad(params, batch)
+            check_factors_against_dense(per_sample_factors(params, batch), dense, mean_grad, seed)
+    assert zero_columns > 0
 
 
 def test_zero_params_loss_is_ln_c_exactly():

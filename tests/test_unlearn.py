@@ -7,11 +7,13 @@ import pytest
 
 from helpers import loss_change_ratios
 from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
-from orthograd.linalg import cosine, project_onto_complement, qr_orthonormal_basis
-from orthograd.lora import AdaptedModel
+from orthograd.linalg import (
+    cosine, project_onto_complement, project_out_span, qr_orthonormal_basis,
+)
+from orthograd.lora import AdaptedModel, attach_lora
 from orthograd.net import (
-    Batch, NetworkSpec, apply_update, init_params, mean_loss_and_grad,
-    per_sample_grads,
+    Batch, NetworkSpec, apply_update, forward, init_params, mean_loss_and_grad,
+    per_sample_factors, per_sample_grads,
 )
 from orthograd.unlearn import (
     MethodKind, StoppingRule, UnlearnConfig, _CyclicSampler, baseline_step,
@@ -91,14 +93,20 @@ def test_orthograd_step_matches_manual_composition():
     cfg = make_cfg(alpha=0.85, eta=0.02)
     stepped, diag = orthograd_step(params, b_u, b_r, cfg)
 
+    # bitwise against the public factored pieces
     _, g_u = mean_loss_and_grad(params, b_u)
+    grads = per_sample_factors(params, b_r)
+    perp, rank = project_out_span(g_u, grads)
+    direction = combine_update(grads.mean(), perp, 0.85)
+    assert np.array_equal(stepped.flat, apply_update(params, direction, 0.02).flat)
+    assert diag.basis_rank == rank
+
+    # the update direction against the dense route, within a fixed tolerance
     cols = per_sample_grads(params, b_r)
     basis = qr_orthonormal_basis(cols)
-    perp = project_onto_complement(g_u, basis)
-    manual = apply_update(params, combine_update(cols.mean(axis=1), perp, 0.85), 0.02)
-
-    assert np.array_equal(stepped.flat, manual.flat)
-    assert diag.basis_rank == basis.rank
+    dense = combine_update(cols.mean(axis=1), project_onto_complement(g_u, basis), 0.85)
+    assert np.abs(direction - dense).max() <= 1e-10 * np.abs(direction).max()
+    assert rank == basis.rank
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +184,130 @@ def test_first_order_retain_invariance_of_projected_direction():
 
     lin = loss_change_ratios(params, b_r, g_u)
     assert np.any((lin >= 1.8) & (lin <= 2.2))     # first-order leak remains
+
+
+# ---------------------------------------------------------------------------
+# the factored route, checked from outside: g_u_perp recovered from the
+# parameter change of a public step with alpha = 0 and eta = 1, against the
+# dense per-sample columns
+
+
+def both_spaces(spec, seed):
+    """A full-parameter model and an adapter model whose B blocks are nonzero."""
+    params = init_params(spec, seed)
+    model = attach_lora(params, rank=2, scale=8.0, seed=seed + 1)
+    model = model.apply_update(np.random.default_rng(seed + 2).normal(size=model.param_dim), 0.05)
+    return params, model
+
+
+def coords(model):
+    return model.theta if isinstance(model, AdaptedModel) else model.flat
+
+
+def dense_columns(model, batch):
+    if isinstance(model, AdaptedModel):
+        return model.per_sample_grads(batch)
+    return per_sample_grads(model, batch)
+
+
+def step_inputs(model, b_u, b_r):
+    """The unlearn mean gradient and the factored retain gradients, in the model's space."""
+    if isinstance(model, AdaptedModel):
+        return model.mean_loss_and_grad(b_u)[1], model.per_sample_factors(b_r)
+    return mean_loss_and_grad(model, b_u)[1], per_sample_factors(model, b_r)
+
+
+def projected_step(model, b_u, b_r):
+    """(g_u_perp from the update, diagnostics) of one step with alpha = 0, eta = 1."""
+    stepped, diag = orthograd_step(model, b_u, b_r, make_cfg(alpha=0.0, eta=1.0))
+    return coords(stepped) - coords(model), diag
+
+
+def max_live_cos(v, cols):
+    """Largest |cos(v, column)| over the columns of norm > 1e-6."""
+    norms = np.linalg.norm(cols, axis=0)
+    live = norms > 1e-6
+    return float(np.max(np.abs(v @ cols[:, live]) / (norms[live] * np.linalg.norm(v)),
+                        initial=0.0))
+
+
+def test_recovered_projection_orthogonal_to_dense_columns():
+    zero_columns = 0
+    for activation in ("relu", "tanh"):
+        for seed in range(4):
+            spec = NetworkSpec((8, 24, 5), activation)
+            b_u = random_batch(spec, 10, 500 + seed)
+            b_r = random_batch(spec, 16, 600 + seed)
+            for model in both_spaces(spec, seed):
+                if seed % 2 and not isinstance(model, AdaptedModel):
+                    model = apply_update(model, -30.0 * model.flat, 1.0)   # saturates
+                cols = dense_columns(model, b_r)
+                zero_columns += int(np.count_nonzero(~cols.any(axis=0)))
+                perp, diag = projected_step(model, b_u, b_r)
+                assert np.linalg.norm(perp) > 0.0
+                assert max_live_cos(perp, cols) <= 1e-6
+                assert diag.basis_rank == qr_orthonormal_basis(cols).rank
+    assert zero_columns > 0
+
+
+def test_more_retain_samples_than_dimensions_projects_to_zero():
+    # rank is set by roundoff here, so only the result is pinned
+    for seed in range(6):
+        full = init_params(NetworkSpec((3, 2, 2), "tanh"), seed)   # d = 14
+        _, adapted = both_spaces(NetworkSpec((3, 4, 2), "relu"), seed)   # d' = 26
+        for model in (full, adapted):
+            b_u = random_batch(model.spec, 4, 700 + seed)
+            b_r = random_batch(model.spec, 30, 800 + seed)
+            stepped, diag = orthograd_step(model, b_u, b_r, make_cfg())
+            assert np.all(np.isfinite(coords(stepped)))
+            assert diag.g_u_perp_norm <= 1e-10 * diag.g_u_norm
+
+
+def test_duplicate_retain_samples_count_once():
+    spec = NetworkSpec((8, 24, 5), "tanh")
+    distinct = random_batch(spec, 5, 900)
+    idx = np.array([0, 1, 0, 2, 3, 1, 4, 0, 2])
+    b_r = Batch(distinct.inputs[idx], distinct.labels[idx])
+    b_u = random_batch(spec, 6, 901)
+    for model in both_spaces(spec, 9):
+        perp, diag = projected_step(model, b_u, b_r)
+        assert diag.basis_rank == 5
+        assert max_live_cos(perp, dense_columns(model, b_r)) <= 1e-6
+
+
+def test_one_sample_batches():
+    spec = NetworkSpec((8, 24, 5), "relu")
+    b_u = random_batch(spec, 1, 910)
+    b_r = random_batch(spec, 1, 911)
+    for model in both_spaces(spec, 10):
+        perp, diag = projected_step(model, b_u, b_r)
+        assert diag.basis_rank == 1
+        assert max_live_cos(perp, dense_columns(model, b_r)) <= 1e-6
+
+
+def test_all_zero_retain_batch_leaves_unlearn_gradient_untouched():
+    # weights scaled 1000x saturate the softmax exactly: a sample labelled
+    # with its own prediction then has a per-sample gradient of exactly zero
+    spec = NetworkSpec((6, 16, 4), "relu")
+    params = init_params(spec, 11)
+    params = apply_update(params, -999.0 * params.flat, 1.0)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(8, spec.in_dim))
+    b_r = Batch(x, np.argmax(forward(params, x), axis=1))
+    b_u = random_batch(spec, 5, 13)
+    model = attach_lora(params, rank=2, scale=8.0, seed=14)
+    model = model.apply_update(rng.normal(size=model.param_dim), 1e-3)
+    for m in (params, model):
+        assert not dense_columns(m, b_r).any()
+        g_u, factors = step_inputs(m, b_u, b_r)
+        assert np.any(g_u)
+        perp, rank = project_out_span(g_u, factors)
+        assert rank == 0
+        assert np.array_equal(perp, g_u)
+        stepped, diag = orthograd_step(m, b_u, b_r, make_cfg(alpha=0.0, eta=0.1))
+        ascent = baseline_step(m, b_u, b_r, make_cfg(method=MethodKind.NEGGRAD, eta=0.1))
+        assert diag.basis_rank == 0
+        assert np.array_equal(coords(stepped), coords(ascent))
 
 
 # ---------------------------------------------------------------------------
