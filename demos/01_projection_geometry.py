@@ -17,14 +17,15 @@ Run:  python3 demos/01_projection_geometry.py
 
 import numpy as np
 
-from orthograd.linalg import cosine, project_onto_complement, qr_orthonormal_basis
+from orthograd.linalg import project_out_span
 from orthograd.net import (
     Batch,
     NetworkSpec,
     ParamVector,
+    PerSampleGrads,
     init_params,
     mean_loss_and_grad,
-    per_sample_grads,
+    per_sample_factors,
 )
 
 
@@ -35,7 +36,13 @@ def random_batch(spec, k, seed):
 
 
 def max_abs_cos(direction, columns):
-    return max(abs(cosine(direction, columns[:, i])) for i in range(columns.shape[1]))
+    cos = direction @ columns / (np.linalg.norm(direction) * np.linalg.norm(columns, axis=0))
+    return float(np.max(np.abs(cos)))
+
+
+def project_off_mean(g_u, grads):
+    """g_u projected against the mean retain gradient alone, one column."""
+    return project_out_span(g_u, PerSampleGrads.columns(grads.mean()[:, None]))[0]
 
 
 def sample_loss(params, x, y):
@@ -50,20 +57,18 @@ def main():
     batch_r = random_batch(spec, 16, seed=2)
 
     _, g_u = mean_loss_and_grad(params, batch_u)
-    cols = per_sample_grads(params, batch_r)          # (param_dim, 16)
-    g_r_mean = cols.mean(axis=1)
+    grads = per_sample_factors(params, batch_r)       # factored, 16 samples
+    cols = grads.dense()                              # (param_dim, 16), for the cosines
 
     print("== alignment with the 16 per-sample retain gradients ==")
     print(f"raw unlearn gradient:        max |cos| = {max_abs_cos(g_u, cols):.4f}")
 
-    mean_basis = qr_orthonormal_basis(g_r_mean[:, None])
-    vs_mean = project_onto_complement(g_u, mean_basis)
+    vs_mean = project_off_mean(g_u, grads)
     print(f"projected vs mean only:      max |cos| = {max_abs_cos(vs_mean, cols):.4f}")
 
-    full_basis = qr_orthonormal_basis(cols)
-    vs_all = project_onto_complement(g_u, full_basis)
+    vs_all, rank = project_out_span(g_u, grads)
     print(f"projected vs all samples:    max |cos| = {max_abs_cos(vs_all, cols):.2e}")
-    print(f"(basis rank {full_basis.rank}, kept {np.linalg.norm(vs_all) / np.linalg.norm(g_u):.1%} "
+    print(f"(basis rank {rank}, kept {np.linalg.norm(vs_all) / np.linalg.norm(g_u):.1%} "
           "of the gradient's length)")
 
     # first-order invariance: walk along each direction and watch each
@@ -92,13 +97,14 @@ def main():
     batch_conflict = Batch(np.vstack([x, x]), np.array([0, 1]))
     batch_u3 = Batch(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
 
-    cols3 = per_sample_grads(params3, batch_conflict)
-    print(f"cos(sample 0 grad, sample 1 grad) = {cosine(cols3[:, 0], cols3[:, 1]):.3f}")
+    grads3 = per_sample_factors(params3, batch_conflict)
+    cols3 = grads3.dense()
+    pair = cols3[:, 0] @ cols3[:, 1] / (np.linalg.norm(cols3[:, 0]) * np.linalg.norm(cols3[:, 1]))
+    print(f"cos(sample 0 grad, sample 1 grad) = {pair:.3f}")
 
     _, g_u3 = mean_loss_and_grad(params3, batch_u3)
-    mean3 = cols3.mean(axis=1)
-    leak = project_onto_complement(g_u3, qr_orthonormal_basis(mean3[:, None]))
-    clean = project_onto_complement(g_u3, qr_orthonormal_basis(cols3))
+    leak = project_off_mean(g_u3, grads3)
+    clean, _ = project_out_span(g_u3, grads3)
     print(f"projected vs mean only:   max |cos| = {max_abs_cos(leak, cols3):.3f}   <- leaks")
     print(f"projected vs both:        max |cos| = {max_abs_cos(clean, cols3):.2e}")
 

@@ -5,8 +5,8 @@ classifier by projecting the unlearn gradient onto the subspace orthogonal
 to the per-sample gradients of a retain batch, then blending it with the
 mean retain gradient.  Modules:
 
-* ``linalg``      projection and orthonormal-basis kernels
-* ``net``         feed-forward classifier with per-sample gradients
+* ``linalg``      the projection kernel and its least-squares oracle
+* ``net``         feed-forward classifier with factored per-sample gradients
 * ``lora``        low-rank adapters for parameter-efficient unlearning
 * ``data``        synthetic blob datasets, CSV IO, unlearn/retain splits
 * ``unlearn``     update rules, stopping rules, the epoch loop
@@ -18,15 +18,13 @@ from .data import (
     Dataset, Splits, gen_gaussian_blobs, load_csv_dataset, make_unlearn_split,
     partition_train_test,
 )
-from .evaluation import AccuracyReport, RunRecord, UISRecord, evaluate_splits, uis
-from .linalg import (
-    OrthonormalBasis, least_squares_residual, project_onto_complement, qr_orthonormal_basis,
-)
+from .evaluation import AccuracyReport, RunRecord, evaluate_splits, uis
+from .linalg import least_squares_residual, project_out_span
 from .lora import AdaptedModel, LoraAdapterSet, attach_lora, merge_lora
 from .net import (
-    Batch, NetworkSpec, ParamVector, apply_update, evaluate_accuracy, forward,
-    init_params, load_checkpoint, mean_loss_and_grad, per_sample_grads, pretrain,
-    save_checkpoint,
+    Batch, NetworkSpec, ParamVector, PerSampleGrads, apply_update, evaluate_accuracy,
+    forward, init_params, load_checkpoint, mean_loss_and_grad, per_sample_factors,
+    pretrain, save_checkpoint,
 )
 from .unlearn import (
     MethodKind, StoppingRule, UnlearnConfig, UnlearnResult, baseline_step,
@@ -37,13 +35,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyReport", "AdaptedModel", "Batch", "Dataset", "LoraAdapterSet",
-    "MethodKind", "NetworkSpec", "OrthonormalBasis", "ParamVector", "RunRecord",
-    "Splits", "StoppingRule", "UISRecord", "UnlearnConfig", "UnlearnResult",
+    "MethodKind", "NetworkSpec", "ParamVector", "PerSampleGrads", "RunRecord",
+    "Splits", "StoppingRule", "UnlearnConfig", "UnlearnResult",
     "apply_update", "attach_lora", "baseline_step", "combine_update",
     "evaluate_accuracy", "evaluate_splits", "forward", "gen_gaussian_blobs",
     "init_params", "least_squares_residual", "load_checkpoint", "load_csv_dataset",
     "make_unlearn_split", "mean_loss_and_grad", "merge_lora", "orthograd_step",
-    "partition_train_test", "per_sample_grads", "pretrain", "project_onto_complement",
-    "qr_orthonormal_basis", "run_unlearning", "save_checkpoint", "stopping_check",
-    "uis",
+    "partition_train_test", "per_sample_factors", "pretrain", "project_out_span",
+    "run_unlearning", "save_checkpoint", "stopping_check", "uis",
 ]

@@ -1,20 +1,14 @@
 """Command-line entry points: pretrain, unlearn, compare.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration failure.
-``ORTHOGRAD_THREADS`` caps the worker slots used for (method, seed) runs;
-records are sorted before emission so the results file is byte-identical
-for any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import itertools
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import data, net
 from .config import (
@@ -54,33 +48,15 @@ def _build_splits(cfg: ExperimentConfig, train, test, retain_size: int | None = 
         seed=cfg.split_seed, fraction=cfg.fraction, class_label=cfg.class_label)
 
 
-def _method_settings(cfg: ExperimentConfig, method: str) -> dict:
-    table = dict(cfg.unlearn_base)
-    table.update(cfg.unlearn_overrides.get(method, {}))
-    src = cfg.source
-    out = {
-        "alpha": float(table.get("alpha", "0.9")),
-        "eta": float(table.get("eta", "0.001")),
-        "unlearn_batch": int(table.get("unlearn_batch", "32")),
-        "retain_batch": int(table.get("retain_batch", "32")),
-        "max_epochs": int(table.get("max_epochs", "30")),
-        "use_lora": table.get("use_lora", "false") == "true",
-        "lora_rank": int(table.get("lora_rank", "8")),
-        "lora_scale": float(table.get("lora_scale", "32")),
-        "seed": int(table.get("seed", "0")),
-    }
-    if table.get("use_lora", "false") not in ("true", "false"):
-        raise ConfigError(f"{src}: use_lora expects 'true' or 'false'")
-    if "stop_threshold" in table:
-        out["stop_threshold"] = float(table["stop_threshold"])
-    return out
-
-
-def _stopping_rule(cfg: ExperimentConfig, settings: dict, a_p_test: float) -> StoppingRule:
+def _unlearn_config(cfg: ExperimentConfig, method: MethodKind, settings: dict, seed: int,
+                    a_p_test: float) -> UnlearnConfig:
+    fields = dict(settings, seed=seed)
+    extra = {"threshold": fields.pop("stop_threshold")} if "stop_threshold" in fields else {}
     if cfg.split_mode == "random":
-        return StoppingRule.random_forget(
-            target=a_p_test, threshold=settings.get("stop_threshold", 0.5))
-    return StoppingRule.class_forget(threshold=settings.get("stop_threshold", 1.0))
+        rule = StoppingRule.random_forget(target=a_p_test, **extra)
+    else:
+        rule = StoppingRule.class_forget(**extra)
+    return UnlearnConfig(method=method, stopping=rule, **fields)
 
 
 def _network_spec(cfg: ExperimentConfig) -> net.NetworkSpec:
@@ -88,15 +64,6 @@ def _network_spec(cfg: ExperimentConfig) -> net.NetworkSpec:
         return net.NetworkSpec(cfg.layer_sizes, cfg.activation)
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid network ({exc})") from None
-
-
-def _worker_slots(n_jobs: int) -> int:
-    raw = os.environ.get("ORTHOGRAD_THREADS", "1")
-    try:
-        slots = int(raw)
-    except ValueError:
-        raise ConfigError(f"ORTHOGRAD_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(slots, n_jobs))
 
 
 def _original_record(cfg: ExperimentConfig, report, n_retain: int) -> RunRecord:
@@ -167,8 +134,9 @@ def cmd_unlearn(args) -> int:
     pretrained, _meta = net.load_checkpoint(ckpt_path)
 
     methods = _parse_methods(args.method)
+    settings = {m: cfg.method_settings(m.value) for m in methods}
     seeds = (_parse_int_csv(args.seed_list, "--seed-list")
-             if args.seed_list else [_method_settings(cfg, methods[0].value)["seed"]])
+             if args.seed_list else [settings[methods[0]].get("seed", UnlearnConfig.seed)])
     sizes = (_parse_int_csv(args.retain_sizes, "--retain-sizes")
              if args.retain_sizes else [cfg.retain_size])
 
@@ -176,50 +144,29 @@ def cmd_unlearn(args) -> int:
     runs_dir = _resolve(cfg, cfg.runs_dir)
     runs_dir.mkdir(parents=True, exist_ok=True)
 
-    # splits and the pretrained reference depend only on the retain size
-    per_size = {}
-    for size in sizes:
+    records = []
+    for size in sizes:   # splits and the pretrained reference depend only on the retain size
         splits = _build_splits(cfg, train, test, retain_size=size)
-        report = evaluate_splits(pretrained, splits)
-        per_size[size] = (splits, report.A_test)
+        a_p_test = evaluate_splits(pretrained, splits).A_test
+        for method, seed in itertools.product(methods, seeds):
+            ucfg = _unlearn_config(cfg, method, settings[method], seed, a_p_test)
+            result = run_unlearning(pretrained, splits, ucfg)
+            final = result.trace[-1]
+            records.append(RunRecord(
+                method=method.value, seed=seed, epoch=final.epoch,
+                A_u=final.A_u, A_r=final.A_r, A_test=final.A_test,
+                uis=uis(a_p_test, final.A_test, final.A_u),
+                stop_epoch=result.stop_epoch, stopped_early=result.stopped_early,
+                n_retain=size))
 
-    jobs = [(m, s, size) for size in sizes for m in methods for s in seeds]
-
-    def one_run(job):
-        method, seed, size = job
-        splits, a_p_test = per_size[size]
-        settings = _method_settings(cfg, method.value)
-        rule = _stopping_rule(cfg, settings, a_p_test)
-        ucfg = UnlearnConfig(
-            method=method, stopping=rule, alpha=settings["alpha"], eta=settings["eta"],
-            unlearn_batch=settings["unlearn_batch"], retain_batch=settings["retain_batch"],
-            max_epochs=settings["max_epochs"], use_lora=settings["use_lora"],
-            lora_rank=settings["lora_rank"], lora_scale=settings["lora_scale"], seed=seed)
-        result = run_unlearning(pretrained, splits, ucfg)
-        final = result.trace[-1]
-        record = RunRecord(
-            method=method.value, seed=seed, epoch=final.epoch,
-            A_u=final.A_u, A_r=final.A_r, A_test=final.A_test,
-            uis=uis(a_p_test, final.A_test, final.A_u),
-            stop_epoch=result.stop_epoch, stopped_early=result.stopped_early,
-            n_retain=size)
-
-        stem = f"{method.value}-nr{size}-s{seed}"
-        net.save_checkpoint(runs_dir / f"unlearned-{stem}.ckpt", result.params, seed=seed)
-        trace_lines = [
-            f"epoch={r.epoch} A_u={r.A_u:.6g} A_r={r.A_r:.6g} A_test={r.A_test:.6g}"
-            for r in result.trace
-        ]
-        (runs_dir / f"trace-{stem}.txt").write_text("\n".join(trace_lines) + "\n",
-                                                    encoding="utf-8")
-        return record
-
-    slots = _worker_slots(len(jobs))
-    if slots > 1:
-        with ThreadPoolExecutor(max_workers=slots) as pool:
-            records = list(pool.map(one_run, jobs))
-    else:
-        records = [one_run(job) for job in jobs]
+            stem = f"{method.value}-nr{size}-s{seed}"
+            net.save_checkpoint(runs_dir / f"unlearned-{stem}.ckpt", result.params, seed=seed)
+            trace_lines = [
+                f"epoch={r.epoch} A_u={r.A_u:.6g} A_r={r.A_r:.6g} A_test={r.A_test:.6g}"
+                for r in result.trace
+            ]
+            (runs_dir / f"trace-{stem}.txt").write_text("\n".join(trace_lines) + "\n",
+                                                        encoding="utf-8")
 
     results_path = _resolve(cfg, cfg.results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)

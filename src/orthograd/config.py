@@ -101,12 +101,6 @@ METHOD_NAMES = (
     "finetune",
 )
 
-_UNLEARN_KEYS = {
-    "alpha", "eta", "unlearn_batch", "retain_batch", "max_epochs",
-    "use_lora", "lora_rank", "lora_scale", "seed", "stop_threshold",
-}
-
-
 def _section(sections, name: str, source: str) -> dict[str, str]:
     if name not in sections:
         raise ConfigError(f"{source}: missing required section [{name}]")
@@ -150,13 +144,22 @@ def _to_int_list(value: str, key: str, source: str) -> tuple[int, ...]:
         raise ConfigError(f"{source}: key {key!r} expects comma-separated integers, got {value!r}") from None
 
 
+# the [unlearn] keys and their converters; a key a config leaves out keeps the
+# default of its UnlearnConfig field or StoppingRule threshold
+_UNLEARN_KEYS = {
+    "alpha": _to_float, "eta": _to_float, "unlearn_batch": _to_int, "retain_batch": _to_int,
+    "max_epochs": _to_int, "use_lora": _to_bool, "lora_rank": _to_int,
+    "lora_scale": _to_float, "seed": _to_int, "stop_threshold": _to_float,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully parsed experiment description.
 
     ``unlearn_overrides`` maps method name to raw per-method key overrides
-    from ``[unlearn.<method>]`` sections; they are applied on top of the
-    ``unlearn`` base table when an UnlearnConfig for that method is built.
+    from ``[unlearn.<method>]`` sections; ``method_settings`` applies them on
+    top of the ``unlearn`` base table and converts the values.
     """
 
     source: str
@@ -197,6 +200,11 @@ class ExperimentConfig:
     checkpoint_path: str = ""
     results_path: str = ""
     runs_dir: str = ""
+
+    def method_settings(self, method: str) -> dict:
+        """The typed keys of ``[unlearn]`` merged with ``[unlearn.<method>]``."""
+        table = {**self.unlearn_base, **self.unlearn_overrides.get(method, {})}
+        return {key: _UNLEARN_KEYS[key](value, key, self.source) for key, value in table.items()}
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -26,7 +26,6 @@ from .data import Splits
 __all__ = [
     "uis",
     "AccuracyReport",
-    "UISRecord",
     "RunRecord",
     "evaluate_splits",
     "RECORD_FIELDS",
@@ -34,7 +33,6 @@ __all__ = [
     "parse_record_line",
     "parse_records",
     "emit_records",
-    "emit_report",
     "render_table",
     "render_sweep",
 ]
@@ -57,20 +55,6 @@ class AccuracyReport:
     epoch: int = 0
     method: str = ""
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class UISRecord:
-    """Final report of a run paired with the pretrained reference accuracy."""
-
-    A_p_test: float
-    report: AccuracyReport
-    uis: float
-
-    @classmethod
-    def from_report(cls, a_p_test: float, report: AccuracyReport) -> "UISRecord":
-        return cls(A_p_test=a_p_test, report=report,
-                   uis=uis(a_p_test, report.A_test, report.A_u))
 
 
 def evaluate_splits(params, splits: Splits, epoch: int = 0,
@@ -181,19 +165,6 @@ def upsert_records(existing, new) -> list[RunRecord]:
     for r in new:
         table[r.sort_key()] = r
     return list(table.values())
-
-
-def emit_report(records, path, fmt: str = "records") -> None:
-    """Write results either as machine records or as the summary table."""
-    if fmt == "records":
-        emit_records(records, path)
-        return
-    if fmt == "table":
-        from pathlib import Path
-
-        Path(path).write_text(render_table(records) + "\n", encoding="utf-8")
-        return
-    raise ValueError(f"format must be 'records' or 'table', got {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -169,10 +169,6 @@ class AdaptedModel:
             blocks.append((b_off, deltas[l], mult * (acts[l] @ self.a_matrix(slot).T)))
         return PerSampleGrads(self.param_dim, blocks)
 
-    def per_sample_grads(self, batch: Batch) -> np.ndarray:
-        """Per-sample adapter gradients as columns of a (d', k) matrix."""
-        return self.per_sample_factors(batch).dense()
-
     def apply_update(self, g: np.ndarray, eta: float) -> "AdaptedModel":
         g = np.asarray(g, dtype=np.float64)
         if g.shape != self.theta.shape:

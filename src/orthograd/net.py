@@ -29,7 +29,6 @@ __all__ = [
     "forward",
     "mean_loss_and_grad",
     "per_sample_factors",
-    "per_sample_grads",
     "evaluate_accuracy",
     "apply_update",
     "pretrain",
@@ -162,6 +161,14 @@ class PerSampleGrads:
 
     def __init__(self, dim: int, blocks):
         self.dim, self.blocks, self.k = dim, blocks, blocks[0][1].shape[0]
+
+    @classmethod
+    def columns(cls, g) -> "PerSampleGrads":
+        """A dense (d, k) matrix as one block: column i is ``1 (x) g[:, i]``."""
+        g = np.asarray(g, dtype=np.float64)
+        if g.ndim != 2:
+            raise ValueError(f"columns need a (d, k) matrix, got shape {g.shape}")
+        return cls(g.shape[0], [(0, np.ones((g.shape[1], 1)), np.ascontiguousarray(g.T))])
 
     def gram(self) -> np.ndarray:
         """G^T G, (k, k): the sum over blocks of (L L^T) * (R R^T)."""
@@ -334,11 +341,6 @@ def per_sample_factors(params: ParamVector, batch: Batch) -> PerSampleGrads:
     ones = np.ones((batch.size, 1))
     return PerSampleGrads(params.dim, [(w_off, np.hstack([acts[l], ones]), deltas[l])
                                        for l, (w_off, *_) in enumerate(params.spec.layout())])
-
-
-def per_sample_grads(params: ParamVector, batch: Batch) -> np.ndarray:
-    """``per_sample_factors`` as columns of a dense (d, k) matrix."""
-    return per_sample_factors(params, batch).dense()
 
 
 def evaluate_accuracy(params: ParamVector, data) -> float:

@@ -96,7 +96,6 @@ class UnlearnConfig:
     lora_rank: int = 8
     lora_scale: float = 32.0
     seed: int = 0
-    drop_tol: float | None = None   # rank tolerance for the retain basis
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -189,9 +188,9 @@ def orthograd_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnCo
     grads = _per_sample(model, batch_r)
     g_r_mean = grads.mean()
 
-    span = grads if cfg.method is MethodKind.ORTHOGRAD_PER_SAMPLE else net.PerSampleGrads(
-        g_r_mean.shape[0], [(0, np.ones((1, 1)), g_r_mean[None, :])])   # the mean as one column
-    g_u_perp, rank = project_out_span(g_u, span, tol=cfg.drop_tol)
+    span = (grads if cfg.method is MethodKind.ORTHOGRAD_PER_SAMPLE
+            else net.PerSampleGrads.columns(g_r_mean[:, None]))
+    g_u_perp, rank = project_out_span(g_u, span)
 
     g = combine_update(g_r_mean, g_u_perp, cfg.alpha)
     updated = _update(model, g, cfg.eta)

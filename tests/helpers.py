@@ -8,12 +8,14 @@ from orthograd.net import Batch, ParamVector, mean_loss_and_grad
 
 
 def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
-    """Reference oracle for ``qr_orthonormal_basis``: modified Gram-Schmidt.
+    """Reference oracle for ``linalg.project_out_span``: modified Gram-Schmidt.
 
     Visits the columns left to right with two orthogonalization sweeps per
     column ("twice is enough") and drops a column whose residual norm is at
-    most ``tol * max(norm(column), 1)``.  Returns the (d, r) orthonormal
-    basis and the indices of the kept columns.
+    most ``tol * max(norm(column), 1)``, the kernel's tolerance rule.  It
+    works on the columns, not on their Gram matrix, so it needs no roundoff
+    floor and shares no code with the kernel.  Returns the (d, r)
+    orthonormal basis and the indices of the kept columns.
     """
     accepted: list[np.ndarray] = []
     kept: list[int] = []
@@ -30,6 +32,21 @@ def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]
         kept.append(j)
     q_mat = np.column_stack(accepted) if accepted else np.zeros((g.shape[0], 0))
     return q_mat, kept
+
+
+def project_off(v: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``v`` minus its projection onto the orthonormal columns of ``q``, subtracted twice."""
+    out = v - q @ (q.T @ v)
+    return out - q @ (q.T @ out)
+
+
+def cosine(u: np.ndarray, v: np.ndarray) -> float:
+    """Cosine of the angle between two vectors; 0.0 if either has zero norm."""
+    nu = float(np.linalg.norm(u))
+    nv = float(np.linalg.norm(v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return float(u @ v) / (nu * nv)
 
 
 def check_factors_against_dense(grads, dense: np.ndarray, mean_grad: np.ndarray,

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from orthograd.evaluation import (
-    AccuracyReport, RunRecord, UISRecord, emit_records, emit_report,
-    format_record, parse_record_line, parse_records, render_sweep,
-    render_table, uis, upsert_records,
+    RunRecord, emit_records, format_record, parse_record_line, parse_records,
+    render_sweep, render_table, uis, upsert_records,
 )
 
 # Published reference points for the score: an unlearned model at
@@ -37,14 +36,6 @@ def test_uis_basic_properties():
         uis(0.0, 10.0, 10.0)
     with pytest.raises(ValueError):
         uis(-5.0, 10.0, 10.0)
-
-
-def test_uis_record_from_report():
-    report = AccuracyReport(A_u=81.04, A_r=99.0, A_test=78.22, epoch=7,
-                            method="orthograd_per_sample", seed=0)
-    rec = UISRecord.from_report(81.06, report)
-    assert rec.uis == pytest.approx(0.018, abs=1e-3)
-    assert rec.uis >= 0.0
 
 
 def _record(method="orthograd_per_sample", seed=0, uis_value=0.02, n_retain=500):
@@ -145,15 +136,3 @@ def test_sweep_table_groups_by_retain_size():
     neggrad_rows = [l for l in out.splitlines() if l.startswith("neggrad ")]
     assert len(neggrad_rows) == 3
     assert [int(r.split()[1]) for r in neggrad_rows] == [100, 500, 2000]
-
-
-def test_emit_report_formats(tmp_path):
-    records = [_record(seed=0)]
-    rec_path = tmp_path / "records.txt"
-    tab_path = tmp_path / "table.txt"
-    emit_report(records, rec_path, fmt="records")
-    emit_report(records, tab_path, fmt="table")
-    assert parse_records(rec_path)[0].method == "orthograd_per_sample"
-    assert "method" in tab_path.read_text(encoding="utf-8")
-    with pytest.raises(ValueError):
-        emit_report(records, tmp_path / "x", fmt="json")

@@ -1,15 +1,12 @@
-"""Projection kernels against hand-solved and independent oracles."""
+"""The projection kernel against hand-solved and independent oracles."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from helpers import gram_schmidt_basis
-from orthograd.linalg import (
-    OrthonormalBasis, cosine, default_drop_tol, least_squares_residual,
-    project_onto_complement, project_out_span, qr_orthonormal_basis,
-)
+from helpers import cosine, gram_schmidt_basis, project_off
+from orthograd.linalg import default_drop_tol, least_squares_residual, project_out_span
 from orthograd.net import PerSampleGrads
 
 # Hand-solved oracle, frozen: fit v=(1,1,1) by columns (1,0,0) and (1,1,0).
@@ -20,44 +17,53 @@ HAND_V = np.array([1.0, 1.0, 1.0])
 HAND_RESIDUAL = np.array([0.0, 0.0, 1.0])
 
 
+def project(v, g, tol=None):
+    """``project_out_span`` against the columns of a dense (d, k) matrix."""
+    return project_out_span(v, PerSampleGrads.columns(g), tol)
+
+
 def test_least_squares_residual_hand_case():
     res = least_squares_residual(HAND_V, HAND_G)
     assert np.allclose(res, HAND_RESIDUAL, atol=1e-9)
 
 
 def test_projection_hand_case():
-    basis = qr_orthonormal_basis(HAND_G)
-    assert basis.rank == 2
-    res = project_onto_complement(HAND_V, basis)
-    assert np.allclose(res, HAND_RESIDUAL, atol=1e-12)
+    perp, rank = project(HAND_V, HAND_G)
+    assert rank == 2
+    assert np.allclose(perp, HAND_RESIDUAL, atol=1e-12)
 
 
 def test_identity_columns_give_identity_basis():
-    basis = qr_orthonormal_basis(np.eye(3), tol=1e-10)
-    assert basis.rank == 3
-    assert np.array_equal(basis.q, np.eye(3))
+    # orthonormal columns make the kept inverse the identity, so exactly
+    # their coordinates are removed
+    v = np.array([1.0, -2.0, 3.0])
+    perp, rank = project(v, np.eye(3), tol=1e-10)
+    assert rank == 3
+    assert np.array_equal(perp, np.zeros(3))
+    perp, rank = project(v, np.eye(3)[:, :2], tol=1e-10)
+    assert rank == 2
+    assert np.array_equal(perp, [0.0, 0.0, 3.0])
 
 
 def test_duplicate_column_dropped():
     g = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    basis = qr_orthonormal_basis(g)
-    assert basis.rank == 1
-    assert np.allclose(basis.q[:, 0], [1.0, 0.0, 0.0])
+    perp, rank = project(np.array([2.0, -1.0, 0.5]), g)
+    assert rank == 1
+    assert np.allclose(perp, [0.0, -1.0, 0.5], atol=1e-12)
 
 
 def test_near_duplicate_column_dropped_below_tol():
     rng = np.random.default_rng(5)
     col = rng.normal(size=50)
     g = np.column_stack([col, col * (1.0 + 1e-14)])
-    basis = qr_orthonormal_basis(g)
-    assert basis.rank == 1
+    _, rank = project(rng.normal(size=50), g)
+    assert rank == 1
 
 
 def test_zero_matrix_gives_rank_zero_and_projection_passthrough():
-    basis = qr_orthonormal_basis(np.zeros((4, 3)))
-    assert basis.rank == 0
     v = np.array([1.0, -2.0, 3.0, 0.5])
-    out = project_onto_complement(v, basis)
+    out, rank = project(v, np.zeros((4, 3)))
+    assert rank == 0
     assert np.array_equal(out, v)
     assert out is not v  # value passthrough, not aliasing
 
@@ -78,10 +84,10 @@ def test_projection_matches_least_squares_oracle_randomized():
         k = int(rng.integers(1, min(d, 24) + 1))
         g = rng.normal(size=(d, k))
         v = rng.normal(size=d)
-        a = project_onto_complement(v, qr_orthonormal_basis(g))
+        a, _ = project(v, g)
         b = least_squares_residual(v, g)
         q_gs, _ = gram_schmidt_basis(g, default_drop_tol(d))
-        c = project_onto_complement(v, OrthonormalBasis(q=q_gs, drop_tol=default_drop_tol(d)))
+        c = project_off(v, q_gs)
         denom = max(1.0, float(np.linalg.norm(v)))
         worst = max(worst, float(np.linalg.norm(a - b)) / denom)
         worst_gs = max(worst_gs, float(np.linalg.norm(a - c)) / denom)
@@ -90,13 +96,21 @@ def test_projection_matches_least_squares_oracle_randomized():
 
 
 def test_basis_orthonormality_randomized():
+    # an orthonormal span basis, read through the projection: the operator
+    # the kernel applies, built column by column from the unit vectors, is
+    # the orthogonal projector I - Q Q^T of the Gram-Schmidt oracle
     rng = np.random.default_rng(7)
     for _ in range(50):
         d = int(rng.integers(10, 200))
         k = int(rng.integers(1, 16))
-        basis = qr_orthonormal_basis(rng.normal(size=(d, k)))
-        gram = basis.q.T @ basis.q
-        assert np.abs(gram - np.eye(basis.rank)).max() <= 1e-10
+        g = rng.normal(size=(d, k))
+        grads = PerSampleGrads.columns(g)
+        columns = [project_out_span(e, grads) for e in np.eye(d)]
+        p = np.column_stack([perp for perp, _ in columns])
+        q_ref, _ = gram_schmidt_basis(g, default_drop_tol(d))
+        assert all(rank == k for _, rank in columns)
+        assert np.abs(p - (np.eye(d) - q_ref @ q_ref.T)).max() <= 1e-10
+        assert np.abs(p @ p - p).max() <= 1e-10
 
 
 def test_projection_in_span_vanishes():
@@ -104,22 +118,21 @@ def test_projection_in_span_vanishes():
     g = rng.normal(size=(40, 6))
     coef = rng.normal(size=6)
     v = g @ coef
-    basis = qr_orthonormal_basis(g)
-    out = project_onto_complement(v, basis)
+    out, _ = project(v, g)
     assert np.linalg.norm(out) <= 1e-10 * np.linalg.norm(v)
 
 
 def test_projection_idempotent_and_linear():
     rng = np.random.default_rng(13)
-    g = rng.normal(size=(60, 8))
-    basis = qr_orthonormal_basis(g)
+    grads = PerSampleGrads.columns(rng.normal(size=(60, 8)))
+    proj = lambda x: project_out_span(x, grads)[0]
     v = rng.normal(size=60)
     w = rng.normal(size=60)
-    pv = project_onto_complement(v, basis)
+    pv = proj(v)
     scale = np.linalg.norm(v)
-    assert np.linalg.norm(project_onto_complement(pv, basis) - pv) <= 1e-10 * scale
-    left = project_onto_complement(2.0 * v - 3.0 * w, basis)
-    right = 2.0 * pv - 3.0 * project_onto_complement(w, basis)
+    assert np.linalg.norm(proj(pv) - pv) <= 1e-10 * scale
+    left = proj(2.0 * v - 3.0 * w)
+    right = 2.0 * pv - 3.0 * proj(w)
     assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(left + 1e-30)
 
 
@@ -127,9 +140,9 @@ def test_column_scaling_leaves_projection_unchanged():
     rng = np.random.default_rng(17)
     g = rng.normal(size=(50, 5))
     v = rng.normal(size=50)
-    base = project_onto_complement(v, qr_orthonormal_basis(g))
+    base, _ = project(v, g)
     for c in (0.5, 2.0, 10.0, 1e3):
-        scaled = project_onto_complement(v, qr_orthonormal_basis(c * g))
+        scaled, _ = project(v, c * g)
         assert np.linalg.norm(scaled - base) <= 1e-10 * max(1.0, np.linalg.norm(v))
 
 
@@ -137,41 +150,36 @@ def test_residual_orthogonal_to_retained_columns():
     rng = np.random.default_rng(19)
     g = rng.normal(size=(80, 10))
     v = rng.normal(size=80)
-    basis = qr_orthonormal_basis(g)
-    out = project_onto_complement(v, basis)
+    out, _ = project(v, g)
     for i in range(g.shape[1]):
         assert abs(cosine(out, g[:, i])) <= 1e-8
 
 
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
-        qr_orthonormal_basis(np.array([[np.nan, 1.0], [0.0, 1.0]]))
+        project(np.ones(2), np.array([[np.nan, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        qr_orthonormal_basis(np.zeros((3, 2)), tol=0.0)
+        project(np.ones(3), np.zeros((3, 2)), tol=0.0)
     with pytest.raises(ValueError):
-        qr_orthonormal_basis(np.zeros(3))  # not a matrix
-    basis = qr_orthonormal_basis(np.eye(3))
+        PerSampleGrads.columns(np.zeros(3))  # not a matrix
+    eye = PerSampleGrads.columns(np.eye(3))
     with pytest.raises(ValueError):
-        project_onto_complement(np.ones(4), basis)
+        project_out_span(np.ones(4), eye)
     with pytest.raises(ValueError):
-        project_onto_complement(np.array([1.0, np.inf, 0.0]), basis)
+        project_out_span(np.array([1.0, np.inf, 0.0]), eye)
     with pytest.raises(ValueError):
         least_squares_residual(np.ones(4), np.eye(3))
 
 
-def test_cosine_zero_norm_convention():
-    assert cosine(np.zeros(3), np.ones(3)) == 0.0
-    assert cosine(np.ones(2), np.ones(2)) == pytest.approx(1.0)
-
-
 # ---------------------------------------------------------------------------
-# the CholeskyQR2 kernel against the Gram-Schmidt oracle
+# the kernel's drop rule against the Gram-Schmidt oracle
 
 
 def kept_columns(g, tol):
     """Indices the kernel keeps: the drop rule is in order, so column j is kept
     exactly when it raises the rank of the prefix g[:, :j+1]."""
-    ranks = [0] + [qr_orthonormal_basis(g[:, :j + 1], tol=tol).rank for j in range(g.shape[1])]
+    d = g.shape[0]
+    ranks = [0] + [project(np.zeros(d), g[:, :j + 1], tol)[1] for j in range(g.shape[1])]
     return [j for j in range(g.shape[1]) if ranks[j + 1] > ranks[j]]
 
 
@@ -194,6 +202,7 @@ def planted_matrix(rng, d, k):
 
 def test_kernel_keeps_oracle_columns_on_planted_matrices():
     rng = np.random.default_rng(23)
+    v_rng = np.random.default_rng(24)
     matrices_with_drops = 0
     for _ in range(150):
         d = int(rng.integers(20, 200))
@@ -201,17 +210,23 @@ def test_kernel_keeps_oracle_columns_on_planted_matrices():
         g = planted_matrix(rng, d, k)
         tol = default_drop_tol(d)
         q_ref, kept_ref = gram_schmidt_basis(g, tol)
-        basis = qr_orthonormal_basis(g)
+        v = v_rng.normal(size=d)
+        perp, rank = project(v, g)
         assert kept_columns(g, tol) == kept_ref
-        assert basis.rank == len(kept_ref)
-        assert np.abs(basis.q.T @ basis.q - np.eye(basis.rank)).max() <= 1e-12
-        assert np.abs(basis.q - q_ref).max() <= 1e-8   # same kept columns, same order
+        assert rank == len(kept_ref)
+        # orthogonal to the oracle's kept columns, and the same span
+        assert np.abs(q_ref.T @ perp).max(initial=0.0) <= 1e-12 * np.linalg.norm(v)
+        assert np.linalg.norm(perp - project_off(v, q_ref)) <= 1e-8 * np.linalg.norm(v)
         matrices_with_drops += len(kept_ref) < k
     assert matrices_with_drops > 50
 
 
 def test_kernel_orthonormal_to_roundoff_on_ill_conditioned_columns():
+    # every column is kept, and the residual is orthogonal to each of them;
+    # what remains inside the span lies along the weakest singular
+    # directions, where two k-space sweeps leave about (eps * cond^2)^2 of it
     rng = np.random.default_rng(29)
+    x_rng = np.random.default_rng(30)
     for _ in range(50):
         d = int(rng.integers(50, 400))
         k = int(rng.integers(2, 40))
@@ -219,50 +234,53 @@ def test_kernel_orthonormal_to_roundoff_on_ill_conditioned_columns():
         u, _ = np.linalg.qr(rng.normal(size=(d, k)))
         v, _ = np.linalg.qr(rng.normal(size=(k, k)))
         g = (u * np.logspace(0, -6, k)) @ v.T
-        basis = qr_orthonormal_basis(g)
-        assert basis.rank == k
-        assert np.abs(basis.q.T @ basis.q - np.eye(k)).max() <= 1e-12
-        assert np.abs(basis.q.T @ g - np.triu(basis.q.T @ g)).max() <= 1e-9
+        x = x_rng.normal(size=d)
+        perp, rank = project(x, g)
+        assert rank == k
+        assert max(abs(cosine(perp, g[:, j])) for j in range(k)) <= 1e-12
+        assert np.linalg.norm(perp - project_off(x, u)) <= 1e-8 * np.linalg.norm(x)
 
 
 def test_more_columns_than_dimensions_saturates_the_space():
+    # the whole space is spanned: every unit vector projects to zero
     rng = np.random.default_rng(31)
     for _ in range(100):
         d = int(rng.integers(1, 30))
         k = d + int(rng.integers(1, 30))
-        g = rng.normal(size=(d, k))
-        basis = qr_orthonormal_basis(g)
-        assert basis.rank == d
-        assert np.abs(basis.q.T @ basis.q - np.eye(d)).max() <= 1e-12
-        v = rng.normal(size=d)
-        assert np.linalg.norm(project_onto_complement(v, basis)) <= 1e-12 * np.linalg.norm(v)
+        grads = PerSampleGrads.columns(rng.normal(size=(d, k)))
+        for e in np.eye(d):
+            perp, rank = project_out_span(e, grads)
+            assert rank == d
+            assert np.linalg.norm(perp) <= 1e-12
 
 
 def test_fortran_ordered_input_gives_the_same_basis():
     rng = np.random.default_rng(37)
     g = planted_matrix(rng, 120, 16)
-    basis_c = qr_orthonormal_basis(np.ascontiguousarray(g))
-    basis_f = qr_orthonormal_basis(np.asfortranarray(g))
-    assert basis_f.rank == basis_c.rank
-    assert np.abs(basis_f.q - basis_c.q).max() <= 1e-12
+    v = rng.normal(size=120)
+    perp_c, rank_c = project(v, np.ascontiguousarray(g))
+    perp_f, rank_f = project(v, np.asfortranarray(g))
+    assert rank_f == rank_c
+    assert np.abs(perp_f - perp_c).max() <= 1e-12 * np.linalg.norm(v)
 
 
 def test_columns_below_tolerance_give_rank_zero():
-    g = np.full((5, 3), 1e-12)
-    basis = qr_orthonormal_basis(g)
-    assert basis.rank == 0
-    assert basis.q.shape == (5, 0)
+    # the absolute rule: a column whose norm is at most tol is dropped, one
+    # just above it is kept
+    tol = default_drop_tol(5)
     v = np.arange(5.0)
-    assert np.array_equal(project_onto_complement(v, basis), v)
+    perp, rank = project(v, np.full((5, 3), 1e-12))
+    assert rank == 0
+    assert np.array_equal(perp, v)
+    col = np.zeros((5, 1))
+    col[0] = 0.5 * tol
+    assert project(v, col)[1] == 0
+    col[0] = 2.0 * tol
+    assert project(v, col)[1] == 1
 
 
 # ---------------------------------------------------------------------------
-# the factored projection against the dense routes
-
-
-def as_factored(g):
-    """A dense (d, k) matrix as one factored block: column i is 1 (x) g[:, i]."""
-    return PerSampleGrads(g.shape[0], [(0, np.ones((g.shape[1], 1)), g.T.copy())])
+# the projection against the Gram-Schmidt oracle
 
 
 def test_project_out_span_matches_gram_schmidt_on_planted_matrices():
@@ -272,36 +290,37 @@ def test_project_out_span_matches_gram_schmidt_on_planted_matrices():
         k = int(rng.integers(2, 20))
         g = planted_matrix(rng, d, k)
         v = rng.normal(size=d)
-        perp, rank = project_out_span(v, as_factored(g))
+        perp, rank = project(v, g)
         q_ref, kept = gram_schmidt_basis(g, default_drop_tol(d))
-        ref = project_onto_complement(v, OrthonormalBasis(q=q_ref, drop_tol=default_drop_tol(d)))
+        ref = project_off(v, q_ref)
         assert rank == len(kept)
         assert np.linalg.norm(perp - ref) <= 1e-12 * np.linalg.norm(v)
         assert np.abs(q_ref.T @ perp).max(initial=0.0) <= 1e-12 * np.linalg.norm(perp)
 
 
 def test_project_out_span_with_more_columns_than_dimensions():
-    # the Gram route can keep a column or two beyond d on roundoff, so only
-    # the projection is pinned, not the rank
+    # at most d columns are kept: once the span is all of R^d the kernel
+    # stops, so later columns cannot add a roundoff rank
     rng = np.random.default_rng(31)
     for _ in range(100):
         d = int(rng.integers(1, 30))
         k = d + int(rng.integers(1, 30))
         v = rng.normal(size=d)
-        perp, rank = project_out_span(v, as_factored(rng.normal(size=(d, k))))
-        assert rank >= d
+        perp, rank = project(v, rng.normal(size=(d, k)))
+        assert rank == d
         assert np.linalg.norm(perp) <= 1e-12 * np.linalg.norm(v)
 
 
 def test_project_out_span_rank_zero_passthrough_and_validation():
     v = np.arange(5.0)
-    perp, rank = project_out_span(v, as_factored(np.full((5, 3), 1e-12)))
+    perp, rank = project(v, np.full((5, 3), 1e-12))
     assert rank == 0
     assert np.array_equal(perp, v)
     assert perp is not v
+    eye = PerSampleGrads.columns(np.eye(3))
     with pytest.raises(ValueError):
-        project_out_span(np.ones(4), as_factored(np.eye(3)))
+        project_out_span(np.ones(4), eye)
     with pytest.raises(ValueError):
-        project_out_span(np.array([1.0, np.nan, 0.0]), as_factored(np.eye(3)))
+        project_out_span(np.array([1.0, np.nan, 0.0]), eye)
     with pytest.raises(ValueError):
-        project_out_span(np.ones(3), as_factored(np.eye(3)), tol=0.0)
+        project_out_span(np.ones(3), eye, tol=0.0)

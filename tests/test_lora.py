@@ -102,7 +102,7 @@ def test_per_sample_adapter_columns_average_to_mean():
     model = model.apply_update(rng.normal(size=model.param_dim), 0.02)
     batch = random_batch(base.spec, 21, 17)
     _, mean_grad = model.mean_loss_and_grad(batch)
-    cols = model.per_sample_grads(batch)
+    cols = model.per_sample_factors(batch).dense()
     assert cols.shape == (model.param_dim, 21)
     assert np.abs(cols.mean(axis=1) - mean_grad).max() <= 1e-12
 
@@ -121,7 +121,7 @@ def test_per_sample_adapter_factors_act_as_the_dense_matrix():
                 model = model.apply_update(np.random.default_rng(32).normal(size=model.param_dim),
                                            0.05)
                 batch = random_batch(base.spec, 10, 33)
-                dense = model.per_sample_grads(batch)
+                dense = model.per_sample_factors(batch).dense()
                 for i in range(batch.size):   # each column is that sample's own gradient
                     _, g = model.mean_loss_and_grad(Batch(batch.inputs[i:i + 1],
                                                           batch.labels[i:i + 1]))

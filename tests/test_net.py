@@ -8,8 +8,8 @@ import pytest
 from helpers import check_factors_against_dense
 from orthograd.net import (
     Batch, NetworkSpec, ParamVector, apply_update, evaluate_accuracy, forward,
-    init_params, load_checkpoint, mean_loss_and_grad, per_sample_factors,
-    per_sample_grads, pretrain, save_checkpoint,
+    init_params, load_checkpoint, mean_loss_and_grad, per_sample_factors, pretrain,
+    save_checkpoint,
 )
 
 
@@ -89,7 +89,7 @@ def test_per_sample_columns_average_to_mean_grad():
     for k in (1, 2, 17, 64):
         batch = random_batch(spec, k, 50 + k)
         _, mean_grad = mean_loss_and_grad(params, batch)
-        cols = per_sample_grads(params, batch)
+        cols = per_sample_factors(params, batch).dense()
         assert cols.shape == (spec.param_dim, k)
         gap = np.abs(cols.mean(axis=1) - mean_grad)
         assert gap.max() <= 1e-12 * max(1.0, float(np.abs(mean_grad).max()))
@@ -99,7 +99,7 @@ def test_per_sample_column_is_single_sample_gradient():
     spec = NetworkSpec((4, 5, 3), "tanh")
     params = init_params(spec, 9)
     batch = random_batch(spec, 5, 77)
-    cols = per_sample_grads(params, batch)
+    cols = per_sample_factors(params, batch).dense()
     for i in range(batch.size):
         single = Batch(batch.inputs[i:i + 1], batch.labels[i:i + 1])
         _, g = mean_loss_and_grad(params, single)
@@ -117,7 +117,7 @@ def test_per_sample_factors_act_as_the_dense_matrix():
             if seed % 2:
                 params = apply_update(params, -30.0 * params.flat, 1.0)
             batch = random_batch(spec, 11, 60 + seed)
-            dense = per_sample_grads(params, batch)
+            dense = per_sample_factors(params, batch).dense()
             zero_columns += int(np.count_nonzero(~dense.any(axis=0)))
             _, mean_grad = mean_loss_and_grad(params, batch)
             check_factors_against_dense(per_sample_factors(params, batch), dense, mean_grad, seed)
