@@ -5,10 +5,10 @@ classifier by projecting the unlearn gradient onto the subspace orthogonal
 to the per-sample gradients of a retain batch, then blending it with the
 mean retain gradient.  Modules:
 
-* ``linalg``      the projection kernel and its least-squares oracle
+* ``linalg``      the projection kernel
 * ``net``         feed-forward classifier with factored per-sample gradients
 * ``lora``        low-rank adapters for parameter-efficient unlearning
-* ``data``        synthetic blob datasets, CSV IO, unlearn/retain splits
+* ``data``        synthetic blob datasets, CSV ingestion, unlearn/retain splits
 * ``unlearn``     update rules, stopping rules, the epoch loop
 * ``evaluation``  impact metric and the structured results format
 * ``cli``         the ``orthograd`` command
@@ -19,7 +19,7 @@ from .data import (
     partition_train_test,
 )
 from .evaluation import AccuracyReport, RunRecord, evaluate_splits, uis
-from .linalg import least_squares_residual, project_out_span
+from .linalg import project_out_span
 from .lora import AdaptedModel, LoraAdapterSet, attach_lora, merge_lora
 from .net import (
     Batch, NetworkSpec, ParamVector, PerSampleGrads, apply_update, evaluate_accuracy,
@@ -39,7 +39,7 @@ __all__ = [
     "Splits", "StoppingRule", "UnlearnConfig", "UnlearnResult",
     "apply_update", "attach_lora", "baseline_step", "combine_update",
     "evaluate_accuracy", "evaluate_splits", "forward", "gen_gaussian_blobs",
-    "init_params", "least_squares_residual", "load_checkpoint", "load_csv_dataset",
+    "init_params", "load_checkpoint", "load_csv_dataset",
     "make_unlearn_split", "mean_loss_and_grad", "merge_lora", "orthograd_step",
     "partition_train_test", "per_sample_factors", "pretrain", "project_out_span",
     "run_unlearning", "save_checkpoint", "stopping_check", "uis",

@@ -18,6 +18,7 @@ from .evaluation import (
     RunRecord, emit_records, evaluate_splits, parse_records, render_sweep,
     render_table, upsert_records, uis,
 )
+from .lora import LoraAdapterSet
 from .unlearn import MethodKind, StoppingRule, UnlearnConfig, run_unlearning
 
 USAGE_EXIT = 2
@@ -49,14 +50,20 @@ def _build_splits(cfg: ExperimentConfig, train, test, retain_size: int | None = 
 
 
 def _unlearn_config(cfg: ExperimentConfig, method: MethodKind, settings: dict, seed: int,
-                    a_p_test: float) -> UnlearnConfig:
+                    a_p_test: float, spec: net.NetworkSpec) -> UnlearnConfig:
     fields = dict(settings, seed=seed)
     extra = {"threshold": fields.pop("stop_threshold")} if "stop_threshold" in fields else {}
     if cfg.split_mode == "random":
         rule = StoppingRule.random_forget(target=a_p_test, **extra)
     else:
         rule = StoppingRule.class_forget(**extra)
-    return UnlearnConfig(method=method, stopping=rule, **fields)
+    try:
+        ucfg = UnlearnConfig(method=method, stopping=rule, **fields)
+        if ucfg.use_lora:   # the adapter shapes run_unlearning will attach
+            LoraAdapterSet(spec, ucfg.lora_rank, ucfg.lora_scale, tuple(range(spec.n_layers)))
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.source}: {method.value} settings: {exc}") from None
+    return ucfg
 
 
 def _network_spec(cfg: ExperimentConfig) -> net.NetworkSpec:
@@ -141,32 +148,36 @@ def cmd_unlearn(args) -> int:
              if args.retain_sizes else [cfg.retain_size])
 
     train, test = _build_dataset(cfg)
-    runs_dir = _resolve(cfg, cfg.runs_dir)
-    runs_dir.mkdir(parents=True, exist_ok=True)
-
-    records = []
+    runs = []   # every run's config is built, and so checked, before the first run writes
     for size in sizes:   # splits and the pretrained reference depend only on the retain size
         splits = _build_splits(cfg, train, test, retain_size=size)
         a_p_test = evaluate_splits(pretrained, splits).A_test
-        for method, seed in itertools.product(methods, seeds):
-            ucfg = _unlearn_config(cfg, method, settings[method], seed, a_p_test)
-            result = run_unlearning(pretrained, splits, ucfg)
-            final = result.trace[-1]
-            records.append(RunRecord(
-                method=method.value, seed=seed, epoch=final.epoch,
-                A_u=final.A_u, A_r=final.A_r, A_test=final.A_test,
-                uis=uis(a_p_test, final.A_test, final.A_u),
-                stop_epoch=result.stop_epoch, stopped_early=result.stopped_early,
-                n_retain=size))
+        runs += [(size, splits, a_p_test,
+                  _unlearn_config(cfg, method, settings[method], seed, a_p_test, pretrained.spec))
+                 for method, seed in itertools.product(methods, seeds)]
 
-            stem = f"{method.value}-nr{size}-s{seed}"
-            net.save_checkpoint(runs_dir / f"unlearned-{stem}.ckpt", result.params, seed=seed)
-            trace_lines = [
-                f"epoch={r.epoch} A_u={r.A_u:.6g} A_r={r.A_r:.6g} A_test={r.A_test:.6g}"
-                for r in result.trace
-            ]
-            (runs_dir / f"trace-{stem}.txt").write_text("\n".join(trace_lines) + "\n",
-                                                        encoding="utf-8")
+    runs_dir = _resolve(cfg, cfg.runs_dir)
+    runs_dir.mkdir(parents=True, exist_ok=True)
+    records = []
+    for size, splits, a_p_test, ucfg in runs:
+        method, seed = ucfg.method, ucfg.seed
+        result = run_unlearning(pretrained, splits, ucfg)
+        final = result.trace[-1]
+        records.append(RunRecord(
+            method=method.value, seed=seed, epoch=final.epoch,
+            A_u=final.A_u, A_r=final.A_r, A_test=final.A_test,
+            uis=uis(a_p_test, final.A_test, final.A_u),
+            stop_epoch=result.stop_epoch, stopped_early=result.stopped_early,
+            n_retain=size))
+
+        stem = f"{method.value}-nr{size}-s{seed}"
+        net.save_checkpoint(runs_dir / f"unlearned-{stem}.ckpt", result.params, seed=seed)
+        trace_lines = [
+            f"epoch={r.epoch} A_u={r.A_u:.6g} A_r={r.A_r:.6g} A_test={r.A_test:.6g}"
+            for r in result.trace
+        ]
+        (runs_dir / f"trace-{stem}.txt").write_text("\n".join(trace_lines) + "\n",
+                                                    encoding="utf-8")
 
     results_path = _resolve(cfg, cfg.results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)

@@ -20,7 +20,6 @@ __all__ = [
     "gen_gaussian_blobs",
     "partition_train_test",
     "load_csv_dataset",
-    "save_csv_dataset",
     "make_unlearn_split",
 ]
 
@@ -164,16 +163,6 @@ def load_csv_dataset(path, n_features: int, n_classes: int) -> Dataset:
         raise ValueError(f"{p}: dataset is empty")
     return Dataset(np.array(rows), np.array(labels, dtype=np.int64), n_classes,
                    provenance=str(p))
-
-
-def save_csv_dataset(path, data: Dataset) -> None:
-    """Write the CSV form; %.17g keeps the float64 round trip exact."""
-    lines = []
-    for x, y in zip(data.inputs, data.labels):
-        lines.append(",".join(f"{v:.17g}" for v in x) + f",{int(y)}")
-    from pathlib import Path
-
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: int,

@@ -15,12 +15,13 @@ exactly like the full-model parameter vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .net import (
     Batch, NetworkSpec, ParamVector, PerSampleGrads, _cross_entropy_losses,
-    _decode_checkpoint, _encode_checkpoint, _engine_pass, _forward_layers,
+    _decode_checkpoint, _encode_checkpoint, _engine_pass, _logits,
 )
 
 __all__ = [
@@ -94,7 +95,9 @@ class AdaptedModel:
 
     Mirrors the full-model operations but differentiates with respect to the
     adapter coordinates only.  ``apply_update`` returns a new model; the base
-    parameters are shared, never copied or mutated.
+    parameters are shared, never copied or mutated.  The effective weights
+    are built once, on first use, and the forward and gradient methods read
+    that one copy.
     """
 
     def __init__(self, base: ParamVector, adapters: LoraAdapterSet, theta: np.ndarray):
@@ -128,19 +131,19 @@ class AdaptedModel:
         """Scaled low-rank update (scale/rank) B A, output-major (n_out, n_in)."""
         return self.adapters.multiplier * (self.b_matrix(slot) @ self.a_matrix(slot))
 
-    def effective_weights(self) -> list[np.ndarray]:
+    def effective_weights(self) -> tuple[np.ndarray, ...]:
+        """Per layer ``W + (scale/rank) (B A)^T``; shared by every call, do not modify."""
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, ...]:
         weights = self.base.weight_list()
         for slot, (l, *_rest) in enumerate(self.adapters.layout()):
             weights[l] = weights[l] + self.weight_delta(slot).T
-        return weights
+        return tuple(weights)
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        x = np.asarray(inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.in_dim:
-            raise ValueError(f"inputs must be (k, {self.spec.in_dim}), got shape {x.shape}")
-        logits, _ = _forward_layers(self.effective_weights(), self.base.bias_list(),
-                                    self.spec.activation, x)
-        return logits
+        return _logits(self.effective_weights(), self.base.bias_list(), self.spec, inputs)
 
     def mean_loss_and_grad(self, batch: Batch) -> tuple[float, np.ndarray]:
         """Mean cross-entropy and its gradient in adapter coordinates."""

@@ -219,10 +219,12 @@ def _check_batch(batch, n_in: int, n_classes: int) -> None:
 # shared forward/backward engine (also used with LoRA effective weights)
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray) -> None:
+    """The hidden activation, in place."""
     if name == "relu":
-        return np.maximum(z, 0.0)
-    return np.tanh(z)
+        np.maximum(z, 0.0, out=z)
+    else:
+        np.tanh(z, out=z)
 
 
 def _activation_grad(name: str, act: np.ndarray) -> np.ndarray:
@@ -236,16 +238,43 @@ def _forward_layers(weights, biases, activation, x):
     """Forward pass; returns (logits, activations).
 
     ``acts[0]`` is the input; ``acts[l+1]`` is layer l's output.  The final
-    layer is linear (logits), hidden layers apply the activation.
+    layer is linear (logits), hidden layers apply the activation.  Each
+    layer allocates one array: the bias and the activation apply in place.
     """
     a = np.asarray(x, dtype=np.float64)
     acts = [a]
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w + b
-        a = z if l == last else _activate(activation, z)
+        a = a @ w
+        a += b
+        if l != last:
+            _activate(activation, a)
         acts.append(a)
     return acts[-1], acts
+
+
+# Evaluation runs in row chunks whose widest temporary stays within 256 KiB
+# (256 rows at width 128): the allocator then reuses heap pages, where
+# whole-set temporaries of several MB are mapped, and page-faulted, afresh
+# on every call.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _chunk_rows(spec: NetworkSpec) -> int:
+    return max(1, _CHUNK_BYTES // (8 * max(spec.layer_sizes)))
+
+
+def _logits(weights, biases, spec: NetworkSpec, inputs) -> np.ndarray:
+    """Logits of every row of ``inputs``, computed in row chunks."""
+    x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.in_dim:
+        raise ValueError(f"inputs must be (k, {spec.in_dim}), got shape {x.shape}")
+    out = np.empty((x.shape[0], spec.n_classes))
+    rows = _chunk_rows(spec)
+    for start in range(0, x.shape[0], rows):
+        out[start:start + rows] = _forward_layers(weights, biases, spec.activation,
+                                                  x[start:start + rows])[0]
+    return out
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -309,12 +338,7 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
 
 def forward(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
     """Logits for a batch of inputs, shape (k, n_classes)."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.in_dim:
-        raise ValueError(f"inputs must be (k, {params.spec.in_dim}), got shape {x.shape}")
-    logits, _ = _forward_layers(params.weight_list(), params.bias_list(),
-                                params.spec.activation, x)
-    return logits
+    return _logits(params.weight_list(), params.bias_list(), params.spec, inputs)
 
 
 def mean_loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
@@ -349,8 +373,7 @@ def evaluate_accuracy(params: ParamVector, data) -> float:
     y = np.asarray(data.labels, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty dataset")
-    logits = forward(params, x)
-    pred = np.argmax(logits, axis=1)
+    pred = np.argmax(forward(params, x), axis=1)
     return 100.0 * float(np.count_nonzero(pred == y)) / x.shape[0]
 
 

@@ -21,8 +21,9 @@ and diagnostics come from factored per-sample gradients (``net.PerSampleGrads``)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -98,24 +99,42 @@ class UnlearnConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # each message starts with the field's name, so a config error names its key
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if self.unlearn_batch < 1 or self.retain_batch < 1:
-            raise ValueError("batch sizes must be >= 1")
+        for name in ("unlearn_batch", "retain_batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_epochs < 0:
             raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
 
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Geometry of one projection step."""
+    """Geometry of one projection step.
+
+    ``basis_rank`` is the number of retain gradient columns the kernel kept,
+    at most min(k, d); see ``linalg.project_out_span``.  ``max_abs_cos``,
+    against every per-sample retain gradient (a zero column counts as 0), is
+    computed on first read from the step's gradients, which eq, hash and
+    repr skip; a caller that never reads it never pays for it.
+    """
 
     basis_rank: int
     g_u_norm: float
     g_u_perp_norm: float
-    max_abs_cos: float   # vs the per-sample retain gradient columns
+    grads: net.PerSampleGrads = field(repr=False, compare=False)
+    g_u_perp: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def max_abs_cos(self) -> float:
+        # |cos| against every retain gradient from one G^T matvec
+        denom = np.sqrt(self.grads.sq_norms()) * self.g_u_perp_norm
+        cos = np.divide(self.grads.rmatvec(self.g_u_perp), denom, out=np.zeros_like(denom),
+                        where=denom > 0.0)
+        return float(np.max(np.abs(cos)))
 
 
 @dataclass(frozen=True)
@@ -193,19 +212,10 @@ def orthograd_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnCo
     g_u_perp, rank = project_out_span(g_u, span)
 
     g = combine_update(g_r_mean, g_u_perp, cfg.alpha)
-    updated = _update(model, g, cfg.eta)
-
-    # |cos| against every retain gradient from one G^T matvec; a zero norm counts as 0
-    perp_norm = float(np.linalg.norm(g_u_perp))
-    denom = np.sqrt(grads.sq_norms()) * perp_norm
-    cos = np.divide(grads.rmatvec(g_u_perp), denom, out=np.zeros_like(denom), where=denom > 0.0)
-    diag = StepDiagnostics(
-        basis_rank=rank,
-        g_u_norm=float(np.linalg.norm(g_u)),
-        g_u_perp_norm=perp_norm,
-        max_abs_cos=float(np.max(np.abs(cos))),
-    )
-    return updated, diag
+    diag = StepDiagnostics(basis_rank=rank, g_u_norm=float(np.linalg.norm(g_u)),
+                           g_u_perp_norm=float(np.linalg.norm(g_u_perp)),
+                           grads=grads, g_u_perp=g_u_perp)
+    return _update(model, g, cfg.eta), diag
 
 
 def baseline_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnConfig):

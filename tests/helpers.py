@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from orthograd.data import Dataset
 from orthograd.net import Batch, ParamVector, mean_loss_and_grad
 
 
@@ -32,6 +35,62 @@ def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]
         kept.append(j)
     q_mat = np.column_stack(accepted) if accepted else np.zeros((g.shape[0], 0))
     return q_mat, kept
+
+
+def cholesky_keep_reference(gram: np.ndarray, tol: float, dim: int) -> tuple[np.ndarray, list[int]]:
+    """Reference for ``linalg._cholesky_keep``: the column-by-column loop it replaced.
+
+    Row j of the triangle is column j's Schur row against the kept rows
+    before it; the column is kept when the leading entry exceeds
+    ``max((tol * max(norm, 1))^2, 64 * eps * norm^2)``, and the loop stops
+    at ``dim`` kept columns.  Returns the (k, r) inverse of the kept
+    triangle scattered into the kept rows, and the kept indices.
+    """
+    norm2 = np.diag(gram)
+    floor = np.maximum((tol * np.maximum(np.sqrt(norm2), 1.0)) ** 2,
+                       64.0 * np.finfo(np.float64).eps * norm2)
+    r = np.zeros_like(gram)
+    kept: list[int] = []
+    for j in range(gram.shape[0]):
+        if len(kept) == dim:
+            break
+        s = gram[j, j:] - r[:j, j] @ r[:j, j:]
+        if s[0] > floor[j]:
+            r[j, j:] = s / math.sqrt(s[0])
+            kept.append(j)
+    w = np.zeros((gram.shape[0], len(kept)))
+    w[kept] = np.linalg.inv(r[np.ix_(kept, kept)])
+    return w, kept
+
+
+def forward_reference(weights, biases, activation: str, x: np.ndarray) -> np.ndarray:
+    """Logits of the whole batch in one unchunked pass, a fresh array per operation."""
+    a = np.asarray(x, dtype=np.float64)
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        a = a @ w + b
+        if l < len(weights) - 1:
+            a = np.maximum(a, 0.0) if activation == "relu" else np.tanh(a)
+    return a
+
+
+def least_squares_residual(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Residual of the least-squares fit of ``v`` by the columns of ``g``.
+
+    Solves the normal equations ``(g^T g + 1e-12 I) c = g^T v`` and returns
+    ``v - g c``.  This is an oracle for ``project_out_span`` that shares no
+    code with it: for full-rank ``g`` the two agree up to roundoff.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    g = np.asarray(g, dtype=np.float64)
+    if v.ndim != 1 or g.ndim != 2 or g.shape[1] < 1:
+        raise ValueError(f"need a vector and a (d, k) matrix, got shapes {v.shape} and {g.shape}")
+    if g.shape[0] != v.shape[0]:
+        raise ValueError(f"dimension mismatch: v has length {v.shape[0]}, g has {g.shape[0]} rows")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(g))):
+        raise ValueError("inputs contain non-finite entries")
+    gram = g.T @ g + 1e-12 * np.eye(g.shape[1])
+    coef = np.linalg.solve(gram, g.T @ v)
+    return v - g @ coef
 
 
 def project_off(v: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -93,3 +152,9 @@ def loss_change_ratios(params: ParamVector, batch: Batch, direction: np.ndarray,
         d_half = sample_loss(ParamVector(params.flat + 0.5 * eps * v, params.spec), x, y) - base
         ratios[i] = abs(d_full) / abs(d_half)
     return ratios
+
+
+def save_csv_dataset(path, data: Dataset) -> None:
+    """Write the CSV form ``load_csv_dataset`` reads; %.17g keeps the float64 round trip exact."""
+    lines = [",".join(f"{v:.17g}" for v in x) + f",{int(y)}" for x, y in zip(data.inputs, data.labels)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -17,11 +17,15 @@ import time
 import numpy as np
 import pytest
 
-from helpers import cosine, gram_schmidt_basis, loss_change_ratios
+from helpers import (
+    cholesky_keep_reference, cosine, gram_schmidt_basis, least_squares_residual,
+    loss_change_ratios,
+)
+from orthograd import linalg
 from orthograd.cli import main
 from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import uis
-from orthograd.linalg import default_drop_tol, least_squares_residual, project_out_span
+from orthograd.linalg import default_drop_tol, project_out_span
 from orthograd.lora import AdaptedModel, attach_lora, merge_lora
 from orthograd.net import (
     Batch,
@@ -393,6 +397,49 @@ def test_12_factored_steps_orthogonal_to_dense_retain_columns(world):
         lines.append(f"{'adapter' if adapted else 'full'} (d={len(before)}, k={k_r}): "
                      f"max |cos| {worst:.1e}, rank agrees on {same_rank}/{steps}")
     print("PASS factored steps: " + "; ".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# 13: the blocked kernel keeps the reference loop's columns on desk Grams
+
+
+def test_13_kernel_keeps_reference_columns_on_desk_grams(world, monkeypatch):
+    # every Gram the projected steps factor is refactored by the column loop
+    # the kernel replaced; the kept columns, and so basis_rank, must agree
+    splits = make_unlearn_split(world["train"], world["test"], mode="random",
+                                retain_size=500, seed=1, fraction=0.05)
+    rule = StoppingRule.random_forget(target=world["a_test"])
+    seen = []
+    kernel = linalg._cholesky_keep
+
+    def spy(gram, tol, dim):
+        seen.append((gram, tol, dim, kernel(gram, tol, dim)))
+        return seen[-1][3]
+
+    monkeypatch.setattr(linalg, "_cholesky_keep", spy)
+    rng = np.random.default_rng(13)
+    lines = []
+    for model, k_r, eta in ((attach_lora(world["params"], rank=8, scale=32.0, seed=0), 64, 0.12),
+                            (attach_lora(world["params"], rank=8, scale=32.0, seed=1), 256, 0.12),
+                            (world["params"], 32, 0.05)):
+        cfg = UnlearnConfig(method=MethodKind.ORTHOGRAD_PER_SAMPLE, stopping=rule,
+                            alpha=0.9, eta=eta, retain_batch=k_r)
+        kept_total, dropped = 0, 0
+        for _ in range(12):
+            iu = rng.choice(len(splits.unlearn), 32, replace=False)
+            ir = rng.choice(len(splits.retain), k_r, replace=False)
+            b_u = Batch(splits.unlearn.inputs[iu], splits.unlearn.labels[iu])
+            b_r = Batch(splits.retain.inputs[ir], splits.retain.labels[ir])
+            model, diag = orthograd_step(model, b_u, b_r, cfg)
+            gram, tol, dim, w = seen[-1]
+            _, kept_ref = cholesky_keep_reference(gram, tol, dim)
+            assert np.flatnonzero(w.any(axis=1)).tolist() == kept_ref
+            assert diag.basis_rank == len(kept_ref)
+            kept_total += len(kept_ref)
+            dropped += k_r - len(kept_ref)
+        assert dropped > 0
+        lines.append(f"k={k_r}: kept {kept_total}, dropped {dropped}")
+    print("PASS kernel vs reference loop on 36 desk Grams: " + "; ".join(lines))
 
 
 # ---------------------------------------------------------------------------

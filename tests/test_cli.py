@@ -106,6 +106,26 @@ def test_malformed_unlearn_value_is_usage_error(workdir, capsys):
     assert not (tmp_path / "out" / "runs").exists()   # rejected before any run
 
 
+@pytest.mark.parametrize("method, table, named", [
+    ("neggrad", "alpha = 1.5", "alpha must lie in [0, 1], got 1.5"),
+    ("finetune", "use_lora = true\nlora_rank = 4", "rank 4 exceeds"),   # the last layer is 12 -> 3
+])
+def test_out_of_range_unlearn_value_is_usage_error_before_any_run(workdir, capsys, method, table,
+                                                                   named):
+    # other methods run before these; none may write before the value is rejected
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    results = (tmp_path / "out" / "results.txt").read_bytes()
+    cfg_path.write_text(TINY_CONFIG + f"\n[unlearn.{method}]\n{table}\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["unlearn", str(cfg_path), "--method", "all", "--seed-list", "0,1"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "exp.cfg" in err and f"{method} settings" in err and named in err
+    assert not (tmp_path / "out" / "runs").exists()
+    assert (tmp_path / "out" / "results.txt").read_bytes() == results
+
+
 def test_unlearn_without_checkpoint_is_usage_error(workdir, capsys):
     _, cfg_path = workdir
     rc = main(["unlearn", str(cfg_path), "--method", "finetune"])

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import save_csv_dataset
 from orthograd.data import (
     Dataset, gen_gaussian_blobs, load_csv_dataset, make_unlearn_split,
-    partition_train_test, save_csv_dataset,
+    partition_train_test,
 )
 from orthograd.net import NetworkSpec, evaluate_accuracy, pretrain
 

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import cosine, gram_schmidt_basis, project_off
-from orthograd.linalg import default_drop_tol, least_squares_residual, project_out_span
+from helpers import (
+    cholesky_keep_reference, cosine, gram_schmidt_basis, least_squares_residual, project_off,
+)
+from orthograd.linalg import _cholesky_keep, default_drop_tol, project_out_span
 from orthograd.net import PerSampleGrads
 
 # Hand-solved oracle, frozen: fit v=(1,1,1) by columns (1,0,0) and (1,1,0).
@@ -219,6 +221,28 @@ def test_kernel_keeps_oracle_columns_on_planted_matrices():
         assert np.linalg.norm(perp - project_off(v, q_ref)) <= 1e-8 * np.linalg.norm(v)
         matrices_with_drops += len(kept_ref) < k
     assert matrices_with_drops > 50
+
+
+def test_kernel_keeps_the_reference_loop_columns():
+    # the blocked LAPACK kernel against the column-by-column loop it replaced,
+    # on planted matrices within one block and across several (k > 64, some k > d):
+    # the same kept columns, so the same rank, and the same span
+    rng = np.random.default_rng(43)
+    multi_block = 0
+    for i in range(190):
+        d = int(rng.integers(20, 200))
+        k = int(rng.integers(2, 20)) if i < 150 else int(rng.integers(65, 300))
+        g = planted_matrix(rng, d, k)
+        gram = PerSampleGrads.columns(g).gram()
+        tol = default_drop_tol(d)
+        w_ref, kept_ref = cholesky_keep_reference(gram, tol, d)
+        w = _cholesky_keep(gram, tol, d)
+        assert np.flatnonzero(w.any(axis=1)).tolist() == kept_ref
+        assert w.shape == w_ref.shape
+        q, q_ref = g @ w, g @ w_ref
+        assert np.abs(q @ q.T - q_ref @ q_ref.T).max() <= 1e-8
+        multi_block += len(kept_ref) > 64
+    assert multi_block >= 20
 
 
 def test_kernel_orthonormal_to_roundoff_on_ill_conditioned_columns():

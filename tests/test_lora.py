@@ -194,3 +194,19 @@ def test_adapter_checkpoint_rejects_wrong_base(tmp_path):
     other = make_base((5, 12, 4), seed=30)
     with pytest.raises(ValueError):
         load_adapter_checkpoint(path, other)
+
+
+def test_reused_effective_weights_equal_recomputed_bitwise():
+    # the adapted weights are built once per model; every read, and every
+    # updated model, must see exactly what a fresh computation gives
+    base = make_base((6, 12, 5, 3), "relu", seed=12)
+    model = attach_lora(base, rank=2, scale=8.0, seed=13)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        model = model.apply_update(rng.normal(size=model.param_dim), 0.05)
+        fresh = base.weight_list()
+        for slot, (l, *_rest) in enumerate(model.adapters.layout()):
+            fresh[l] = fresh[l] + model.weight_delta(slot).T
+        reused = model.effective_weights()
+        assert reused is model.effective_weights()
+        assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))

@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import check_factors_against_dense
+from helpers import check_factors_against_dense, forward_reference
+from orthograd.data import Dataset
+from orthograd.lora import attach_lora
 from orthograd.net import (
     Batch, NetworkSpec, ParamVector, apply_update, evaluate_accuracy, forward,
     init_params, load_checkpoint, mean_loss_and_grad, per_sample_factors, pretrain,
-    save_checkpoint,
+    save_checkpoint, _chunk_rows,
 )
 
 
@@ -259,3 +261,27 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path.write_bytes(b"NOT-A-CKPT v9\n" + blob.split(b"\n", 1)[1])
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_chunked_logits_match_one_unchunked_pass(activation):
+    # evaluation runs in row chunks of c rows; every split point must give the
+    # logits and the accuracy of one pass over all rows
+    spec = NetworkSpec((6, 40, 24, 3), activation)
+    c = _chunk_rows(spec)
+    assert c == 256 * 1024 // (8 * 40)
+    base = init_params(spec, 3)
+    adapted = attach_lora(base, rank=2, scale=8.0, seed=4)
+    adapted = adapted.apply_update(np.random.default_rng(5).normal(size=adapted.param_dim), 0.1)
+    rng = np.random.default_rng(6)
+    for n in (1, c - 1, c, c + 1, 3 * c + 7):
+        x = rng.normal(size=(n, spec.in_dim))
+        y = rng.integers(0, spec.n_classes, size=n)
+        for weights, got, params in (
+                (base.weight_list(), forward(base, x), base),
+                (adapted.effective_weights(), adapted.forward(x), adapted.merged())):
+            want = forward_reference(weights, base.bias_list(), activation, x)
+            assert got.shape == want.shape == (n, spec.n_classes)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            want_acc = 100.0 * np.count_nonzero(np.argmax(want, axis=1) == y) / n
+            assert evaluate_accuracy(params, Dataset(x, y, spec.n_classes)) == want_acc

@@ -488,3 +488,40 @@ def test_config_validation():
         make_cfg(unlearn_batch=0)
     with pytest.raises(ValueError):
         make_cfg(max_epochs=-1)
+    # each message names its field, which the CLI reports as the config key
+    for field, bad in (("unlearn_batch", 0), ("retain_batch", 0), ("max_epochs", -1)):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            make_cfg(**{field: bad})
+
+
+def test_run_unlearning_never_computes_the_unread_cosine(monkeypatch):
+    # max |cos| needs the column norms; a run that never reads it must not call them
+    def refuse(self):
+        raise AssertionError("sq_norms called")
+
+    monkeypatch.setattr(PerSampleGrads, "sq_norms", refuse)
+    full = gen_gaussian_blobs(3, 5, 50, spread=1.0, seed=1)
+    train, test = partition_train_test(full, 40)
+    splits = make_unlearn_split(train, test, mode="random", retain_size=40, seed=2, fraction=0.1)
+    params = init_params(NetworkSpec((5, 12, 3), "relu"), 0)
+    for method in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN):
+        for use_lora in (False, True):
+            cfg = make_cfg(method=method, max_epochs=2, unlearn_batch=4, retain_batch=8,
+                           use_lora=use_lora, lora_rank=2, lora_scale=4.0)
+            assert run_unlearning(params, splits, cfg).stop_epoch == 2
+    _, diag = orthograd_step(params, random_batch(params.spec, 4, 1), random_batch(params.spec, 8, 2),
+                             make_cfg())
+    with pytest.raises(AssertionError, match="sq_norms"):
+        diag.max_abs_cos
+
+
+def test_step_diagnostics_compare_and_print_by_their_numbers():
+    spec = NetworkSpec((4, 8, 3), "tanh")
+    params = init_params(spec, 5)
+    b_u, b_r = random_batch(spec, 5, 6), random_batch(spec, 7, 7)
+    _, first = orthograd_step(params, b_u, b_r, make_cfg())
+    _, again = orthograd_step(params, b_u, b_r, make_cfg())
+    assert first.grads is not again.grads
+    assert first == again and hash(first) == hash(again)
+    assert "grads" not in repr(first) and "g_u_perp=" not in repr(first)
+    assert first.max_abs_cos == again.max_abs_cos <= 1e-6
