@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import data, net
 from .config import (
-    METHOD_NAMES, ConfigError, ExperimentConfig, load_experiment_config,
+    METHOD_NAMES, ConfigError, ExperimentConfig, load_experiment_config, write_atomic,
 )
 from .evaluation import (
     RunRecord, emit_records, evaluate_splits, parse_records, render_sweep,
@@ -43,10 +43,13 @@ def _build_dataset(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
 
 
 def _build_splits(cfg: ExperimentConfig, train, test, retain_size: int | None = None):
-    return data.make_unlearn_split(
-        train, test, mode=cfg.split_mode,
-        retain_size=cfg.retain_size if retain_size is None else retain_size,
-        seed=cfg.split_seed, fraction=cfg.fraction, class_label=cfg.class_label)
+    try:
+        return data.make_unlearn_split(
+            train, test, mode=cfg.split_mode,
+            retain_size=cfg.retain_size if retain_size is None else retain_size,
+            seed=cfg.split_seed, fraction=cfg.fraction, class_label=cfg.class_label)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.source}: splits: {exc}") from None
 
 
 def _unlearn_config(cfg: ExperimentConfig, method: MethodKind, settings: dict, seed: int,
@@ -88,6 +91,7 @@ def cmd_pretrain(args) -> int:
             f"{cfg.source}: network ends {spec.in_dim}->{spec.n_classes}, "
             f"dataset needs {cfg.dim}->{cfg.classes}")
     train, test = _build_dataset(cfg)
+    splits = _build_splits(cfg, train, test)   # a bad split setting fails before any training
     params = net.pretrain(spec, train, epochs=cfg.pretrain_epochs,
                           batch_size=cfg.pretrain_batch, eta=cfg.pretrain_eta,
                           seed=cfg.pretrain_seed)
@@ -96,7 +100,6 @@ def cmd_pretrain(args) -> int:
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     net.save_checkpoint(ckpt_path, params, seed=cfg.pretrain_seed)
 
-    splits = _build_splits(cfg, train, test)
     report = evaluate_splits(params, splits, epoch=0, method="original",
                              seed=cfg.pretrain_seed)
     train_acc = net.evaluate_accuracy(params, train)
@@ -176,8 +179,7 @@ def cmd_unlearn(args) -> int:
             f"epoch={r.epoch} A_u={r.A_u:.6g} A_r={r.A_r:.6g} A_test={r.A_test:.6g}"
             for r in result.trace
         ]
-        (runs_dir / f"trace-{stem}.txt").write_text("\n".join(trace_lines) + "\n",
-                                                    encoding="utf-8")
+        write_atomic(runs_dir / f"trace-{stem}.txt", ("\n".join(trace_lines) + "\n").encode("utf-8"))
 
     results_path = _resolve(cfg, cfg.results_path)
     results_path.parent.mkdir(parents=True, exist_ok=True)

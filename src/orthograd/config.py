@@ -15,13 +15,16 @@ typos are easy to find.  ``format_sections`` emits a canonical rendering
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 __all__ = [
     "ConfigError",
     "parse_sections",
     "format_sections",
     "parse_sections_text",
+    "write_atomic",
     "ExperimentConfig",
     "load_experiment_config",
     "METHOD_NAMES",
@@ -67,14 +70,25 @@ def parse_sections_text(text: str, source: str = "<config>") -> dict[str, dict[s
 
 def parse_sections(path) -> dict[str, dict[str, str]]:
     """Parse a config file; missing files raise ConfigError naming the path."""
-    from pathlib import Path
-
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {p}") from None
     return parse_sections_text(text, source=str(p))
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` via a temporary file beside it and ``os.replace``, so a
+    reader sees the old file or the new one; on failure the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def format_sections(sections) -> str:
@@ -208,8 +222,6 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    from pathlib import Path
-
     p = Path(path)
     source = str(p)
     sections = parse_sections(p)

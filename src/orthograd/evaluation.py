@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import net
+from .config import write_atomic
 from .data import Splits
 
 __all__ = [
@@ -151,12 +152,10 @@ def parse_records(path) -> list[RunRecord]:
 
 
 def emit_records(records, path) -> None:
-    """Write records sorted by (method, n_retain, seed); byte-deterministic."""
-    from pathlib import Path
-
+    """Write records sorted by (method, n_retain, seed), atomically; byte-deterministic."""
     ordered = sorted(records, key=RunRecord.sort_key)
     text = "\n".join(format_record(r) for r in ordered)
-    Path(path).write_text(text + "\n" if text else "", encoding="utf-8")
+    write_atomic(path, (text + "\n" if text else "").encode("utf-8"))
 
 
 def upsert_records(existing, new) -> list[RunRecord]:

@@ -19,8 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
+from .config import write_atomic
 from .net import (
-    Batch, NetworkSpec, ParamVector, PerSampleGrads, _cross_entropy_losses,
+    Batch, NetworkSpec, ParamVector, PerSampleGrads, _check_batch, _cross_entropy_losses,
     _decode_checkpoint, _encode_checkpoint, _engine_pass, _logits,
 )
 
@@ -147,6 +148,7 @@ class AdaptedModel:
 
     def mean_loss_and_grad(self, batch: Batch) -> tuple[float, np.ndarray]:
         """Mean cross-entropy and its gradient in adapter coordinates."""
+        _check_batch(batch, self.spec.in_dim, self.spec.n_classes)
         logits, acts, deltas = _engine_pass(self.effective_weights(), self.base.bias_list(),
                                             self.spec, batch, per_sample=False)
         loss = float(np.mean(_cross_entropy_losses(logits, batch.labels)))
@@ -163,6 +165,7 @@ class AdaptedModel:
     def per_sample_factors(self, batch: Batch) -> PerSampleGrads:
         """Per-sample adapter gradients, factored: per adapted layer, with m the
         multiplier, the A block is (m delta_i B) (x) a_i and the B block delta_i (x) (m A a_i)."""
+        _check_batch(batch, self.spec.in_dim, self.spec.n_classes)
         _, acts, deltas = _engine_pass(self.effective_weights(), self.base.bias_list(),
                                        self.spec, batch, per_sample=True)
         mult = self.adapters.multiplier
@@ -220,8 +223,6 @@ def merge_lora(base: ParamVector, model: AdaptedModel) -> ParamVector:
 
 
 def save_adapter_checkpoint(path, model: AdaptedModel, seed: int = 0) -> None:
-    from pathlib import Path
-
     adapters = model.adapters
     sections = {
         "adapter": {
@@ -236,7 +237,7 @@ def save_adapter_checkpoint(path, model: AdaptedModel, seed: int = 0) -> None:
             "activation": adapters.spec.activation,
         },
     }
-    Path(path).write_bytes(_encode_checkpoint(ADAPTER_HEADER, sections, model.theta))
+    write_atomic(path, _encode_checkpoint(ADAPTER_HEADER, sections, model.theta))
 
 
 def load_adapter_checkpoint(path, base: ParamVector) -> AdaptedModel:

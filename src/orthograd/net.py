@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import format_sections, parse_sections_text
+from .config import format_sections, parse_sections_text, write_atomic
 
 __all__ = [
     "ACTIVATIONS",
@@ -294,13 +294,12 @@ def _cross_entropy_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _engine_pass(weights, biases, spec: NetworkSpec, batch: Batch, per_sample: bool):
-    """Forward and backward pass over a batch; returns (logits, acts, deltas).
+    """Forward and backward pass over a checked batch; returns (logits, acts, deltas).
 
     ``deltas[l]`` is the loss gradient at layer l's pre-activation, one row
     per sample: each sample's own gradient when ``per_sample``, otherwise
     divided by the batch size so that row sums give the mean gradient.
     """
-    _check_batch(batch, spec.in_dim, spec.n_classes)
     logits, acts = _forward_layers(weights, biases, spec.activation, batch.inputs)
     k = batch.size
     delta = _softmax(logits)
@@ -313,6 +312,15 @@ def _engine_pass(weights, biases, spec: NetworkSpec, batch: Batch, per_sample: b
         if l > 0:
             delta = (delta @ weights[l].T) * _activation_grad(spec.activation, acts[l])
     return logits, acts, deltas
+
+
+def _mean_grad_into(weights, biases, spec: NetworkSpec, batch: Batch, out: np.ndarray):
+    """Write the mean loss gradient of a checked batch into ``out`` (d,); returns the logits."""
+    logits, acts, deltas = _engine_pass(weights, biases, spec, batch, per_sample=False)
+    for l, (w_off, w_shape, b_off, b_shape) in enumerate(spec.layout()):
+        np.matmul(acts[l].T, deltas[l], out=out[w_off:w_off + w_shape[0] * w_shape[1]].reshape(w_shape))
+        deltas[l].sum(axis=0, out=out[b_off:b_off + b_shape[0]])
+    return logits
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +352,17 @@ def forward(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
 def mean_loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch and its gradient in R^d."""
     spec = params.spec
-    logits, acts, deltas = _engine_pass(params.weight_list(), params.bias_list(), spec, batch,
-                                        per_sample=False)
-    loss = float(np.mean(_cross_entropy_losses(logits, batch.labels)))
-
+    _check_batch(batch, spec.in_dim, spec.n_classes)
     grad = np.empty(spec.param_dim)
-    for l, (w_off, w_shape, b_off, b_shape) in enumerate(spec.layout()):
-        dw = acts[l].T @ deltas[l]
-        grad[w_off:w_off + w_shape[0] * w_shape[1]] = dw.reshape(-1)
-        grad[b_off:b_off + b_shape[0]] = deltas[l].sum(axis=0)
-    return loss, grad
+    logits = _mean_grad_into(params.weight_list(), params.bias_list(), spec, batch, grad)
+    return float(np.mean(_cross_entropy_losses(logits, batch.labels))), grad
 
 
 def per_sample_factors(params: ParamVector, batch: Batch) -> PerSampleGrads:
     """Each sample's own loss gradient, factored: per layer one ``(n_in + 1) x n_out``
     block ``[a_i, 1] (x) delta_i``, weight rows then the bias row as the flat layout
     stores them.  ``mean()`` matches ``mean_loss_and_grad`` up to roundoff."""
+    _check_batch(batch, params.spec.in_dim, params.spec.n_classes)
     _, acts, deltas = _engine_pass(params.weight_list(), params.bias_list(), params.spec,
                                    batch, per_sample=True)
     ones = np.ones((batch.size, 1))
@@ -387,23 +390,28 @@ def apply_update(params: ParamVector, g: np.ndarray, eta: float) -> ParamVector:
 
 def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
              eta: float, seed: int) -> ParamVector:
-    """Mini-batch gradient descent from a fresh init; deterministic in seed."""
+    """Mini-batch gradient descent from a fresh init; deterministic in seed.  The dataset is
+    checked once (every batch is a subset of its rows); one copy of the init trains in place."""
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    params = init_params(spec, seed)
-    n = dataset.inputs.shape[0]
-    if n == 0:
+    rows = Batch(dataset.inputs, dataset.labels)
+    if rows.size == 0:
         raise ValueError("cannot pretrain on an empty dataset")
+    _check_batch(rows, spec.in_dim, spec.n_classes)
+    flat = init_params(spec, seed).flat.copy()
+    params = ParamVector(flat, spec)
+    weights, biases = params.weight_list(), params.bias_list()   # views into flat
+    grad = np.empty_like(flat)
     shuffle_rng = np.random.default_rng([seed, 1])
     for _ in range(epochs):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, batch_size):
+        order = shuffle_rng.permutation(rows.size)
+        for start in range(0, rows.size, batch_size):
             idx = order[start:start + batch_size]
-            batch = Batch(dataset.inputs[idx], dataset.labels[idx])
-            _, grad = mean_loss_and_grad(params, batch)
-            params = apply_update(params, grad, eta)
+            _mean_grad_into(weights, biases, spec, Batch(rows.inputs[idx], rows.labels[idx]), grad)
+            grad *= eta   # the bits of flat - eta * grad, without a temporary
+            flat -= grad
     return params
 
 
@@ -432,16 +440,14 @@ def _decode_checkpoint(blob: bytes, header: str, path) -> tuple[dict, np.ndarray
 
 
 def save_checkpoint(path, params: ParamVector, seed: int) -> None:
-    """Write a model checkpoint; round-trips bit-exactly via load_checkpoint."""
-    from pathlib import Path
-
+    """Write a model checkpoint atomically; round-trips bit-exactly via load_checkpoint."""
     meta = {
         "layer_sizes": ",".join(str(s) for s in params.spec.layer_sizes),
         "activation": params.spec.activation,
         "seed": str(int(seed)),
         "d": str(params.dim),
     }
-    Path(path).write_bytes(_encode_checkpoint(CHECKPOINT_HEADER, {"model": meta}, params.flat))
+    write_atomic(path, _encode_checkpoint(CHECKPOINT_HEADER, {"model": meta}, params.flat))
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from orthograd.data import Dataset
-from orthograd.net import Batch, ParamVector, mean_loss_and_grad
+from orthograd.net import Batch, ParamVector, apply_update, init_params, mean_loss_and_grad
 
 
 def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
@@ -61,6 +61,25 @@ def cholesky_keep_reference(gram: np.ndarray, tol: float, dim: int) -> tuple[np.
     w = np.zeros((gram.shape[0], len(kept)))
     w[kept] = np.linalg.inv(r[np.ix_(kept, kept)])
     return w, kept
+
+
+def pretrain_reference(spec, dataset, epochs: int, batch_size: int, eta: float,
+                       seed: int) -> ParamVector:
+    """Reference for ``net.pretrain``: the per-batch loop it replaced.
+
+    Every batch goes through the public ``mean_loss_and_grad`` (which checks
+    it and computes its loss) and ``apply_update`` (a fresh vector per step).
+    """
+    params = init_params(spec, seed)
+    n = dataset.inputs.shape[0]
+    shuffle_rng = np.random.default_rng([seed, 1])
+    for _ in range(epochs):
+        order = shuffle_rng.permutation(n)
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            _, grad = mean_loss_and_grad(params, Batch(dataset.inputs[idx], dataset.labels[idx]))
+            params = apply_update(params, grad, eta)
+    return params
 
 
 def forward_reference(weights, biases, activation: str, x: np.ndarray) -> np.ndarray:

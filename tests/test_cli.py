@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from orthograd import net
 from orthograd.cli import main
 from orthograd.config import ConfigError, load_experiment_config, parse_sections_text
 from orthograd.evaluation import parse_records
@@ -124,6 +127,60 @@ def test_out_of_range_unlearn_value_is_usage_error_before_any_run(workdir, capsy
     assert "exp.cfg" in err and f"{method} settings" in err and named in err
     assert not (tmp_path / "out" / "runs").exists()
     assert (tmp_path / "out" / "results.txt").read_bytes() == results
+
+
+def test_out_of_range_split_value_is_usage_error_before_any_training(workdir, capsys,
+                                                                     monkeypatch):
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace("retain_size = 40", "retain_size = 9000"),
+                        encoding="utf-8")
+    monkeypatch.setattr(net, "pretrain", lambda *a, **kw: pytest.fail("pretrained"))
+    rc = main(["pretrain", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "exp.cfg" in err and "retain_size must lie in [1, 108], got 9000" in err
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+
+    cfg_path.write_text(TINY_CONFIG, encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 0
+    capsys.readouterr()
+    rc = main(["unlearn", str(cfg_path), "--method", "neggrad", "--retain-sizes", "20,9000"])
+    assert rc == 2
+    assert "exp.cfg" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "runs").exists()
+
+
+@pytest.mark.parametrize("prefix", ["unlearned-", "trace-", "results"])
+def test_failed_rename_keeps_the_previous_output(workdir, capsys, monkeypatch, prefix):
+    # each output is written to a temporary file and renamed over the old one;
+    # when the rename fails, the old bytes stay and the temporary file goes.
+    # Overlapping blobs, so that neggrad runs epochs and its rate shows in every output.
+    tmp_path, cfg_path = workdir
+    config = TINY_CONFIG.replace("spread = 1.0", "spread = 3.0")
+    cfg_path.write_text(config, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["pretrain", str(cfg_path)]) == 0
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad", "--seed-list", "0"]) == 0
+    before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    target = next(p for p in before if p.name.startswith(prefix))
+    cfg_path.write_text(config + "\n[unlearn.neggrad]\neta = 0.5\n", encoding="utf-8")
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst).startswith(prefix):
+            raise OSError(f"cannot rename onto {dst}")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad", "--seed-list", "0"]) == 1
+    assert "cannot rename" in capsys.readouterr().err
+    assert target.read_bytes() == before[target]
+    assert sorted(p for p in out.rglob("*") if p.is_file()) == sorted(before)
+    monkeypatch.undo()
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad", "--seed-list", "0"]) == 0
+    assert target.read_bytes() != before[target]   # the failed write would have changed it
 
 
 def test_unlearn_without_checkpoint_is_usage_error(workdir, capsys):

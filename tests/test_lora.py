@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,23 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     first = path.read_bytes()
     save_adapter_checkpoint(path, loaded, seed=31)
     assert path.read_bytes() == first
+
+
+def test_failed_adapter_checkpoint_rename_keeps_the_previous_file(tmp_path, monkeypatch):
+    base = make_base((5, 10, 4), seed=30)
+    model = attach_lora(base, rank=2, scale=8.0, seed=31)
+    path = tmp_path / "adapters.ckpt"
+    save_adapter_checkpoint(path, model, seed=31)
+    first = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        save_adapter_checkpoint(path, model.apply_update(np.ones(model.param_dim), 0.1), seed=31)
+    assert path.read_bytes() == first
+    assert [p.name for p in tmp_path.iterdir()] == ["adapters.ckpt"]
 
 
 def test_adapter_checkpoint_rejects_wrong_base(tmp_path):

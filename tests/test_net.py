@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import check_factors_against_dense, forward_reference
+from helpers import check_factors_against_dense, forward_reference, pretrain_reference
+from orthograd import net
 from orthograd.data import Dataset
 from orthograd.lora import attach_lora
 from orthograd.net import (
@@ -195,16 +196,20 @@ def test_apply_update_is_descent_step():
 
 
 def test_batch_validation_errors():
+    # every public gradient entry point checks its batch; the engine pass does not
     spec = NetworkSpec((3, 4, 2), "relu")
     params = init_params(spec, 0)
-    with pytest.raises(ValueError):
-        mean_loss_and_grad(params, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
-    with pytest.raises(ValueError):
-        mean_loss_and_grad(params, Batch(np.zeros((2, 5)), np.array([0, 1])))
-    with pytest.raises(ValueError):
-        mean_loss_and_grad(params, Batch(np.zeros((2, 3)), np.array([0, 2])))
-    with pytest.raises(ValueError):
-        mean_loss_and_grad(params, Batch(np.full((2, 3), np.nan), np.array([0, 1])))
+    adapted = attach_lora(params, rank=1, scale=2.0, seed=1)
+    for grad_fn in (lambda b: mean_loss_and_grad(params, b), lambda b: per_sample_factors(params, b),
+                    adapted.mean_loss_and_grad, adapted.per_sample_factors):
+        with pytest.raises(ValueError):
+            grad_fn(Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+        with pytest.raises(ValueError):
+            grad_fn(Batch(np.zeros((2, 5)), np.array([0, 1])))
+        with pytest.raises(ValueError):
+            grad_fn(Batch(np.zeros((2, 3)), np.array([0, 2])))
+        with pytest.raises(ValueError):
+            grad_fn(Batch(np.full((2, 3), np.nan), np.array([0, 1])))
 
 
 class _ArrayData:
@@ -231,6 +236,63 @@ def test_pretrain_deterministic_and_learns():
     b = pretrain(spec, ds, epochs=40, batch_size=16, eta=0.1, seed=0)
     assert np.array_equal(a.flat, b.flat)
     assert evaluate_accuracy(a, ds) >= 95.0
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_pretrain_matches_reference_loop_bitwise(activation, monkeypatch):
+    # 37 rows: batches of 8 leave a partial last batch of 5; 37 and 50 are one batch
+    spec = NetworkSpec((4, 9, 7, 3), activation)
+    rng = np.random.default_rng(40)
+    x = rng.normal(size=(37, 4))
+    y = rng.integers(0, 3, size=37)
+    inits = []    # (the init pretrain received, a copy of its values)
+    checks = []
+    check_batch = net._check_batch
+
+    def recording_init(*args):
+        init = init_params(*args)
+        inits.append((init, init.flat.copy()))
+        return init
+
+    def counting_check(*args):
+        checks.append(1)
+        return check_batch(*args)
+
+    monkeypatch.setattr(net, "init_params", recording_init)
+    monkeypatch.setattr(net, "_check_batch", counting_check)
+    datasets = (_ArrayData(x, y), _ArrayData(x.astype(np.float32), y),
+                _ArrayData(np.rint(3.0 * x).astype(int), y))
+    for ds in datasets:
+        for batch_size in (8, 37, 50):
+            for epochs in (0, 1, 4):
+                checks.clear()
+                got = pretrain(spec, ds, epochs=epochs, batch_size=batch_size, eta=0.2, seed=5)
+                assert len(checks) == 1   # the whole dataset, once; no batch is checked again
+                want = pretrain_reference(spec, ds, epochs, batch_size, 0.2, 5)
+                assert got.flat.dtype == np.float64
+                assert np.array_equal(got.flat, want.flat)
+                init, init_values = inits[-1]
+                assert np.array_equal(init.flat, init_values)   # trained a copy, not the init
+                assert got.flat is not init.flat
+
+
+@pytest.mark.parametrize("case", ["nan_in_late_row", "label_out_of_range", "wrong_feature_count"])
+def test_pretrain_checks_every_row_before_any_update(case, monkeypatch):
+    spec = NetworkSpec((4, 6, 3), "relu")
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(40, 4))
+    y = rng.integers(0, 3, size=40)
+    if case == "nan_in_late_row":   # drawn by the last batch of the first epoch
+        x[np.random.default_rng([2, 1]).permutation(40)[-1], 1] = np.nan
+    elif case == "label_out_of_range":
+        y[-1] = 3
+    else:
+        x = x[:, :3]
+    passes = []
+    monkeypatch.setattr(net, "_engine_pass", lambda *args, **kw: passes.append(1))
+    with pytest.raises(ValueError):
+        pretrain(spec, _ArrayData(x, y), epochs=3, batch_size=8, eta=0.1, seed=2)
+    assert passes == []
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
