@@ -43,13 +43,18 @@ def _build_dataset(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
 
 
 def _build_splits(cfg: ExperimentConfig, train, test, retain_size: int | None = None):
+    """Splits from the config; a ``retain_size`` given here comes from ``--retain-sizes``,
+    and an error in it names that flag, where an error in a config value names the file."""
     try:
         return data.make_unlearn_split(
             train, test, mode=cfg.split_mode,
             retain_size=cfg.retain_size if retain_size is None else retain_size,
             seed=cfg.split_seed, fraction=cfg.fraction, class_label=cfg.class_label)
     except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: splits: {exc}") from None
+        # make_unlearn_split's retain-size message, and no other, starts with that name
+        where = ("--retain-sizes" if retain_size is not None and str(exc).startswith("retain_size")
+                 else f"{cfg.source}: splits")
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _unlearn_config(cfg: ExperimentConfig, method: MethodKind, settings: dict, seed: int,
@@ -148,22 +153,22 @@ def cmd_unlearn(args) -> int:
     seeds = (_parse_int_csv(args.seed_list, "--seed-list")
              if args.seed_list else [settings[methods[0]].get("seed", UnlearnConfig.seed)])
     sizes = (_parse_int_csv(args.retain_sizes, "--retain-sizes")
-             if args.retain_sizes else [cfg.retain_size])
+             if args.retain_sizes else [None])   # None: the config's retain_size
 
     train, test = _build_dataset(cfg)
     runs = []   # every run's config is built, and so checked, before the first run writes
     for size in sizes:   # splits and the pretrained reference depend only on the retain size
         splits = _build_splits(cfg, train, test, retain_size=size)
         a_p_test = evaluate_splits(pretrained, splits).A_test
-        runs += [(size, splits, a_p_test,
+        runs += [(splits, a_p_test,
                   _unlearn_config(cfg, method, settings[method], seed, a_p_test, pretrained.spec))
                  for method, seed in itertools.product(methods, seeds)]
 
     runs_dir = _resolve(cfg, cfg.runs_dir)
     runs_dir.mkdir(parents=True, exist_ok=True)
     records = []
-    for size, splits, a_p_test, ucfg in runs:
-        method, seed = ucfg.method, ucfg.seed
+    for splits, a_p_test, ucfg in runs:
+        method, seed, size = ucfg.method, ucfg.seed, splits.n_retain
         result = run_unlearning(pretrained, splits, ucfg)
         final = result.trace[-1]
         records.append(RunRecord(
@@ -198,9 +203,7 @@ def cmd_unlearn(args) -> int:
 def cmd_compare(args) -> int:
     try:
         records = parse_records(args.results)
-    except FileNotFoundError as exc:
-        raise ConfigError(str(exc)) from None
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
     print(render_sweep(records) if args.sweep else render_table(records))
     return 0
@@ -240,7 +243,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"orthograd: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ValueError, OSError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"orthograd: {exc}", file=sys.stderr)
         return RUNTIME_EXIT
 

@@ -60,7 +60,7 @@ class AccuracyReport:
 
 def evaluate_splits(params, splits: Splits, epoch: int = 0,
                     method: str = "", seed: int = 0) -> AccuracyReport:
-    """Accuracy of ``params`` on the unlearn, retain, and test sets."""
+    """Accuracy of a model in any space on the unlearn, retain, and test sets."""
     return AccuracyReport(
         A_u=net.evaluate_accuracy(params, splits.unlearn),
         A_r=net.evaluate_accuracy(params, splits.retain),

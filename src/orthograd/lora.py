@@ -8,21 +8,23 @@ the first update to ``B`` already moves the effective weight.  Biases are
 never adapted.
 
 Adapter parameters live in their own flat vector (dimension
-``sum_l rank * (n_in + n_out)``); the unlearning steps treat that vector
-exactly like the full-model parameter vector.
+``sum_l rank * (n_in + n_out)``).  ``AdaptedModel`` is a ``net.Model``: it
+supplies the adapted weights and its one chain-rule map to factor blocks,
+and inherits every gradient operation, so the unlearning steps treat the
+adapter vector exactly like the full-model parameter vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
 from .config import write_atomic
 from .net import (
-    Batch, NetworkSpec, ParamVector, PerSampleGrads, _check_batch, _cross_entropy_losses,
-    _decode_checkpoint, _encode_checkpoint, _engine_pass, _logits,
+    Model, NetworkSpec, ParamVector, _decode_checkpoint, _encode_checkpoint, _metadata,
 )
 
 __all__ = [
@@ -91,14 +93,13 @@ class LoraAdapterSet:
         return sum(self.rank * (shapes[l][0][0] + shapes[l][0][1]) for l in self.layers)
 
 
-class AdaptedModel:
-    """Base parameters plus a flat adapter vector, with gradient operations.
+class AdaptedModel(Model):
+    """Base parameters plus a flat adapter vector ``theta``, the model's coordinates.
 
-    Mirrors the full-model operations but differentiates with respect to the
-    adapter coordinates only.  ``apply_update`` returns a new model; the base
-    parameters are shared, never copied or mutated.  The effective weights
-    are built once, on first use, and the forward and gradient methods read
-    that one copy.
+    Differentiates with respect to the adapter coordinates only.
+    ``apply_update`` returns a new model; the base parameters are shared,
+    never copied or mutated.  The effective weights are built once, on first
+    use, and the forward and gradient passes read that one copy.
     """
 
     def __init__(self, base: ParamVector, adapters: LoraAdapterSet, theta: np.ndarray):
@@ -117,8 +118,8 @@ class AdaptedModel:
         return self.base.spec
 
     @property
-    def param_dim(self) -> int:
-        return self.adapters.param_dim
+    def coords(self) -> np.ndarray:
+        return self.theta
 
     def a_matrix(self, slot: int) -> np.ndarray:
         _, a_off, a_shape, _, _ = self.adapters.layout()[slot]
@@ -143,43 +144,21 @@ class AdaptedModel:
             weights[l] = weights[l] + self.weight_delta(slot).T
         return tuple(weights)
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        return _logits(self.effective_weights(), self.base.bias_list(), self.spec, inputs)
+    def _layers(self):
+        return self.effective_weights(), self.base.bias_list()
 
-    def mean_loss_and_grad(self, batch: Batch) -> tuple[float, np.ndarray]:
-        """Mean cross-entropy and its gradient in adapter coordinates."""
-        _check_batch(batch, self.spec.in_dim, self.spec.n_classes)
-        logits, acts, deltas = _engine_pass(self.effective_weights(), self.base.bias_list(),
-                                            self.spec, batch, per_sample=False)
-        loss = float(np.mean(_cross_entropy_losses(logits, batch.labels)))
-        mult = self.adapters.multiplier
-        grad = np.empty(self.param_dim)
-        for slot, (l, a_off, a_shape, b_off, b_shape) in enumerate(self.adapters.layout()):
-            gw = acts[l].T @ deltas[l]                       # (n_in, n_out)
-            da = mult * (gw @ self.b_matrix(slot)).T          # (r, n_in)
-            db = mult * gw.T @ self.a_matrix(slot).T          # (n_out, r)
-            grad[a_off:a_off + da.size] = da.reshape(-1)
-            grad[b_off:b_off + db.size] = db.reshape(-1)
-        return loss, grad
-
-    def per_sample_factors(self, batch: Batch) -> PerSampleGrads:
-        """Per-sample adapter gradients, factored: per adapted layer, with m the
-        multiplier, the A block is (m delta_i B) (x) a_i and the B block delta_i (x) (m A a_i)."""
-        _check_batch(batch, self.spec.in_dim, self.spec.n_classes)
-        _, acts, deltas = _engine_pass(self.effective_weights(), self.base.bias_list(),
-                                       self.spec, batch, per_sample=True)
+    def _blocks(self, acts, deltas):
+        # per adapted layer, with m the multiplier: the A block (m delta_i B) (x) a_i
+        # and the B block delta_i (x) (m A a_i)
         mult = self.adapters.multiplier
         blocks = []
         for slot, (l, a_off, _, b_off, _) in enumerate(self.adapters.layout()):
             blocks.append((a_off, mult * (deltas[l] @ self.b_matrix(slot)), acts[l]))
             blocks.append((b_off, deltas[l], mult * (acts[l] @ self.a_matrix(slot).T)))
-        return PerSampleGrads(self.param_dim, blocks)
+        return blocks
 
-    def apply_update(self, g: np.ndarray, eta: float) -> "AdaptedModel":
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != self.theta.shape:
-            raise ValueError(f"update has shape {g.shape}, adapter vector has {self.theta.shape}")
-        return AdaptedModel(self.base, self.adapters, self.theta - eta * g)
+    def _at(self, theta: np.ndarray) -> "AdaptedModel":
+        return AdaptedModel(self.base, self.adapters, theta)
 
     def merged(self) -> ParamVector:
         return merge_lora(self.base, self)
@@ -230,7 +209,7 @@ def save_adapter_checkpoint(path, model: AdaptedModel, seed: int = 0) -> None:
             "scale": repr(float(adapters.scale)),
             "layers": ",".join(str(l) for l in adapters.layers),
             "seed": str(int(seed)),
-            "d": str(model.param_dim),
+            "d": str(model.dim),
         },
         "model": {
             "layer_sizes": ",".join(str(s) for s in adapters.spec.layer_sizes),
@@ -241,23 +220,16 @@ def save_adapter_checkpoint(path, model: AdaptedModel, seed: int = 0) -> None:
 
 
 def load_adapter_checkpoint(path, base: ParamVector) -> AdaptedModel:
-    from pathlib import Path
-
     blob = Path(path).read_bytes()
     sections, payload = _decode_checkpoint(blob, ADAPTER_HEADER, path)
-    if "adapter" not in sections or "model" not in sections:
-        raise ValueError(f"{path}: adapter checkpoint missing metadata sections")
-    meta = sections["adapter"]
-    sizes = tuple(int(s) for s in sections["model"]["layer_sizes"].split(","))
-    spec = NetworkSpec(sizes, sections["model"]["activation"])
+    rank, scale, layers = _metadata(sections, "adapter", ("rank", "scale", "layers"), path)
+    sizes, activation = _metadata(sections, "model", ("layer_sizes", "activation"), path)
+    sizes = tuple(int(s) for s in sizes.split(","))
+    spec = NetworkSpec(sizes, activation)
     if spec != base.spec:
         raise ValueError(f"{path}: adapter architecture {sizes} does not match base model")
-    adapters = LoraAdapterSet(
-        spec=spec,
-        rank=int(meta["rank"]),
-        scale=float(meta["scale"]),
-        layers=tuple(int(l) for l in meta["layers"].split(",")),
-    )
+    adapters = LoraAdapterSet(spec=spec, rank=int(rank), scale=float(scale),
+                              layers=tuple(int(l) for l in layers.split(",")))
     if payload.shape[0] != adapters.param_dim:
         raise ValueError(f"{path}: payload has {payload.shape[0]} values, "
                          f"expected {adapters.param_dim}")

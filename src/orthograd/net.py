@@ -5,15 +5,22 @@ treat the model as a point in R^d.  Weight matrices are stored input-major,
 shape ``(n_in, n_out)``, followed by the bias vector for the same layer;
 layers are laid out in network order.
 
-The forward/backward engine is shared with the LoRA module: the private
-helpers operate on explicit weight/bias lists, so adapted effective weights
-can be pushed through the identical code path.  Per-sample gradients come
-out factored per layer (``PerSampleGrads``), not as a dense (d, k) matrix.
+``Model`` holds the gradient operations of every parameter space once:
+forward, mean loss and gradient, factored per-sample gradients, update and
+merge.  A space supplies its coordinates, the weights its forward pass runs,
+one chain-rule map from the engine pass to factor blocks, and a copy of
+itself at new coordinates; ``ParamVector`` is the full space and
+``lora.AdaptedModel`` the adapter space.  Per-sample gradients come out
+factored per layer (``PerSampleGrads``), never as a dense (d, k) matrix, and
+the mean gradient is the row sum of the factors of the mean-scaled pass.
+The module-level ``forward``, ``mean_loss_and_grad``, ``per_sample_factors``
+and ``apply_update`` are the ``ParamVector`` methods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +29,7 @@ from .config import format_sections, parse_sections_text, write_atomic
 __all__ = [
     "ACTIVATIONS",
     "NetworkSpec",
+    "Model",
     "ParamVector",
     "Batch",
     "PerSampleGrads",
@@ -95,8 +103,55 @@ class NetworkSpec:
         return sum(sizes[l] * sizes[l + 1] + sizes[l + 1] for l in range(self.n_layers))
 
 
+class Model:
+    """Gradient operations shared by every parameter space, written once.
+
+    A model supplies ``spec`` and four things: ``coords``, the vector its
+    gradients live in; ``_layers()``, the weights and biases its forward pass
+    runs; ``_blocks(acts, deltas)``, its one chain-rule map from the engine
+    pass to ``PerSampleGrads`` blocks over ``coords``; and ``_at(coords)``, a
+    copy of itself at new coordinates.
+    """
+
+    @property
+    def dim(self) -> int:
+        return self.coords.shape[0]
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        """Logits for a batch of inputs, shape (k, n_classes)."""
+        return _logits(*self._layers(), self.spec, inputs)
+
+    def _factors(self, batch: Batch, per_sample: bool):
+        """(logits, factored gradients) of a checked batch; see ``_engine_pass`` for the scale."""
+        logits, acts, deltas = _engine_pass(*self._layers(), self.spec, batch, per_sample)
+        return logits, PerSampleGrads(self.dim, self._blocks(acts, deltas))
+
+    def mean_loss_and_grad(self, batch: Batch) -> tuple[float, np.ndarray]:
+        """Mean softmax cross-entropy over the batch and its gradient over ``coords``."""
+        _check_batch(batch, self.spec)
+        logits, grads = self._factors(batch, per_sample=False)
+        return float(np.mean(_cross_entropy_losses(logits, batch.labels))), grads.sum()
+
+    def per_sample_factors(self, batch: Batch) -> PerSampleGrads:
+        """Each sample's own loss gradient over ``coords``, factored; ``mean()`` matches
+        ``mean_loss_and_grad`` up to roundoff."""
+        _check_batch(batch, self.spec)
+        return self._factors(batch, per_sample=True)[1]
+
+    def apply_update(self, g: np.ndarray, eta: float):
+        """Gradient-descent step ``coords - eta * g`` as a new model."""
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != self.coords.shape:
+            raise ValueError(f"update has shape {g.shape}, coordinates have {self.coords.shape}")
+        return self._at(self.coords - eta * g)
+
+    def merged(self) -> ParamVector:
+        """The model as a full parameter vector; a full-space model is its own."""
+        return self
+
+
 @dataclass(frozen=True)
-class ParamVector:
+class ParamVector(Model):
     """Flat parameter vector bound to its architecture.
 
     ``weights(l)`` / ``biases(l)`` return views into ``flat``; treat the
@@ -114,8 +169,8 @@ class ParamVector:
                 f"flat vector has shape {flat.shape}, spec needs ({self.spec.param_dim},)")
 
     @property
-    def dim(self) -> int:
-        return self.flat.shape[0]
+    def coords(self) -> np.ndarray:
+        return self.flat
 
     def weights(self, layer: int) -> np.ndarray:
         w_off, w_shape, _, _ = self.spec.layout()[layer]
@@ -131,8 +186,18 @@ class ParamVector:
     def bias_list(self) -> list[np.ndarray]:
         return [self.biases(l) for l in range(self.spec.n_layers)]
 
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.flat.copy(), self.spec)
+    def _layers(self):
+        return self.weight_list(), self.bias_list()
+
+    def _blocks(self, acts, deltas):
+        # per layer one (n_in + 1) x n_out block [a_i, 1] (x) delta_i: the weight
+        # rows, then the bias row, as the flat layout stores them
+        ones = np.ones((deltas[0].shape[0], 1))
+        return [(w_off, np.concatenate((acts[l], ones), axis=1), deltas[l])
+                for l, (w_off, *_) in enumerate(self.spec.layout())]
+
+    def _at(self, flat: np.ndarray) -> "ParamVector":
+        return ParamVector(flat, self.spec)
 
 
 @dataclass(frozen=True)
@@ -193,6 +258,14 @@ class PerSampleGrads:
     def mean(self) -> np.ndarray:
         return self.matvec(np.full(self.k, 1.0 / self.k))
 
+    def sum(self, out: np.ndarray | None = None) -> np.ndarray:
+        """G 1, (d,): per block L^T R, written into ``out`` when given (entries
+        outside every block are then left as they are)."""
+        out = np.zeros(self.dim) if out is None else out
+        for o, l, r in self.blocks:
+            np.matmul(l.T, r, out=out[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1))
+        return out
+
     def dense(self) -> np.ndarray:
         """The (d, k) matrix itself, for tests and demos."""
         g = np.zeros((self.dim, self.k))
@@ -201,8 +274,9 @@ class PerSampleGrads:
         return g
 
 
-def _check_batch(batch, n_in: int, n_classes: int) -> None:
+def _check_batch(batch, spec: NetworkSpec) -> None:
     x, y = batch.inputs, batch.labels
+    n_in, n_classes = spec.in_dim, spec.n_classes
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"batch inputs must be (k, n_in) with k >= 1, got shape {x.shape}")
     if x.shape[1] != n_in:
@@ -314,15 +388,6 @@ def _engine_pass(weights, biases, spec: NetworkSpec, batch: Batch, per_sample: b
     return logits, acts, deltas
 
 
-def _mean_grad_into(weights, biases, spec: NetworkSpec, batch: Batch, out: np.ndarray):
-    """Write the mean loss gradient of a checked batch into ``out`` (d,); returns the logits."""
-    logits, acts, deltas = _engine_pass(weights, biases, spec, batch, per_sample=False)
-    for l, (w_off, w_shape, b_off, b_shape) in enumerate(spec.layout()):
-        np.matmul(acts[l].T, deltas[l], out=out[w_off:w_off + w_shape[0] * w_shape[1]].reshape(w_shape))
-        deltas[l].sum(axis=0, out=out[b_off:b_off + b_shape[0]])
-    return logits
-
-
 # ---------------------------------------------------------------------------
 # public operations
 
@@ -344,48 +409,20 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
     return ParamVector(flat, spec)
 
 
-def forward(params: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Logits for a batch of inputs, shape (k, n_classes)."""
-    return _logits(params.weight_list(), params.bias_list(), params.spec, inputs)
+forward = ParamVector.forward
+mean_loss_and_grad = ParamVector.mean_loss_and_grad
+per_sample_factors = ParamVector.per_sample_factors
+apply_update = ParamVector.apply_update
 
 
-def mean_loss_and_grad(params: ParamVector, batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch and its gradient in R^d."""
-    spec = params.spec
-    _check_batch(batch, spec.in_dim, spec.n_classes)
-    grad = np.empty(spec.param_dim)
-    logits = _mean_grad_into(params.weight_list(), params.bias_list(), spec, batch, grad)
-    return float(np.mean(_cross_entropy_losses(logits, batch.labels))), grad
-
-
-def per_sample_factors(params: ParamVector, batch: Batch) -> PerSampleGrads:
-    """Each sample's own loss gradient, factored: per layer one ``(n_in + 1) x n_out``
-    block ``[a_i, 1] (x) delta_i``, weight rows then the bias row as the flat layout
-    stores them.  ``mean()`` matches ``mean_loss_and_grad`` up to roundoff."""
-    _check_batch(batch, params.spec.in_dim, params.spec.n_classes)
-    _, acts, deltas = _engine_pass(params.weight_list(), params.bias_list(), params.spec,
-                                   batch, per_sample=True)
-    ones = np.ones((batch.size, 1))
-    return PerSampleGrads(params.dim, [(w_off, np.hstack([acts[l], ones]), deltas[l])
-                                       for l, (w_off, *_) in enumerate(params.spec.layout())])
-
-
-def evaluate_accuracy(params: ParamVector, data) -> float:
-    """Accuracy in percent; argmax ties resolve to the lowest class index."""
+def evaluate_accuracy(params: Model, data) -> float:
+    """Accuracy in percent of a model in any space; argmax ties resolve to the lowest class index."""
     x = np.asarray(data.inputs, dtype=np.float64)
     y = np.asarray(data.labels, dtype=np.int64)
     if x.shape[0] == 0:
         raise ValueError("cannot evaluate accuracy on an empty dataset")
-    pred = np.argmax(forward(params, x), axis=1)
+    pred = np.argmax(params.forward(x), axis=1)
     return 100.0 * float(np.count_nonzero(pred == y)) / x.shape[0]
-
-
-def apply_update(params: ParamVector, g: np.ndarray, eta: float) -> ParamVector:
-    """Gradient-descent step ``params - eta * g`` as a new ParamVector."""
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != params.flat.shape:
-        raise ValueError(f"update has shape {g.shape}, parameters have {params.flat.shape}")
-    return ParamVector(params.flat - eta * g, params.spec)
 
 
 def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
@@ -399,17 +436,17 @@ def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
     rows = Batch(dataset.inputs, dataset.labels)
     if rows.size == 0:
         raise ValueError("cannot pretrain on an empty dataset")
-    _check_batch(rows, spec.in_dim, spec.n_classes)
+    _check_batch(rows, spec)
     flat = init_params(spec, seed).flat.copy()
     params = ParamVector(flat, spec)
-    weights, biases = params.weight_list(), params.bias_list()   # views into flat
     grad = np.empty_like(flat)
     shuffle_rng = np.random.default_rng([seed, 1])
     for _ in range(epochs):
         order = shuffle_rng.permutation(rows.size)
         for start in range(0, rows.size, batch_size):
             idx = order[start:start + batch_size]
-            _mean_grad_into(weights, biases, spec, Batch(rows.inputs[idx], rows.labels[idx]), grad)
+            batch = Batch(rows.inputs[idx], rows.labels[idx])
+            params._factors(batch, per_sample=False)[1].sum(out=grad)
             grad *= eta   # the bits of flat - eta * grad, without a temporary
             flat -= grad
     return params
@@ -450,20 +487,27 @@ def save_checkpoint(path, params: ParamVector, seed: int) -> None:
     write_atomic(path, _encode_checkpoint(CHECKPOINT_HEADER, {"model": meta}, params.flat))
 
 
+def _metadata(sections: dict, name: str, keys, path) -> list[str]:
+    """The values of ``keys`` in a checkpoint's ``[name]`` section; a missing section
+    or key is a ValueError naming the file."""
+    if name not in sections:
+        raise ValueError(f"{path}: checkpoint missing [{name}] metadata")
+    missing = [key for key in keys if key not in sections[name]]
+    if missing:
+        raise ValueError(f"{path}: checkpoint [{name}] metadata missing {', '.join(missing)}")
+    return [sections[name][key] for key in keys]
+
+
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
     """Read a model checkpoint; returns (params, metadata dict)."""
-    from pathlib import Path
-
     blob = Path(path).read_bytes()
     sections, payload = _decode_checkpoint(blob, CHECKPOINT_HEADER, path)
-    if "model" not in sections:
-        raise ValueError(f"{path}: checkpoint missing [model] metadata")
-    meta = sections["model"]
-    sizes = tuple(int(s) for s in meta["layer_sizes"].split(","))
-    spec = NetworkSpec(sizes, meta["activation"])
-    d = int(meta["d"])
+    sizes, activation, seed, d = _metadata(sections, "model",
+                                           ("layer_sizes", "activation", "seed", "d"), path)
+    spec = NetworkSpec(tuple(int(s) for s in sizes.split(",")), activation)
+    d = int(d)
     if d != spec.param_dim:
         raise ValueError(f"{path}: metadata d={d} does not match architecture ({spec.param_dim})")
     if payload.shape[0] != d:
         raise ValueError(f"{path}: payload has {payload.shape[0]} values, expected {d}")
-    return ParamVector(payload.copy(), spec), {"seed": int(meta["seed"]), "d": d}
+    return ParamVector(payload.copy(), spec), {"seed": int(seed), "d": d}

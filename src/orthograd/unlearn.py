@@ -15,8 +15,11 @@ Baselines share the plumbing: plain gradient ascent on the unlearn batch
 (``neggrad``), the same combination without the projection
 (``neggrad_plus``), and descent on the retain batch only (``finetune``).
 Any method can run either on the full parameter vector or inside a low-rank
-adapter space attached to a frozen base model.  Retain means, projections
-and diagnostics come from factored per-sample gradients (``net.PerSampleGrads``).
+adapter space attached to a frozen base model: both are ``net.Model``s, so
+the steps call the same methods in either space.  The epoch loop evaluates
+the model itself and merges adapters once, for the result.  Retain means,
+projections and diagnostics come from factored per-sample gradients
+(``net.PerSampleGrads``).
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from . import net
 from .data import Splits
 from .evaluation import AccuracyReport, evaluate_splits
 from .linalg import project_out_span
-from .lora import AdaptedModel, attach_lora
+from .lora import attach_lora
 
 __all__ = [
     "MethodKind",
@@ -146,34 +149,6 @@ class UnlearnResult:
 
 
 # ---------------------------------------------------------------------------
-# model dispatch: the same steps run on full parameters or adapter vectors
-
-
-def _mean_grad(model, batch):
-    if isinstance(model, AdaptedModel):
-        return model.mean_loss_and_grad(batch)
-    return net.mean_loss_and_grad(model, batch)
-
-
-def _per_sample(model, batch) -> net.PerSampleGrads:
-    if isinstance(model, AdaptedModel):
-        return model.per_sample_factors(batch)
-    return net.per_sample_factors(model, batch)
-
-
-def _update(model, g, eta):
-    if isinstance(model, AdaptedModel):
-        return model.apply_update(g, eta)
-    return net.apply_update(model, g, eta)
-
-
-def _full_params(model) -> net.ParamVector:
-    if isinstance(model, AdaptedModel):
-        return model.merged()
-    return model
-
-
-# ---------------------------------------------------------------------------
 # update rules
 
 
@@ -203,8 +178,8 @@ def orthograd_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnCo
     """
     if cfg.method not in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN):
         raise ValueError(f"orthograd_step cannot run method {cfg.method.value}")
-    _, g_u = _mean_grad(model, batch_u)
-    grads = _per_sample(model, batch_r)
+    _, g_u = model.mean_loss_and_grad(batch_u)
+    grads = model.per_sample_factors(batch_r)
     g_r_mean = grads.mean()
 
     span = (grads if cfg.method is MethodKind.ORTHOGRAD_PER_SAMPLE
@@ -215,20 +190,20 @@ def orthograd_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnCo
     diag = StepDiagnostics(basis_rank=rank, g_u_norm=float(np.linalg.norm(g_u)),
                            g_u_perp_norm=float(np.linalg.norm(g_u_perp)),
                            grads=grads, g_u_perp=g_u_perp)
-    return _update(model, g, cfg.eta), diag
+    return model.apply_update(g, cfg.eta), diag
 
 
 def baseline_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnConfig):
     """One update for the non-projecting baselines."""
     if cfg.method is MethodKind.NEGGRAD:
-        _, g_u = _mean_grad(model, batch_u)
-        return _update(model, -g_u, cfg.eta)
+        _, g_u = model.mean_loss_and_grad(batch_u)
+        return model.apply_update(-g_u, cfg.eta)
     if cfg.method is MethodKind.NEGGRAD_PLUS:
-        _, g_u = _mean_grad(model, batch_u)
-        g_r_mean = _per_sample(model, batch_r).mean()
-        return _update(model, combine_update(g_r_mean, g_u, cfg.alpha), cfg.eta)
+        _, g_u = model.mean_loss_and_grad(batch_u)
+        g_r_mean = model.per_sample_factors(batch_r).mean()
+        return model.apply_update(combine_update(g_r_mean, g_u, cfg.alpha), cfg.eta)
     if cfg.method is MethodKind.FINETUNE:
-        return _update(model, _per_sample(model, batch_r).mean(), cfg.eta)
+        return model.apply_update(model.per_sample_factors(batch_r).mean(), cfg.eta)
     raise ValueError(f"baseline_step cannot run method {cfg.method.value}")
 
 
@@ -297,10 +272,9 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
         model = pretrained
 
     method_tag = cfg.method.value
-    trace = [evaluate_splits(_full_params(model), splits, epoch=0,
-                             method=method_tag, seed=cfg.seed)]
+    trace = [evaluate_splits(model, splits, epoch=0, method=method_tag, seed=cfg.seed)]
     if stopping_check(trace[0], cfg.stopping):
-        return UnlearnResult(params=_full_params(model), trace=tuple(trace),
+        return UnlearnResult(params=model.merged(), trace=tuple(trace),
                              stop_epoch=0, stopped_early=True)
 
     is_orthograd = cfg.method in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN)
@@ -320,13 +294,12 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
                 model, _ = orthograd_step(model, batch_u, batch_r, cfg)
             else:
                 model = baseline_step(model, batch_u, batch_r, cfg)
-        report = evaluate_splits(_full_params(model), splits, epoch=epoch,
-                                 method=method_tag, seed=cfg.seed)
+        report = evaluate_splits(model, splits, epoch=epoch, method=method_tag, seed=cfg.seed)
         trace.append(report)
         if stopping_check(report, cfg.stopping):
             stop_epoch = epoch
             stopped_early = True
             break
 
-    return UnlearnResult(params=_full_params(model), trace=tuple(trace),
+    return UnlearnResult(params=model.merged(), trace=tuple(trace),
                          stop_epoch=stop_epoch, stopped_early=stopped_early)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from orthograd import net
 from orthograd.data import Dataset
 from orthograd.net import Batch, ParamVector, apply_update, init_params, mean_loss_and_grad
 
@@ -80,6 +81,26 @@ def pretrain_reference(spec, dataset, epochs: int, batch_size: int, eta: float,
             _, grad = mean_loss_and_grad(params, Batch(dataset.inputs[idx], dataset.labels[idx]))
             params = apply_update(params, grad, eta)
     return params
+
+
+def adapter_mean_grad_reference(model, batch: Batch) -> np.ndarray:
+    """Reference for the adapter-space mean gradient: the hand-derived chain rule
+    that ``AdaptedModel.mean_loss_and_grad`` used before the shared factor route.
+
+    Per adapted layer, with ``gw = a^T delta`` the layer's mean weight gradient
+    (input-major) and m the multiplier: ``dA = m (gw B)^T`` and ``dB = m gw^T A^T``.
+    """
+    _, acts, deltas = net._engine_pass(model.effective_weights(), model.base.bias_list(),
+                                       model.spec, batch, per_sample=False)
+    mult = model.adapters.multiplier
+    grad = np.empty(model.dim)
+    for slot, (l, a_off, _, b_off, _) in enumerate(model.adapters.layout()):
+        gw = acts[l].T @ deltas[l]
+        da = mult * (gw @ model.b_matrix(slot)).T
+        db = mult * gw.T @ model.a_matrix(slot).T
+        grad[a_off:a_off + da.size] = da.reshape(-1)
+        grad[b_off:b_off + db.size] = db.reshape(-1)
+    return grad
 
 
 def forward_reference(weights, biases, activation: str, x: np.ndarray) -> np.ndarray:
@@ -177,3 +198,12 @@ def save_csv_dataset(path, data: Dataset) -> None:
     """Write the CSV form ``load_csv_dataset`` reads; %.17g keeps the float64 round trip exact."""
     lines = [",".join(f"{v:.17g}" for v in x) + f",{int(y)}" for x, y in zip(data.inputs, data.labels)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def edit_metadata(path, old: bytes, new: bytes | None) -> None:
+    """Rewrite a checkpoint with one exact line of its metadata block replaced, or dropped."""
+    head, payload = path.read_bytes().split(b"\n\n", 1)
+    lines = head.split(b"\n")
+    i = lines.index(old)
+    lines[i:i + 1] = [] if new is None else [new]
+    path.write_bytes(b"\n".join(lines) + b"\n\n" + payload)

@@ -26,7 +26,7 @@ from orthograd.cli import main
 from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import uis
 from orthograd.linalg import default_drop_tol, project_out_span
-from orthograd.lora import AdaptedModel, attach_lora, merge_lora
+from orthograd.lora import attach_lora, merge_lora
 from orthograd.net import (
     Batch,
     NetworkSpec,
@@ -372,7 +372,6 @@ def test_12_factored_steps_orthogonal_to_dense_retain_columns(world):
     lines = []
     for model, k_r, eta in ((attach_lora(world["params"], rank=8, scale=32.0, seed=0), 64, 0.12),
                             (world["params"], 32, 0.05)):
-        adapted = isinstance(model, AdaptedModel)
         cfg = UnlearnConfig(method=MethodKind.ORTHOGRAD_PER_SAMPLE, stopping=rule,
                             alpha=0.9, eta=eta, retain_batch=k_r)
         worst, same_rank = 0.0, 0
@@ -381,11 +380,9 @@ def test_12_factored_steps_orthogonal_to_dense_retain_columns(world):
             ir = rng.choice(len(splits.retain), k_r, replace=False)
             b_u = Batch(splits.unlearn.inputs[iu], splits.unlearn.labels[iu])
             b_r = Batch(splits.retain.inputs[ir], splits.retain.labels[ir])
-            cols = (model.per_sample_factors(b_r) if adapted
-                    else per_sample_factors(model, b_r)).dense()
+            cols = model.per_sample_factors(b_r).dense()
             stepped, diag = orthograd_step(model, b_u, b_r, cfg)
-            before, after = (model.theta, stepped.theta) if adapted else (model.flat, stepped.flat)
-            perp = (0.9 * cols.mean(axis=1) - (before - after) / eta) / 0.1
+            perp = (0.9 * cols.mean(axis=1) - (model.coords - stepped.coords) / eta) / 0.1
             norms = np.linalg.norm(cols, axis=0)
             live = norms > 1e-6
             cos = np.abs(perp @ cols[:, live]) / (norms[live] * np.linalg.norm(perp))
@@ -394,7 +391,7 @@ def test_12_factored_steps_orthogonal_to_dense_retain_columns(world):
             same_rank += diag.basis_rank == len(gram_schmidt_basis(cols, default_drop_tol(len(cols)))[1])
             model = stepped
         assert same_rank >= 0.95 * steps
-        lines.append(f"{'adapter' if adapted else 'full'} (d={len(before)}, k={k_r}): "
+        lines.append(f"{type(model).__name__} (d={model.dim}, k={k_r}): "
                      f"max |cos| {worst:.1e}, rank agrees on {same_rank}/{steps}")
     print("PASS factored steps: " + "; ".join(lines))
 

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import edit_metadata
 from orthograd import net
 from orthograd.cli import main
 from orthograd.config import ConfigError, load_experiment_config, parse_sections_text
@@ -145,9 +146,23 @@ def test_out_of_range_split_value_is_usage_error_before_any_training(workdir, ca
     cfg_path.write_text(TINY_CONFIG, encoding="utf-8")
     assert main(["pretrain", str(cfg_path)]) == 0
     capsys.readouterr()
+    # a value from the command line names the flag, not the file
     rc = main(["unlearn", str(cfg_path), "--method", "neggrad", "--retain-sizes", "20,9000"])
     assert rc == 2
-    assert "exp.cfg" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--retain-sizes: retain_size must lie in [1, 108], got 9000" in err
+    assert "exp.cfg" not in err
+    # the same value from the file names the file
+    cfg_path.write_text(TINY_CONFIG.replace("retain_size = 40", "retain_size = 9000"),
+                        encoding="utf-8")
+    rc = main(["unlearn", str(cfg_path), "--method", "neggrad"])
+    assert rc == 2
+    assert "exp.cfg: splits: retain_size must lie in [1, 108], got 9000" in capsys.readouterr().err
+    # a bad file value still names the file when the flag sets the retain size
+    cfg_path.write_text(TINY_CONFIG.replace("fraction = 0.1", "fraction = 1.5"), encoding="utf-8")
+    rc = main(["unlearn", str(cfg_path), "--method", "neggrad", "--retain-sizes", "20"])
+    assert rc == 2
+    assert "exp.cfg: splits: fraction must lie in (0, 1), got 1.5" in capsys.readouterr().err
     assert not (tmp_path / "out" / "runs").exists()
 
 
@@ -188,6 +203,19 @@ def test_unlearn_without_checkpoint_is_usage_error(workdir, capsys):
     rc = main(["unlearn", str(cfg_path), "--method", "finetune"])
     assert rc == 2
     assert "pretrain" in capsys.readouterr().err
+
+
+def test_checkpoint_missing_a_metadata_key_is_runtime_error(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "out" / "pretrained.ckpt"
+    d_line = next(l for l in ckpt.read_bytes().split(b"\n") if l.startswith(b"d = "))
+    edit_metadata(ckpt, d_line, None)
+    rc = main(["unlearn", str(cfg_path), "--method", "neggrad"])
+    assert rc == 1
+    assert "pretrained.ckpt: checkpoint [model] metadata missing d" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "runs").exists()
 
 
 def test_pretrain_unlearn_compare_workflow(workdir, capsys):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import check_factors_against_dense
+from helpers import adapter_mean_grad_reference, check_factors_against_dense, edit_metadata
 from orthograd.lora import (
     AdaptedModel, LoraAdapterSet, attach_lora, load_adapter_checkpoint,
     merge_lora, save_adapter_checkpoint,
@@ -29,7 +29,7 @@ def test_adapter_dimension_arithmetic():
     base = make_base((4, 8, 3))
     model = attach_lora(base, rank=2, scale=1.0, seed=0)
     # rank * (n_in + n_out) summed over both weight layers
-    assert model.param_dim == 2 * (4 + 8) + 2 * (8 + 3)
+    assert model.dim == 2 * (4 + 8) + 2 * (8 + 3)
 
 
 def test_effective_multiplier():
@@ -67,7 +67,7 @@ def test_merge_matches_adapted_forward():
     base = make_base((6, 12, 5, 3), seed=4)
     model = attach_lora(base, rank=2, scale=8.0, seed=5)
     rng = np.random.default_rng(6)
-    g = rng.normal(size=model.param_dim)
+    g = rng.normal(size=model.dim)
     model = model.apply_update(g, 0.05)   # move off the zero-delta point
     x = rng.normal(size=(10, 6))
     adapted_logits = model.forward(x)
@@ -80,13 +80,13 @@ def test_mean_grad_matches_finite_differences_in_adapter_space():
     base = make_base((3, 6, 2), "tanh", seed=8)
     model = attach_lora(base, rank=2, scale=4.0, seed=9)
     rng = np.random.default_rng(10)
-    model = model.apply_update(rng.normal(size=model.param_dim), 0.1)
+    model = model.apply_update(rng.normal(size=model.dim), 0.1)
     batch = random_batch(base.spec, 5, 12)
     _, analytic = model.mean_loss_and_grad(batch)
 
     eps = 1e-5
-    fd = np.empty(model.param_dim)
-    for i in range(model.param_dim):
+    fd = np.empty(model.dim)
+    for i in range(model.dim):
         up = model.theta.copy()
         up[i] += eps
         lp, _ = AdaptedModel(base, model.adapters, up).mean_loss_and_grad(batch)
@@ -97,15 +97,34 @@ def test_mean_grad_matches_finite_differences_in_adapter_space():
     assert rel.max() <= 1e-5
 
 
+def test_mean_grad_matches_the_hand_derived_chain_rule():
+    # the mean gradient is the row sum of the factor blocks, (m delta B)^T a and
+    # delta^T (m a A^T); the reference associates it as (a^T delta) B instead
+    spec = NetworkSpec((6, 12, 8, 3), "tanh")
+    worst = 0.0
+    for seed in range(4):
+        base = init_params(spec, seed)
+        for rank in (1, 2, 3):
+            for layers in ((0,), (1, 2), (2, 0), (0, 1, 2)):
+                model = attach_lora(base, rank=rank, scale=8.0, layers=layers, seed=seed + 10)
+                model = model.apply_update(
+                    np.random.default_rng(seed + 20).normal(size=model.dim), 0.1)
+                batch = random_batch(spec, 9, seed + 30)
+                want = adapter_mean_grad_reference(model, batch)
+                got = model.mean_loss_and_grad(batch)[1]
+                worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    assert worst <= 1e-13
+
+
 def test_per_sample_adapter_columns_average_to_mean():
     base = make_base((5, 9, 4), seed=14)
     model = attach_lora(base, rank=3, scale=6.0, seed=15)
     rng = np.random.default_rng(16)
-    model = model.apply_update(rng.normal(size=model.param_dim), 0.02)
+    model = model.apply_update(rng.normal(size=model.dim), 0.02)
     batch = random_batch(base.spec, 21, 17)
     _, mean_grad = model.mean_loss_and_grad(batch)
     cols = model.per_sample_factors(batch).dense()
-    assert cols.shape == (model.param_dim, 21)
+    assert cols.shape == (model.dim, 21)
     assert np.abs(cols.mean(axis=1) - mean_grad).max() <= 1e-12
 
 
@@ -120,7 +139,7 @@ def test_per_sample_adapter_factors_act_as_the_dense_matrix():
                 if saturate:
                     base = ParamVector(31.0 * base.flat, base.spec)
                 model = attach_lora(base, rank=3, scale=6.0, layers=layers, seed=31)
-                model = model.apply_update(np.random.default_rng(32).normal(size=model.param_dim),
+                model = model.apply_update(np.random.default_rng(32).normal(size=model.dim),
                                            0.05)
                 batch = random_batch(base.spec, 10, 33)
                 dense = model.per_sample_factors(batch).dense()
@@ -137,7 +156,7 @@ def test_per_sample_adapter_factors_act_as_the_dense_matrix():
 def test_biases_never_adapted():
     base = make_base((4, 7, 3), seed=20)
     model = attach_lora(base, rank=2, scale=2.0, seed=21)
-    model = model.apply_update(np.ones(model.param_dim), 0.3)
+    model = model.apply_update(np.ones(model.dim), 0.3)
     merged = model.merged()
     for l in range(base.spec.n_layers):
         assert np.array_equal(merged.biases(l), base.biases(l))
@@ -146,8 +165,8 @@ def test_biases_never_adapted():
 def test_partial_layer_adaptation():
     base = make_base((4, 8, 3), seed=22)
     model = attach_lora(base, rank=2, scale=4.0, layers=(1,), seed=23)
-    assert model.param_dim == 2 * (8 + 3)
-    model = model.apply_update(np.ones(model.param_dim), 0.1)
+    assert model.dim == 2 * (8 + 3)
+    model = model.apply_update(np.ones(model.dim), 0.1)
     merged = model.merged()
     assert np.array_equal(merged.weights(0), base.weights(0))
     assert not np.array_equal(merged.weights(1), base.weights(1))
@@ -177,7 +196,7 @@ def test_attach_deterministic_in_seed():
 def test_adapter_checkpoint_round_trip(tmp_path):
     base = make_base((5, 10, 4), seed=30)
     model = attach_lora(base, rank=2, scale=8.0, seed=31)
-    model = model.apply_update(np.random.default_rng(32).normal(size=model.param_dim), 0.05)
+    model = model.apply_update(np.random.default_rng(32).normal(size=model.dim), 0.05)
     path = tmp_path / "adapters.ckpt"
     save_adapter_checkpoint(path, model, seed=31)
     loaded = load_adapter_checkpoint(path, base)
@@ -200,7 +219,7 @@ def test_failed_adapter_checkpoint_rename_keeps_the_previous_file(tmp_path, monk
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename refused"):
-        save_adapter_checkpoint(path, model.apply_update(np.ones(model.param_dim), 0.1), seed=31)
+        save_adapter_checkpoint(path, model.apply_update(np.ones(model.dim), 0.1), seed=31)
     assert path.read_bytes() == first
     assert [p.name for p in tmp_path.iterdir()] == ["adapters.ckpt"]
 
@@ -215,6 +234,23 @@ def test_adapter_checkpoint_rejects_wrong_base(tmp_path):
         load_adapter_checkpoint(path, other)
 
 
+@pytest.mark.parametrize("section, key", [("adapter", "rank"), ("adapter", "scale"),
+                                          ("adapter", "layers"), ("model", "layer_sizes"),
+                                          ("model", "activation")])
+def test_adapter_checkpoint_missing_metadata_key_names_file_and_key(tmp_path, section, key):
+    base = make_base((5, 10, 4), seed=30)
+    path = tmp_path / "adapters.ckpt"
+    save_adapter_checkpoint(path, attach_lora(base, rank=2, scale=8.0, seed=31), seed=31)
+    line = next(l for l in path.read_bytes().split(b"\n") if l.startswith(key.encode() + b" = "))
+    edit_metadata(path, line, None)
+    with pytest.raises(ValueError,
+                       match=f"adapters.ckpt: checkpoint \\[{section}\\] metadata missing {key}$"):
+        load_adapter_checkpoint(path, base)
+    edit_metadata(path, f"[{section}]".encode(), b"[other]")
+    with pytest.raises(ValueError, match=f"adapters.ckpt: checkpoint missing \\[{section}\\] metadata"):
+        load_adapter_checkpoint(path, base)
+
+
 def test_reused_effective_weights_equal_recomputed_bitwise():
     # the adapted weights are built once per model; every read, and every
     # updated model, must see exactly what a fresh computation gives
@@ -222,7 +258,7 @@ def test_reused_effective_weights_equal_recomputed_bitwise():
     model = attach_lora(base, rank=2, scale=8.0, seed=13)
     rng = np.random.default_rng(14)
     for _ in range(3):
-        model = model.apply_update(rng.normal(size=model.param_dim), 0.05)
+        model = model.apply_update(rng.normal(size=model.dim), 0.05)
         fresh = base.weight_list()
         for slot, (l, *_rest) in enumerate(model.adapters.layout()):
             fresh[l] = fresh[l] + model.weight_delta(slot).T

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import check_factors_against_dense, forward_reference, pretrain_reference
+from helpers import (
+    check_factors_against_dense, edit_metadata, forward_reference, pretrain_reference,
+)
 from orthograd import net
 from orthograd.data import Dataset
 from orthograd.lora import attach_lora
@@ -325,6 +327,20 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("key", ["layer_sizes", "activation", "seed", "d"])
+def test_checkpoint_missing_metadata_key_names_file_and_key(tmp_path, key):
+    params = init_params(NetworkSpec((3, 2), "relu"), 1)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, seed=1)
+    line = next(l for l in path.read_bytes().split(b"\n") if l.startswith(key.encode() + b" = "))
+    edit_metadata(path, line, None)
+    with pytest.raises(ValueError, match=f"model.ckpt: checkpoint \\[model\\] metadata missing {key}$"):
+        load_checkpoint(path)
+    edit_metadata(path, b"[model]", b"[other]")
+    with pytest.raises(ValueError, match=r"model.ckpt: checkpoint missing \[model\] metadata"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_chunked_logits_match_one_unchunked_pass(activation):
     # evaluation runs in row chunks of c rows; every split point must give the
@@ -334,7 +350,7 @@ def test_chunked_logits_match_one_unchunked_pass(activation):
     assert c == 256 * 1024 // (8 * 40)
     base = init_params(spec, 3)
     adapted = attach_lora(base, rank=2, scale=8.0, seed=4)
-    adapted = adapted.apply_update(np.random.default_rng(5).normal(size=adapted.param_dim), 0.1)
+    adapted = adapted.apply_update(np.random.default_rng(5).normal(size=adapted.dim), 0.1)
     rng = np.random.default_rng(6)
     for n in (1, c - 1, c, c + 1, 3 * c + 7):
         x = rng.normal(size=(n, spec.in_dim))

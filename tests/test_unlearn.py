@@ -7,6 +7,7 @@ import pytest
 
 from helpers import cosine, gram_schmidt_basis, loss_change_ratios, project_off
 from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
+from orthograd.evaluation import evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
 from orthograd.lora import AdaptedModel, attach_lora
 from orthograd.net import (
@@ -194,31 +195,14 @@ def both_spaces(spec, seed):
     """A full-parameter model and an adapter model whose B blocks are nonzero."""
     params = init_params(spec, seed)
     model = attach_lora(params, rank=2, scale=8.0, seed=seed + 1)
-    model = model.apply_update(np.random.default_rng(seed + 2).normal(size=model.param_dim), 0.05)
+    model = model.apply_update(np.random.default_rng(seed + 2).normal(size=model.dim), 0.05)
     return params, model
-
-
-def coords(model):
-    return model.theta if isinstance(model, AdaptedModel) else model.flat
-
-
-def dense_columns(model, batch):
-    if isinstance(model, AdaptedModel):
-        return model.per_sample_factors(batch).dense()
-    return per_sample_factors(model, batch).dense()
-
-
-def step_inputs(model, b_u, b_r):
-    """The unlearn mean gradient and the factored retain gradients, in the model's space."""
-    if isinstance(model, AdaptedModel):
-        return model.mean_loss_and_grad(b_u)[1], model.per_sample_factors(b_r)
-    return mean_loss_and_grad(model, b_u)[1], per_sample_factors(model, b_r)
 
 
 def projected_step(model, b_u, b_r):
     """(g_u_perp from the update, diagnostics) of one step with alpha = 0, eta = 1."""
     stepped, diag = orthograd_step(model, b_u, b_r, make_cfg(alpha=0.0, eta=1.0))
-    return coords(stepped) - coords(model), diag
+    return stepped.coords - model.coords, diag
 
 
 def max_live_cos(v, cols):
@@ -237,9 +221,9 @@ def test_recovered_projection_orthogonal_to_dense_columns():
             b_u = random_batch(spec, 10, 500 + seed)
             b_r = random_batch(spec, 16, 600 + seed)
             for model in both_spaces(spec, seed):
-                if seed % 2 and not isinstance(model, AdaptedModel):
-                    model = apply_update(model, -30.0 * model.flat, 1.0)   # saturates
-                cols = dense_columns(model, b_r)
+                if seed % 2:
+                    model = model.apply_update(-30.0 * model.coords, 1.0)   # saturates
+                cols = model.per_sample_factors(b_r).dense()
                 zero_columns += int(np.count_nonzero(~cols.any(axis=0)))
                 perp, diag = projected_step(model, b_u, b_r)
                 assert np.linalg.norm(perp) > 0.0
@@ -258,8 +242,8 @@ def test_more_retain_samples_than_dimensions_projects_to_zero():
             b_u = random_batch(model.spec, 4, 700 + seed)
             b_r = random_batch(model.spec, 30, 800 + seed)
             stepped, diag = orthograd_step(model, b_u, b_r, make_cfg())
-            assert np.all(np.isfinite(coords(stepped)))
-            assert diag.basis_rank <= len(coords(model))
+            assert np.all(np.isfinite(stepped.coords))
+            assert diag.basis_rank <= model.dim
             assert diag.g_u_perp_norm <= 1e-10 * diag.g_u_norm
 
 
@@ -272,7 +256,7 @@ def test_duplicate_retain_samples_count_once():
     for model in both_spaces(spec, 9):
         perp, diag = projected_step(model, b_u, b_r)
         assert diag.basis_rank == 5
-        assert max_live_cos(perp, dense_columns(model, b_r)) <= 1e-6
+        assert max_live_cos(perp, model.per_sample_factors(b_r).dense()) <= 1e-6
 
 
 def test_one_sample_batches():
@@ -282,7 +266,7 @@ def test_one_sample_batches():
     for model in both_spaces(spec, 10):
         perp, diag = projected_step(model, b_u, b_r)
         assert diag.basis_rank == 1
-        assert max_live_cos(perp, dense_columns(model, b_r)) <= 1e-6
+        assert max_live_cos(perp, model.per_sample_factors(b_r).dense()) <= 1e-6
 
 
 def test_all_zero_retain_batch_leaves_unlearn_gradient_untouched():
@@ -296,10 +280,11 @@ def test_all_zero_retain_batch_leaves_unlearn_gradient_untouched():
     b_r = Batch(x, np.argmax(forward(params, x), axis=1))
     b_u = random_batch(spec, 5, 13)
     model = attach_lora(params, rank=2, scale=8.0, seed=14)
-    model = model.apply_update(rng.normal(size=model.param_dim), 1e-3)
+    model = model.apply_update(rng.normal(size=model.dim), 1e-3)
     for m in (params, model):
-        assert not dense_columns(m, b_r).any()
-        g_u, factors = step_inputs(m, b_u, b_r)
+        factors = m.per_sample_factors(b_r)
+        assert not factors.dense().any()
+        _, g_u = m.mean_loss_and_grad(b_u)
         assert np.any(g_u)
         perp, rank = project_out_span(g_u, factors)
         assert rank == 0
@@ -307,7 +292,7 @@ def test_all_zero_retain_batch_leaves_unlearn_gradient_untouched():
         stepped, diag = orthograd_step(m, b_u, b_r, make_cfg(alpha=0.0, eta=0.1))
         ascent = baseline_step(m, b_u, b_r, make_cfg(method=MethodKind.NEGGRAD, eta=0.1))
         assert diag.basis_rank == 0
-        assert np.array_equal(coords(stepped), coords(ascent))
+        assert np.array_equal(stepped.coords, ascent.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +436,20 @@ def test_run_with_lora_touches_only_weights():
     assert not np.array_equal(result.params.flat, params.flat)
 
 
+def test_both_spaces_evaluate_as_merged_and_average_their_factors():
+    # every model is evaluated as itself; that must read what its merged full
+    # vector reads, and its mean gradient must be the mean of its factors
+    params, splits = small_world()
+    assert params.merged() is params
+    for seed in range(3):
+        b = random_batch(params.spec, 12, 40 + seed)
+        for model in (params, *both_spaces(params.spec, seed)):
+            want = evaluate_splits(model.merged(), splits, epoch=2, method="m", seed=seed)
+            assert evaluate_splits(model, splits, epoch=2, method="m", seed=seed) == want
+            got, mean = model.mean_loss_and_grad(b)[1], model.per_sample_factors(b).mean()
+            assert np.abs(got - mean).max() <= 1e-12 * np.abs(mean).max()
+
+
 def test_orthograd_step_runs_in_adapter_space():
     spec = NetworkSpec((6, 12, 3), "relu")
     params = init_params(spec, 4)
@@ -458,7 +457,7 @@ def test_orthograd_step_runs_in_adapter_space():
 
     model = attach_lora(params, rank=2, scale=8.0, seed=5)
     rng = np.random.default_rng(6)
-    model = model.apply_update(rng.normal(size=model.param_dim), 0.05)
+    model = model.apply_update(rng.normal(size=model.dim), 0.05)
     b_u = random_batch(spec, 6, 7)
     b_r = random_batch(spec, 8, 8)
     stepped, diag = orthograd_step(model, b_u, b_r, make_cfg())
