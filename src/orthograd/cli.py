@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or configuration failure.
 from __future__ import annotations
 
 import argparse
-import itertools
 import sys
 from pathlib import Path
 
@@ -105,8 +104,7 @@ def cmd_pretrain(args) -> int:
     ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     net.save_checkpoint(ckpt_path, params, seed=cfg.pretrain_seed)
 
-    report = evaluate_splits(params, splits, epoch=0, method="original",
-                             seed=cfg.pretrain_seed)
+    report = evaluate_splits(params, splits)
     train_acc = net.evaluate_accuracy(params, train)
 
     results_path = _resolve(cfg, cfg.results_path)
@@ -150,8 +148,8 @@ def cmd_unlearn(args) -> int:
 
     methods = _parse_methods(args.method)
     settings = {m: cfg.method_settings(m.value) for m in methods}
-    seeds = (_parse_int_csv(args.seed_list, "--seed-list")
-             if args.seed_list else [settings[methods[0]].get("seed", UnlearnConfig.seed)])
+    seeds = {m: (_parse_int_csv(args.seed_list, "--seed-list") if args.seed_list
+                 else [settings[m].get("seed", UnlearnConfig.seed)]) for m in methods}
     sizes = (_parse_int_csv(args.retain_sizes, "--retain-sizes")
              if args.retain_sizes else [None])   # None: the config's retain_size
 
@@ -162,7 +160,7 @@ def cmd_unlearn(args) -> int:
         a_p_test = evaluate_splits(pretrained, splits).A_test
         runs += [(splits, a_p_test,
                   _unlearn_config(cfg, method, settings[method], seed, a_p_test, pretrained.spec))
-                 for method, seed in itertools.product(methods, seeds)]
+                 for method in methods for seed in seeds[method]]
 
     runs_dir = _resolve(cfg, cfg.runs_dir)
     runs_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ typos are easy to find.  ``format_sections`` emits a canonical rendering
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 __all__ = [
@@ -121,12 +121,8 @@ def _section(sections, name: str, source: str) -> dict[str, str]:
     return sections[name]
 
 
-def _get(table: dict[str, str], key: str, source: str, section: str, default=None):
-    if key in table:
-        return table[key]
-    if default is None:
-        raise ConfigError(f"{source}: missing key {key!r} in section [{section}]")
-    return default
+def _to_str(value: str, key: str, source: str) -> str:
+    return value
 
 
 def _to_int(value: str, key: str, source: str) -> int:
@@ -166,11 +162,40 @@ _UNLEARN_KEYS = {
     "lora_scale": _to_float, "seed": _to_int, "stop_threshold": _to_float,
 }
 
+# the keys of every other section: key -> (ExperimentConfig field, converter).  A key
+# is required exactly when its field has no default, and each dataset kind also
+# requires its own pair (_KIND_KEYS)
+_SECTION_KEYS = {
+    "dataset": {
+        "kind": ("dataset_kind", _to_str), "classes": ("classes", _to_int),
+        "dim": ("dim", _to_int), "per_class": ("per_class", _to_int),
+        "test_per_class": ("test_per_class", _to_int), "spread": ("spread", _to_float),
+        "seed": ("dataset_seed", _to_int), "train_path": ("train_path", _to_str),
+        "test_path": ("test_path", _to_str),
+    },
+    "network": {"layer_sizes": ("layer_sizes", _to_int_list), "activation": ("activation", _to_str)},
+    "pretrain": {
+        "epochs": ("pretrain_epochs", _to_int), "batch_size": ("pretrain_batch", _to_int),
+        "eta": ("pretrain_eta", _to_float), "seed": ("pretrain_seed", _to_int),
+    },
+    "splits": {
+        "mode": ("split_mode", _to_str), "fraction": ("fraction", _to_float),
+        "class_label": ("class_label", _to_int), "retain_size": ("retain_size", _to_int),
+        "seed": ("split_seed", _to_int),
+    },
+    "paths": {
+        "checkpoint": ("checkpoint_path", _to_str), "results": ("results_path", _to_str),
+        "runs_dir": ("runs_dir", _to_str),
+    },
+}
+_KIND_KEYS = {"blobs": ("per_class", "test_per_class"), "csv": ("train_path", "test_path")}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Fully parsed experiment description.
 
+    A field's default is the value of a config key left out (see ``_SECTION_KEYS``).
     ``unlearn_overrides`` maps method name to raw per-method key overrides
     from ``[unlearn.<method>]`` sections; ``method_settings`` applies them on
     top of the ``unlearn`` base table and converts the values.
@@ -190,20 +215,20 @@ class ExperimentConfig:
     test_path: str = ""         # csv only
 
     # network
-    layer_sizes: tuple[int, ...] = ()
+    layer_sizes: tuple[int, ...]
     activation: str = "relu"
 
     # pretrain
-    pretrain_epochs: int = 0
+    pretrain_epochs: int
     pretrain_batch: int = 64
     pretrain_eta: float = 0.1
     pretrain_seed: int = 0
 
     # splits
-    split_mode: str = "random"  # "random" or "class"
+    split_mode: str             # "random" or "class"
     fraction: float = 0.05
     class_label: int = -1
-    retain_size: int = 0
+    retain_size: int
     split_seed: int = 0
 
     # unlearn base settings (strings resolved later per method)
@@ -211,9 +236,9 @@ class ExperimentConfig:
     unlearn_overrides: dict = field(default_factory=dict)
 
     # paths (resolved relative to the config file directory)
-    checkpoint_path: str = ""
-    results_path: str = ""
-    runs_dir: str = ""
+    checkpoint_path: str
+    results_path: str
+    runs_dir: str = "runs"
 
     def method_settings(self, method: str) -> dict:
         """The typed keys of ``[unlearn]`` merged with ``[unlearn.<method>]``."""
@@ -222,92 +247,42 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    p = Path(path)
-    source = str(p)
-    sections = parse_sections(p)
-
-    known_toplevel = {"dataset", "network", "pretrain", "splits", "unlearn", "paths"}
-    for name in sections:
-        if name in known_toplevel:
-            continue
+    source = str(Path(path))
+    sections = parse_sections(path)
+    for name, table in sections.items():
         if name.startswith("unlearn."):
             method = name[len("unlearn."):]
             if method not in METHOD_NAMES:
                 raise ConfigError(
                     f"{source}: unknown method {method!r} in section [{name}]; "
                     f"expected one of {', '.join(METHOD_NAMES)}")
-            continue
-        raise ConfigError(f"{source}: unknown section [{name}]")
-
-    ds = _section(sections, "dataset", source)
-    kind = _get(ds, "kind", source, "dataset")
-    if kind not in ("blobs", "csv"):
-        raise ConfigError(f"{source}: dataset kind must be 'blobs' or 'csv', got {kind!r}")
-    classes = _to_int(_get(ds, "classes", source, "dataset"), "classes", source)
-    dim = _to_int(_get(ds, "dim", source, "dataset"), "dim", source)
-
-    per_class = test_per_class = 0
-    spread = 1.0
-    dataset_seed = 0
-    train_path = test_path = ""
-    if kind == "blobs":
-        per_class = _to_int(_get(ds, "per_class", source, "dataset"), "per_class", source)
-        test_per_class = _to_int(_get(ds, "test_per_class", source, "dataset"), "test_per_class", source)
-        spread = _to_float(_get(ds, "spread", source, "dataset", default="1.0"), "spread", source)
-        dataset_seed = _to_int(_get(ds, "seed", source, "dataset", default="0"), "seed", source)
-    else:
-        train_path = _get(ds, "train_path", source, "dataset")
-        test_path = _get(ds, "test_path", source, "dataset")
-
-    nw = _section(sections, "network", source)
-    layer_sizes = _to_int_list(_get(nw, "layer_sizes", source, "network"), "layer_sizes", source)
-    activation = _get(nw, "activation", source, "network", default="relu")
-
-    pt = _section(sections, "pretrain", source)
-    pretrain_epochs = _to_int(_get(pt, "epochs", source, "pretrain"), "epochs", source)
-    pretrain_batch = _to_int(_get(pt, "batch_size", source, "pretrain", default="64"), "batch_size", source)
-    pretrain_eta = _to_float(_get(pt, "eta", source, "pretrain", default="0.1"), "eta", source)
-    pretrain_seed = _to_int(_get(pt, "seed", source, "pretrain", default="0"), "seed", source)
-
-    sp = _section(sections, "splits", source)
-    split_mode = _get(sp, "mode", source, "splits")
-    if split_mode not in ("random", "class"):
-        raise ConfigError(f"{source}: splits mode must be 'random' or 'class', got {split_mode!r}")
-    fraction = _to_float(_get(sp, "fraction", source, "splits", default="0.05"), "fraction", source)
-    class_label = _to_int(_get(sp, "class_label", source, "splits", default="-1"), "class_label", source)
-    if split_mode == "class" and class_label < 0:
-        raise ConfigError(f"{source}: splits mode 'class' requires a class_label")
-    retain_size = _to_int(_get(sp, "retain_size", source, "splits"), "retain_size", source)
-    split_seed = _to_int(_get(sp, "seed", source, "splits", default="0"), "seed", source)
-
-    un = _section(sections, "unlearn", source)
-    for key in un:
-        if key not in _UNLEARN_KEYS:
-            raise ConfigError(f"{source}: unknown key {key!r} in section [unlearn]")
-    overrides = {}
-    for name, table in sections.items():
-        if not name.startswith("unlearn."):
-            continue
+        elif name != "unlearn" and name not in _SECTION_KEYS:
+            raise ConfigError(f"{source}: unknown section [{name}]")
         for key in table:
-            if key not in _UNLEARN_KEYS:
+            if key not in _SECTION_KEYS.get(name, _UNLEARN_KEYS):
                 raise ConfigError(f"{source}: unknown key {key!r} in section [{name}]")
-        overrides[name[len("unlearn."):]] = dict(table)
 
-    pa = _section(sections, "paths", source)
-    checkpoint_path = _get(pa, "checkpoint", source, "paths")
-    results_path = _get(pa, "results", source, "paths")
-    runs_dir = _get(pa, "runs_dir", source, "paths", default="runs")
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    values = {}
+    for name, keys in _SECTION_KEYS.items():
+        table = _section(sections, name, source)
+        for key, (attr, convert) in keys.items():
+            if key in table:
+                values[attr] = convert(table[key], key, source)
+            elif defaults[attr] is MISSING:
+                raise ConfigError(f"{source}: missing key {key!r} in section [{name}]")
+    cfg = ExperimentConfig(
+        source=source, **values, unlearn_base=dict(_section(sections, "unlearn", source)),
+        unlearn_overrides={name[len("unlearn."):]: dict(table) for name, table in sections.items()
+                           if name.startswith("unlearn.")})
 
-    return ExperimentConfig(
-        source=source,
-        dataset_kind=kind, classes=classes, dim=dim,
-        per_class=per_class, test_per_class=test_per_class, spread=spread,
-        dataset_seed=dataset_seed, train_path=train_path, test_path=test_path,
-        layer_sizes=layer_sizes, activation=activation,
-        pretrain_epochs=pretrain_epochs, pretrain_batch=pretrain_batch,
-        pretrain_eta=pretrain_eta, pretrain_seed=pretrain_seed,
-        split_mode=split_mode, fraction=fraction, class_label=class_label,
-        retain_size=retain_size, split_seed=split_seed,
-        unlearn_base=dict(un), unlearn_overrides=overrides,
-        checkpoint_path=checkpoint_path, results_path=results_path, runs_dir=runs_dir,
-    )
+    if cfg.dataset_kind not in _KIND_KEYS:
+        raise ConfigError(f"{source}: dataset kind must be 'blobs' or 'csv', got {cfg.dataset_kind!r}")
+    for key in _KIND_KEYS[cfg.dataset_kind]:
+        if key not in sections["dataset"]:
+            raise ConfigError(f"{source}: missing key {key!r} in section [dataset]")
+    if cfg.split_mode not in ("random", "class"):
+        raise ConfigError(f"{source}: splits mode must be 'random' or 'class', got {cfg.split_mode!r}")
+    if cfg.split_mode == "class" and cfg.class_label < 0:
+        raise ConfigError(f"{source}: splits mode 'class' requires a class_label")
+    return cfg

@@ -1,7 +1,7 @@
 """Datasets and unlearn/retain/test splits.
 
 A Dataset is a pair of arrays (float64 features, int64 labels) plus the
-class count and a short provenance string.  Splits carve one training set
+class count.  Splits carve one training set
 into the unlearn set D_u and retain set D_r, keeping them disjoint; for
 class forgetting the test set is partitioned as well so the test metric
 never sees the forgotten class.
@@ -29,7 +29,6 @@ class Dataset:
     inputs: np.ndarray
     labels: np.ndarray
     n_classes: int
-    provenance: str = ""
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=np.float64)
@@ -52,10 +51,9 @@ class Dataset:
     def dim(self) -> int:
         return self.inputs.shape[1]
 
-    def subset(self, indices, provenance: str = "") -> "Dataset":
+    def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.inputs[idx], self.labels[idx], self.n_classes,
-                       provenance or self.provenance)
+        return Dataset(self.inputs[idx], self.labels[idx], self.n_classes)
 
 
 @dataclass(frozen=True)
@@ -110,7 +108,7 @@ def gen_gaussian_blobs(n_classes: int, dim: int, per_class: int,
         block = slice(c * per_class, (c + 1) * per_class)
         inputs[block] = means[c] + rng.normal(0.0, spread, size=(per_class, dim))
         labels[block] = c
-    return Dataset(inputs, labels, n_classes, provenance=f"blobs(seed={seed})")
+    return Dataset(inputs, labels, n_classes)
 
 
 def partition_train_test(data: Dataset, train_per_class: int) -> tuple[Dataset, Dataset]:
@@ -124,8 +122,7 @@ def partition_train_test(data: Dataset, train_per_class: int) -> tuple[Dataset, 
         members = np.flatnonzero(data.labels == c)
         train_idx.append(members[:train_per_class])
         test_idx.append(members[train_per_class:])
-    return (data.subset(np.concatenate(train_idx), provenance=data.provenance + "/train"),
-            data.subset(np.concatenate(test_idx), provenance=data.provenance + "/test"))
+    return data.subset(np.concatenate(train_idx)), data.subset(np.concatenate(test_idx))
 
 
 def load_csv_dataset(path, n_features: int, n_classes: int) -> Dataset:
@@ -161,8 +158,7 @@ def load_csv_dataset(path, n_features: int, n_classes: int) -> Dataset:
             labels.append(label)
     if not rows:
         raise ValueError(f"{p}: dataset is empty")
-    return Dataset(np.array(rows), np.array(labels, dtype=np.int64), n_classes,
-                   provenance=str(p))
+    return Dataset(np.array(rows), np.array(labels, dtype=np.int64), n_classes)
 
 
 def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: int,
@@ -207,8 +203,8 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
         test_drop = np.flatnonzero(test.labels == class_label)
         if test_keep.size == 0:
             raise ValueError("test set would be empty after removing the forgotten class")
-        test_view = test.subset(test_keep, provenance=test.provenance + "/kept")
-        heldout = test.subset(test_drop, provenance=test.provenance + "/forgotten")
+        test_view = test.subset(test_keep)
+        heldout = test.subset(test_drop)
         forgotten = class_label
     else:
         raise ValueError(f"mode must be 'random' or 'class', got {mode!r}")
@@ -218,8 +214,8 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
     retain_idx = np.sort(rng.choice(pool, size=retain_size, replace=False))
 
     return Splits(
-        unlearn=train.subset(unlearn_idx, provenance=train.provenance + "/unlearn"),
-        retain=train.subset(retain_idx, provenance=train.provenance + "/retain"),
+        unlearn=train.subset(unlearn_idx),
+        retain=train.subset(retain_idx),
         test=test_view,
         mode=mode,
         heldout=heldout,

@@ -16,7 +16,7 @@ numbers and a fixed key order, so identical runs emit identical bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,18 +54,15 @@ class AccuracyReport:
     A_r: float      # retain set
     A_test: float   # test set (class mode: forgotten class excluded)
     epoch: int = 0
-    method: str = ""
-    seed: int = 0
 
 
-def evaluate_splits(params, splits: Splits, epoch: int = 0,
-                    method: str = "", seed: int = 0) -> AccuracyReport:
+def evaluate_splits(params, splits: Splits, epoch: int = 0) -> AccuracyReport:
     """Accuracy of a model in any space on the unlearn, retain, and test sets."""
     return AccuracyReport(
         A_u=net.evaluate_accuracy(params, splits.unlearn),
         A_r=net.evaluate_accuracy(params, splits.retain),
         A_test=net.evaluate_accuracy(params, splits.test),
-        epoch=epoch, method=method, seed=seed,
+        epoch=epoch,
     )
 
 
@@ -73,13 +70,9 @@ def evaluate_splits(params, splits: Splits, epoch: int = 0,
 # results file
 
 
-RECORD_FIELDS = ("method", "seed", "epoch", "A_u", "A_r", "A_test",
-                 "uis", "stop_epoch", "stopped_early", "n_retain")
-
-
 @dataclass(frozen=True)
 class RunRecord:
-    """One line of the results file."""
+    """One line of the results file; its fields, in order, are the record's keys."""
 
     method: str
     seed: int
@@ -96,16 +89,19 @@ class RunRecord:
         return (self.method, self.n_retain, self.seed)
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
+# the text form of each field type: (format, parse)
+_FIELD_TEXT = {
+    "str": (str, str),
+    "int": (str, int),
+    "float": ("{:.6g}".format, float),
+    "bool": (lambda v: "true" if v else "false", {"true": True, "false": False}.__getitem__),
+}
+_RECORD_TEXT = {f.name: _FIELD_TEXT[f.type] for f in fields(RunRecord)}
+RECORD_FIELDS = tuple(_RECORD_TEXT)
 
 
 def format_record(rec: RunRecord) -> str:
-    return " ".join(f"{k}={_fmt_value(getattr(rec, k))}" for k in RECORD_FIELDS)
+    return " ".join(f"{k}={fmt(getattr(rec, k))}" for k, (fmt, _) in _RECORD_TEXT.items())
 
 
 def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> RunRecord:
@@ -120,18 +116,7 @@ def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> 
     if missing:
         raise ValueError(f"{where}: record missing fields {missing}")
     try:
-        return RunRecord(
-            method=entries["method"],
-            seed=int(entries["seed"]),
-            epoch=int(entries["epoch"]),
-            A_u=float(entries["A_u"]),
-            A_r=float(entries["A_r"]),
-            A_test=float(entries["A_test"]),
-            uis=float(entries["uis"]),
-            stop_epoch=int(entries["stop_epoch"]),
-            stopped_early={"true": True, "false": False}[entries["stopped_early"]],
-            n_retain=int(entries["n_retain"]),
-        )
+        return RunRecord(**{k: parse(entries[k]) for k, (_, parse) in _RECORD_TEXT.items()})
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{where}: malformed record field ({exc})") from None
 

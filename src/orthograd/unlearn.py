@@ -271,8 +271,7 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
     else:
         model = pretrained
 
-    method_tag = cfg.method.value
-    trace = [evaluate_splits(model, splits, epoch=0, method=method_tag, seed=cfg.seed)]
+    trace = [evaluate_splits(model, splits)]
     if stopping_check(trace[0], cfg.stopping):
         return UnlearnResult(params=model.merged(), trace=tuple(trace),
                              stop_epoch=0, stopped_early=True)
@@ -294,7 +293,7 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
                 model, _ = orthograd_step(model, batch_u, batch_r, cfg)
             else:
                 model = baseline_step(model, batch_u, batch_r, cfg)
-        report = evaluate_splits(model, splits, epoch=epoch, method=method_tag, seed=cfg.seed)
+        report = evaluate_splits(model, splits, epoch=epoch)
         trace.append(report)
         if stopping_check(report, cfg.stopping):
             stop_epoch = epoch

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
-from helpers import edit_metadata
+from helpers import edit_metadata, save_csv_dataset
 from orthograd import net
 from orthograd.cli import main
-from orthograd.config import ConfigError, load_experiment_config, parse_sections_text
+from orthograd.config import (
+    ConfigError, ExperimentConfig, load_experiment_config, parse_sections_text,
+)
+from orthograd.data import gen_gaussian_blobs, partition_train_test
 from orthograd.evaluation import parse_records
 from orthograd.net import load_checkpoint
 
@@ -96,6 +100,84 @@ def test_bad_config_key_is_usage_error(workdir, capsys):
     rc = main(["pretrain", str(cfg_path)])
     assert rc == 2
     assert "warp" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["dataset", "network", "pretrain", "splits", "unlearn",
+                                     "paths"])
+def test_unknown_key_in_any_section_is_usage_error(workdir, capsys, section):
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace(f"[{section}]\n", f"[{section}]\nbatch_sise = 16\n"),
+                        encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 2
+    assert (f"exp.cfg: unknown key 'batch_sise' in section [{section}]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_left_out_keys_take_the_field_defaults(workdir):
+    _, cfg_path = workdir
+    # TINY_CONFIG's optional keys; [unlearn] loses its eta and seed as well
+    optional = ("spread", "seed", "activation", "batch_size", "eta", "fraction", "runs_dir")
+    lines = [l for l in TINY_CONFIG.splitlines() if l.split(" = ")[0] not in optional]
+    cfg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = load_experiment_config(cfg_path)
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.default is not dataclasses.MISSING and f.name not in ("per_class", "test_per_class"):
+            assert getattr(cfg, f.name) == f.default, f.name
+    assert cfg.runs_dir == "runs"
+
+
+def _csv_config(tmp_path) -> str:
+    """TINY_CONFIG's dataset as CSV files under ``data/``, and a config that reads them."""
+    train, test = partition_train_test(gen_gaussian_blobs(3, 5, 52, spread=1.0, seed=7), 40)
+    (tmp_path / "data").mkdir()
+    save_csv_dataset(tmp_path / "data" / "train.csv", train)
+    save_csv_dataset(tmp_path / "data" / "test.csv", test)
+    dataset = ("[dataset]\nkind = csv\nclasses = 3\ndim = 5\n"
+               "train_path = data/train.csv\ntest_path = data/test.csv\n")
+    return dataset + TINY_CONFIG[TINY_CONFIG.index("[network]"):]
+
+
+@pytest.mark.parametrize("kind, key", [("blobs", "per_class"), ("csv", "train_path")])
+def test_kind_specific_key_is_required(tmp_path, capsys, kind, key):
+    config = TINY_CONFIG if kind == "blobs" else _csv_config(tmp_path)
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("\n".join(l for l in config.splitlines() if not l.startswith(key + " ")),
+                        encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 2
+    assert f"exp.cfg: missing key '{key}' in section [dataset]" in capsys.readouterr().err
+
+
+def test_csv_dataset_runs_like_the_blobs_it_holds(tmp_path):
+    # the CSV files hold TINY_CONFIG's blobs exactly, so every output must match
+    # the blobs run byte for byte; the paths resolve against the config's directory
+    blobs_dir, csv_dir = tmp_path / "blobs", tmp_path / "csv"
+    blobs_dir.mkdir()
+    csv_dir.mkdir()
+    (blobs_dir / "exp.cfg").write_text(TINY_CONFIG, encoding="utf-8")
+    (csv_dir / "exp.cfg").write_text(_csv_config(csv_dir), encoding="utf-8")
+    for d in (blobs_dir, csv_dir):
+        assert main(["pretrain", str(d / "exp.cfg")]) == 0
+        assert main(["unlearn", str(d / "exp.cfg"), "--method", "neggrad",
+                     "--seed-list", "0,1"]) == 0
+    outputs = sorted(p.relative_to(blobs_dir / "out") for p in (blobs_dir / "out").rglob("*")
+                     if p.is_file())
+    assert len(outputs) == 6   # checkpoint, results, two unlearned checkpoints, two traces
+    assert outputs == sorted(p.relative_to(csv_dir / "out") for p in (csv_dir / "out").rglob("*")
+                             if p.is_file())
+    for rel in outputs:
+        assert (csv_dir / "out" / rel).read_bytes() == (blobs_dir / "out" / rel).read_bytes()
+
+
+def test_each_method_runs_at_its_own_configured_seed(workdir):
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG + "\n[unlearn.neggrad]\nseed = 5\n", encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 0
+    assert main(["unlearn", str(cfg_path), "--method", "all"]) == 0
+    seeds = {r.method: r.seed for r in parse_records(tmp_path / "out" / "results.txt")
+             if r.method != "original"}
+    assert seeds == {"finetune": 2, "neggrad": 5, "neggrad_plus": 2, "orthograd_mean": 2,
+                     "orthograd_per_sample": 2}
 
 
 def test_malformed_unlearn_value_is_usage_error(workdir, capsys):

@@ -397,7 +397,6 @@ def test_run_trace_covers_every_epoch_when_never_stopping():
     assert not result.stopped_early
     assert len(result.trace) == 4
     assert [r.epoch for r in result.trace] == [0, 1, 2, 3]
-    assert all(r.method == "orthograd_per_sample" for r in result.trace)
 
 
 def test_run_deterministic_in_seed():
@@ -444,8 +443,8 @@ def test_both_spaces_evaluate_as_merged_and_average_their_factors():
     for seed in range(3):
         b = random_batch(params.spec, 12, 40 + seed)
         for model in (params, *both_spaces(params.spec, seed)):
-            want = evaluate_splits(model.merged(), splits, epoch=2, method="m", seed=seed)
-            assert evaluate_splits(model, splits, epoch=2, method="m", seed=seed) == want
+            want = evaluate_splits(model.merged(), splits, epoch=2)
+            assert evaluate_splits(model, splits, epoch=2) == want
             got, mean = model.mean_loss_and_grad(b)[1], model.per_sample_factors(b).mean()
             assert np.abs(got - mean).max() <= 1e-12 * np.abs(mean).max()
 
