@@ -24,8 +24,6 @@ from orthograd.net import (
     ParamVector,
     PerSampleGrads,
     init_params,
-    mean_loss_and_grad,
-    per_sample_factors,
 )
 
 
@@ -46,7 +44,7 @@ def project_off_mean(g_u, grads):
 
 
 def sample_loss(params, x, y):
-    loss, _ = mean_loss_and_grad(params, Batch(x[None, :], np.array([y])))
+    loss, _ = params.mean_loss_and_grad(Batch(x[None, :], np.array([y])))
     return loss
 
 
@@ -56,8 +54,8 @@ def main():
     batch_u = random_batch(spec, 32, seed=1)
     batch_r = random_batch(spec, 16, seed=2)
 
-    _, g_u = mean_loss_and_grad(params, batch_u)
-    grads = per_sample_factors(params, batch_r)       # factored, 16 samples
+    _, g_u = params.mean_loss_and_grad(batch_u)
+    grads = params.per_sample_factors(batch_r)        # factored, 16 samples
     cols = grads.dense()                              # (param_dim, 16), for the cosines
 
     print("== alignment with the 16 per-sample retain gradients ==")
@@ -97,12 +95,12 @@ def main():
     batch_conflict = Batch(np.vstack([x, x]), np.array([0, 1]))
     batch_u3 = Batch(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
 
-    grads3 = per_sample_factors(params3, batch_conflict)
+    grads3 = params3.per_sample_factors(batch_conflict)
     cols3 = grads3.dense()
     pair = cols3[:, 0] @ cols3[:, 1] / (np.linalg.norm(cols3[:, 0]) * np.linalg.norm(cols3[:, 1]))
     print(f"cos(sample 0 grad, sample 1 grad) = {pair:.3f}")
 
-    _, g_u3 = mean_loss_and_grad(params3, batch_u3)
+    _, g_u3 = params3.mean_loss_and_grad(batch_u3)
     leak = project_off_mean(g_u3, grads3)
     clean, _ = project_out_span(g_u3, grads3)
     print(f"projected vs mean only:   max |cos| = {max_abs_cos(leak, cols3):.3f}   <- leaks")

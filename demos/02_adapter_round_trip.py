@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from orthograd.lora import attach_lora, load_adapter_checkpoint, merge_lora, save_adapter_checkpoint
-from orthograd.net import Batch, NetworkSpec, forward, init_params
+from orthograd.lora import attach_lora, load_adapter_checkpoint, save_adapter_checkpoint
+from orthograd.net import Batch, NetworkSpec, init_params
 
 spec = NetworkSpec((20, 128, 128, 10), "relu")
 base = init_params(spec, seed=4)
@@ -33,7 +33,7 @@ print(f"base parameters:    {d_full}")
 print(f"adapter parameters: {d_adapter}  ({d_full / d_adapter:.1f}x smaller)")
 print(f"update multiplier:  scale/rank = {model.adapters.multiplier}")
 
-same = np.array_equal(forward(base, probe), model.forward(probe))
+same = np.array_equal(base.forward(probe), model.forward(probe))
 print(f"\nlogits bit-identical at attach: {same}")
 
 # a few descent steps on random data move the adapter off zero
@@ -43,8 +43,8 @@ for _ in range(5):
     _, g = model.mean_loss_and_grad(batch)
     model = model.apply_update(g, 0.05)
 
-merged = merge_lora(base, model)
-gap = np.max(np.abs(forward(merged, probe) - model.forward(probe)))
+merged = model.merged()
+gap = np.max(np.abs(merged.forward(probe) - model.forward(probe)))
 print(f"after 5 updates, |merged logits - adapted logits| max = {gap:.2e}")
 
 with tempfile.TemporaryDirectory() as tmp:

@@ -20,11 +20,10 @@ from .data import (
 )
 from .evaluation import AccuracyReport, RunRecord, evaluate_splits, uis
 from .linalg import project_out_span
-from .lora import AdaptedModel, LoraAdapterSet, attach_lora, merge_lora
+from .lora import AdaptedModel, LoraAdapterSet, attach_lora
 from .net import (
-    Batch, NetworkSpec, ParamVector, PerSampleGrads, apply_update, evaluate_accuracy,
-    forward, init_params, load_checkpoint, mean_loss_and_grad, per_sample_factors,
-    pretrain, save_checkpoint,
+    Batch, NetworkSpec, ParamVector, PerSampleGrads, evaluate_accuracy, init_params,
+    load_checkpoint, pretrain, save_checkpoint,
 )
 from .unlearn import (
     MethodKind, StoppingRule, UnlearnConfig, UnlearnResult, baseline_step,
@@ -37,10 +36,10 @@ __all__ = [
     "AccuracyReport", "AdaptedModel", "Batch", "Dataset", "LoraAdapterSet",
     "MethodKind", "NetworkSpec", "ParamVector", "PerSampleGrads", "RunRecord",
     "Splits", "StoppingRule", "UnlearnConfig", "UnlearnResult",
-    "apply_update", "attach_lora", "baseline_step", "combine_update",
-    "evaluate_accuracy", "evaluate_splits", "forward", "gen_gaussian_blobs",
+    "attach_lora", "baseline_step", "combine_update",
+    "evaluate_accuracy", "evaluate_splits", "gen_gaussian_blobs",
     "init_params", "load_checkpoint", "load_csv_dataset",
-    "make_unlearn_split", "mean_loss_and_grad", "merge_lora", "orthograd_step",
-    "partition_train_test", "per_sample_factors", "pretrain", "project_out_span",
+    "make_unlearn_split", "orthograd_step",
+    "partition_train_test", "pretrain", "project_out_span",
     "run_unlearning", "save_checkpoint", "stopping_check", "uis",
 ]

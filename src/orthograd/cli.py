@@ -80,6 +80,10 @@ def _network_spec(cfg: ExperimentConfig) -> net.NetworkSpec:
         raise ConfigError(f"{cfg.source}: invalid network ({exc})") from None
 
 
+def _architecture(spec: net.NetworkSpec) -> str:
+    return f"{'-'.join(str(s) for s in spec.layer_sizes)} ({spec.activation})"
+
+
 def _original_record(cfg: ExperimentConfig, report, n_retain: int) -> RunRecord:
     return RunRecord(
         method="original", seed=cfg.pretrain_seed, epoch=0,
@@ -113,8 +117,7 @@ def cmd_pretrain(args) -> int:
     emit_records(upsert_records(existing, [_original_record(cfg, report, splits.n_retain)]),
                  results_path)
 
-    print(f"pretrained {'-'.join(str(s) for s in spec.layer_sizes)} "
-          f"({spec.activation}) for {cfg.pretrain_epochs} epochs")
+    print(f"pretrained {_architecture(spec)} for {cfg.pretrain_epochs} epochs")
     print(f"train accuracy {train_acc:.2f}  test accuracy {report.A_test:.2f}")
     print(f"checkpoint written to {ckpt_path}")
     return 0
@@ -145,6 +148,10 @@ def cmd_unlearn(args) -> int:
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path} (run 'orthograd pretrain' first)")
     pretrained, _meta = net.load_checkpoint(ckpt_path)
+    spec = _network_spec(cfg)
+    if pretrained.spec != spec:
+        raise ConfigError(f"{cfg.source}: [network] is {_architecture(spec)}, but checkpoint "
+                          f"{ckpt_path} holds {_architecture(pretrained.spec)}")
 
     methods = _parse_methods(args.method)
     settings = {m: cfg.method_settings(m.value) for m in methods}
@@ -159,7 +166,7 @@ def cmd_unlearn(args) -> int:
         splits = _build_splits(cfg, train, test, retain_size=size)
         a_p_test = evaluate_splits(pretrained, splits).A_test
         runs += [(splits, a_p_test,
-                  _unlearn_config(cfg, method, settings[method], seed, a_p_test, pretrained.spec))
+                  _unlearn_config(cfg, method, settings[method], seed, a_p_test, spec))
                  for method in methods for seed in seeds[method]]
 
     runs_dir = _resolve(cfg, cfg.runs_dir)

@@ -164,7 +164,8 @@ _UNLEARN_KEYS = {
 
 # the keys of every other section: key -> (ExperimentConfig field, converter).  A key
 # is required exactly when its field has no default, and each dataset kind also
-# requires its own pair (_KIND_KEYS)
+# requires its own pair (_KIND_KEYS); a key of another kind or split mode (_OWN_KEYS)
+# is rejected
 _SECTION_KEYS = {
     "dataset": {
         "kind": ("dataset_kind", _to_str), "classes": ("classes", _to_int),
@@ -189,6 +190,12 @@ _SECTION_KEYS = {
     },
 }
 _KIND_KEYS = {"blobs": ("per_class", "test_per_class"), "csv": ("train_path", "test_path")}
+# section -> (the key that selects, {each value it takes: the keys that apply under it only})
+_OWN_KEYS = {
+    "dataset": ("kind", {"blobs": ("per_class", "test_per_class", "spread", "seed"),
+                         "csv": ("train_path", "test_path")}),
+    "splits": ("mode", {"random": ("fraction",), "class": ("class_label",)}),
+}
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -276,13 +283,19 @@ def load_experiment_config(path) -> ExperimentConfig:
         unlearn_overrides={name[len("unlearn."):]: dict(table) for name, table in sections.items()
                            if name.startswith("unlearn.")})
 
-    if cfg.dataset_kind not in _KIND_KEYS:
-        raise ConfigError(f"{source}: dataset kind must be 'blobs' or 'csv', got {cfg.dataset_kind!r}")
+    for name, (selector, own_keys) in _OWN_KEYS.items():
+        value = sections[name][selector]
+        if value not in own_keys:
+            raise ConfigError(f"{source}: {name} {selector} must be "
+                              f"{' or '.join(map(repr, own_keys))}, got {value!r}")
+        for other, keys in own_keys.items():
+            for key in keys:
+                if other != value and key in sections[name]:
+                    raise ConfigError(f"{source}: key {key!r} in section [{name}] applies "
+                                      f"only to {selector} = {other}, not {value}")
     for key in _KIND_KEYS[cfg.dataset_kind]:
         if key not in sections["dataset"]:
             raise ConfigError(f"{source}: missing key {key!r} in section [dataset]")
-    if cfg.split_mode not in ("random", "class"):
-        raise ConfigError(f"{source}: splits mode must be 'random' or 'class', got {cfg.split_mode!r}")
     if cfg.split_mode == "class" and cfg.class_label < 0:
         raise ConfigError(f"{source}: splits mode 'class' requires a class_label")
     return cfg

@@ -31,7 +31,6 @@ __all__ = [
     "LoraAdapterSet",
     "AdaptedModel",
     "attach_lora",
-    "merge_lora",
     "save_adapter_checkpoint",
     "load_adapter_checkpoint",
     "ADAPTER_HEADER",
@@ -99,7 +98,7 @@ class AdaptedModel(Model):
     Differentiates with respect to the adapter coordinates only.
     ``apply_update`` returns a new model; the base parameters are shared,
     never copied or mutated.  The effective weights are built once, on first
-    use, and the forward and gradient passes read that one copy.
+    use, and the forward and gradient passes and ``merged`` read that one copy.
     """
 
     def __init__(self, base: ParamVector, adapters: LoraAdapterSet, theta: np.ndarray):
@@ -133,19 +132,16 @@ class AdaptedModel(Model):
         """Scaled low-rank update (scale/rank) B A, output-major (n_out, n_in)."""
         return self.adapters.multiplier * (self.b_matrix(slot) @ self.a_matrix(slot))
 
-    def effective_weights(self) -> tuple[np.ndarray, ...]:
-        """Per layer ``W + (scale/rank) (B A)^T``; shared by every call, do not modify."""
-        return self._weights
-
     @cached_property
-    def _weights(self) -> tuple[np.ndarray, ...]:
+    def effective_weights(self) -> tuple[np.ndarray, ...]:
+        """Per layer ``W + (scale/rank) (B A)^T``; shared by every use, do not modify."""
         weights = self.base.weight_list()
         for slot, (l, *_rest) in enumerate(self.adapters.layout()):
             weights[l] = weights[l] + self.weight_delta(slot).T
         return tuple(weights)
 
     def _layers(self):
-        return self.effective_weights(), self.base.bias_list()
+        return self.effective_weights, self.base.bias_list()
 
     def _blocks(self, acts, deltas):
         # per adapted layer, with m the multiplier: the A block (m delta_i B) (x) a_i
@@ -161,7 +157,11 @@ class AdaptedModel(Model):
         return AdaptedModel(self.base, self.adapters, theta)
 
     def merged(self) -> ParamVector:
-        return merge_lora(self.base, self)
+        """The base vector with each adapted layer's weight slot holding its effective weight."""
+        merged = ParamVector(self.base.flat.copy(), self.spec)
+        for l, *_rest in self.adapters.layout():
+            merged.weights(l)[...] = self.effective_weights[l]
+        return merged
 
 
 def attach_lora(base: ParamVector, rank: int, scale: float,
@@ -183,18 +183,6 @@ def attach_lora(base: ParamVector, rank: int, scale: float,
         theta[a_off:a_off + block.size] = block.reshape(-1)
         # B block stays zero
     return AdaptedModel(base, adapters, theta)
-
-
-def merge_lora(base: ParamVector, model: AdaptedModel) -> ParamVector:
-    """Fold the adapter update into a standalone parameter vector."""
-    if base.spec != model.spec:
-        raise ValueError("base parameters and adapted model disagree on the architecture")
-    flat = base.flat.copy()
-    merged = ParamVector(flat, base.spec)
-    for slot, (l, *_rest) in enumerate(model.adapters.layout()):
-        w = merged.weights(l)
-        w += model.weight_delta(slot).T
-    return merged
 
 
 # ---------------------------------------------------------------------------

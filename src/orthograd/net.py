@@ -13,8 +13,6 @@ itself at new coordinates; ``ParamVector`` is the full space and
 ``lora.AdaptedModel`` the adapter space.  Per-sample gradients come out
 factored per layer (``PerSampleGrads``), never as a dense (d, k) matrix, and
 the mean gradient is the row sum of the factors of the mean-scaled pass.
-The module-level ``forward``, ``mean_loss_and_grad``, ``per_sample_factors``
-and ``apply_update`` are the ``ParamVector`` methods.
 """
 
 from __future__ import annotations
@@ -34,11 +32,7 @@ __all__ = [
     "Batch",
     "PerSampleGrads",
     "init_params",
-    "forward",
-    "mean_loss_and_grad",
-    "per_sample_factors",
     "evaluate_accuracy",
-    "apply_update",
     "pretrain",
     "save_checkpoint",
     "load_checkpoint",
@@ -407,12 +401,6 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
         block = rng.normal(0.0, std, size=w_shape)
         flat[w_off:w_off + n_in * w_shape[1]] = block.reshape(-1)
     return ParamVector(flat, spec)
-
-
-forward = ParamVector.forward
-mean_loss_and_grad = ParamVector.mean_loss_and_grad
-per_sample_factors = ParamVector.per_sample_factors
-apply_update = ParamVector.apply_update
 
 
 def evaluate_accuracy(params: Model, data) -> float:

@@ -8,7 +8,7 @@ import numpy as np
 
 from orthograd import net
 from orthograd.data import Dataset
-from orthograd.net import Batch, ParamVector, apply_update, init_params, mean_loss_and_grad
+from orthograd.net import Batch, ParamVector, init_params
 
 
 def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
@@ -78,9 +78,22 @@ def pretrain_reference(spec, dataset, epochs: int, batch_size: int, eta: float,
         order = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            _, grad = mean_loss_and_grad(params, Batch(dataset.inputs[idx], dataset.labels[idx]))
-            params = apply_update(params, grad, eta)
+            _, grad = params.mean_loss_and_grad(Batch(dataset.inputs[idx], dataset.labels[idx]))
+            params = params.apply_update(grad, eta)
     return params
+
+
+def merge_reference(base: ParamVector, model) -> ParamVector:
+    """Reference for ``AdaptedModel.merged``: the fold it replaced, which adds each
+    adapted layer's ``(scale/rank) (B A)^T`` to a copy of the base weights in place."""
+    if base.spec != model.spec:
+        raise ValueError("base parameters and adapted model disagree on the architecture")
+    flat = base.flat.copy()
+    merged = ParamVector(flat, base.spec)
+    for slot, (l, *_rest) in enumerate(model.adapters.layout()):
+        w = merged.weights(l)
+        w += model.weight_delta(slot).T
+    return merged
 
 
 def adapter_mean_grad_reference(model, batch: Batch) -> np.ndarray:
@@ -90,7 +103,7 @@ def adapter_mean_grad_reference(model, batch: Batch) -> np.ndarray:
     Per adapted layer, with ``gw = a^T delta`` the layer's mean weight gradient
     (input-major) and m the multiplier: ``dA = m (gw B)^T`` and ``dB = m gw^T A^T``.
     """
-    _, acts, deltas = net._engine_pass(model.effective_weights(), model.base.bias_list(),
+    _, acts, deltas = net._engine_pass(model.effective_weights, model.base.bias_list(),
                                        model.spec, batch, per_sample=False)
     mult = model.adapters.multiplier
     grad = np.empty(model.dim)
@@ -172,7 +185,7 @@ def check_factors_against_dense(grads, dense: np.ndarray, mean_grad: np.ndarray,
 
 def sample_loss(params: ParamVector, x: np.ndarray, y: int) -> float:
     """Cross-entropy of a single sample."""
-    loss, _ = mean_loss_and_grad(params, Batch(x[None, :], np.array([y])))
+    loss, _ = params.mean_loss_and_grad(Batch(x[None, :], np.array([y])))
     return loss
 
 

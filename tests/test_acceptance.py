@@ -26,17 +26,14 @@ from orthograd.cli import main
 from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import uis
 from orthograd.linalg import default_drop_tol, project_out_span
-from orthograd.lora import attach_lora, merge_lora
+from orthograd.lora import attach_lora
 from orthograd.net import (
     Batch,
     NetworkSpec,
     ParamVector,
     PerSampleGrads,
     evaluate_accuracy,
-    forward,
     init_params,
-    mean_loss_and_grad,
-    per_sample_factors,
     pretrain,
 )
 from orthograd.unlearn import (
@@ -162,8 +159,8 @@ def test_03_second_order_retain_invariance():
     params = init_params(spec, 6)
     b_u = random_batch(spec, 24, 61)
     b_r = random_batch(spec, 12, 62)
-    _, g_u = mean_loss_and_grad(params, b_u)
-    perp, _ = project_out_span(g_u, per_sample_factors(params, b_r))
+    _, g_u = params.mean_loss_and_grad(b_u)
+    perp, _ = project_out_span(g_u, params.per_sample_factors(b_r))
 
     quad = loss_change_ratios(params, b_r, perp)
     assert np.all((quad >= 3.5) & (quad <= 4.5))
@@ -188,7 +185,7 @@ def test_04_mean_projection_leaks_per_sample_does_not():
     b_r = Batch(np.vstack([x, x]), np.array([0, 1]))
     b_u = Batch(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
 
-    cols = per_sample_factors(params, b_r).dense()
+    cols = params.per_sample_factors(b_r).dense()
     assert cosine(cols[:, 0], cols[:, 1]) < 0.0
 
     rule = StoppingRule.class_forget()
@@ -211,7 +208,7 @@ def test_05_gradient_engine_fidelity():
     spec = NetworkSpec((3, 4, 2), "tanh")
     params = init_params(spec, 3)
     batch = random_batch(spec, 6, 33)
-    _, grad = mean_loss_and_grad(params, batch)
+    _, grad = params.mean_loss_and_grad(batch)
 
     # central finite differences, every coordinate
     h = 1e-6
@@ -219,13 +216,13 @@ def test_05_gradient_engine_fidelity():
     for i in range(params.spec.param_dim):
         shift = np.zeros(params.spec.param_dim)
         shift[i] = h
-        lo, _ = mean_loss_and_grad(ParamVector(params.flat - shift, spec), batch)
-        hi, _ = mean_loss_and_grad(ParamVector(params.flat + shift, spec), batch)
+        lo, _ = ParamVector(params.flat - shift, spec).mean_loss_and_grad(batch)
+        hi, _ = ParamVector(params.flat + shift, spec).mean_loss_and_grad(batch)
         fd = (hi - lo) / (2 * h)
         assert abs(fd - grad[i]) <= 1e-5 * scale, i
 
     # per-sample columns average to the batch gradient
-    cols = per_sample_factors(params, batch).dense()
+    cols = params.per_sample_factors(batch).dense()
     mean_cols = cols.mean(axis=1)
     denom = max(np.linalg.norm(grad), 1e-30)
     assert np.linalg.norm(mean_cols - grad) <= 1e-12 * denom
@@ -233,7 +230,7 @@ def test_05_gradient_engine_fidelity():
     # zero parameters: uniform softmax, loss exactly ln(C)
     zero = ParamVector(np.zeros(spec.param_dim), spec)
     for k in (1, 2, 4, 8):
-        loss, _ = mean_loss_and_grad(zero, random_batch(spec, k, 50 + k))
+        loss, _ = zero.mean_loss_and_grad(random_batch(spec, k, 50 + k))
         assert loss == math.log(2)
     print("PASS gradient engine: finite differences, per-sample mean, ln(C) all hold")
 
@@ -278,8 +275,8 @@ def test_07_adapter_attach_and_merge_fidelity():
     model = attach_lora(params, rank=8, scale=32.0, seed=0)
     assert model.adapters.multiplier == 4.0
 
-    base_logits = forward(params, inputs)
-    assert np.array_equal(forward(model.merged(), inputs), base_logits)
+    base_logits = params.forward(inputs)
+    assert np.array_equal(model.merged().forward(inputs), base_logits)
 
     # push the adapter away from zero, then merge and compare logits
     rng = np.random.default_rng(45)
@@ -287,8 +284,8 @@ def test_07_adapter_attach_and_merge_fidelity():
         batch = Batch(rng.normal(size=(8, 16)), rng.integers(0, 10, size=8))
         _, g = model.mean_loss_and_grad(batch)
         model = model.apply_update(g, 0.05)
-    merged = merge_lora(params, model)
-    got = forward(merged, inputs)
+    merged = model.merged()
+    got = merged.forward(inputs)
     want = model.forward(inputs)
     denom = max(float(np.max(np.abs(want))), 1e-30)
     assert np.max(np.abs(got - want)) <= 1e-10 * denom

@@ -148,6 +148,21 @@ def test_kind_specific_key_is_required(tmp_path, capsys, kind, key):
     assert f"exp.cfg: missing key '{key}' in section [dataset]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, section, key", [
+    ("kind = blobs", "kind = blobs\ntrain_path = nowhere.csv", "dataset", "train_path"),
+    ("kind = csv", "kind = csv\nseed = 7", "dataset", "seed"),
+    ("mode = random", "mode = random\nclass_label = 2", "splits", "class_label"),
+    ("mode = random", "mode = class\nclass_label = 2", "splits", "fraction"),  # TINY_CONFIG's own
+], ids=["blobs-train_path", "csv-seed", "random-class_label", "class-fraction"])
+def test_key_of_another_kind_or_mode_is_usage_error(tmp_path, capsys, old, new, section, key):
+    config = _csv_config(tmp_path) if old == "kind = csv" else TINY_CONFIG
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(config.replace(old, new), encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 2
+    assert f"exp.cfg: key '{key}' in section [{section}] applies only to" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_csv_dataset_runs_like_the_blobs_it_holds(tmp_path):
     # the CSV files hold TINY_CONFIG's blobs exactly, so every output must match
     # the blobs run byte for byte; the paths resolve against the config's directory
@@ -278,6 +293,26 @@ def test_failed_rename_keeps_the_previous_output(workdir, capsys, monkeypatch, p
     monkeypatch.undo()
     assert main(["unlearn", str(cfg_path), "--method", "neggrad", "--seed-list", "0"]) == 0
     assert target.read_bytes() != before[target]   # the failed write would have changed it
+
+
+@pytest.mark.parametrize("old, new", [("layer_sizes = 5,12,3", "layer_sizes = 5,16,3"),
+                                      ("activation = relu", "activation = tanh")],
+                         ids=["layer_sizes", "activation"])
+def test_unlearn_with_another_network_than_the_checkpoint_is_usage_error(workdir, capsys,
+                                                                         old, new):
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    results = (tmp_path / "out" / "results.txt").read_bytes()
+    cfg_path.write_text(TINY_CONFIG.replace(old, new), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["unlearn", str(cfg_path), "--method", "neggrad"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    want = "5-16-3 (relu)" if "16" in new else "5-12-3 (tanh)"
+    assert (f"exp.cfg: [network] is {want}, but checkpoint "
+            f"{tmp_path / 'out' / 'pretrained.ckpt'} holds 5-12-3 (relu)") in err
+    assert not (tmp_path / "out" / "runs").exists()
+    assert (tmp_path / "out" / "results.txt").read_bytes() == results
 
 
 def test_unlearn_without_checkpoint_is_usage_error(workdir, capsys):

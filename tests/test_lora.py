@@ -7,12 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from helpers import adapter_mean_grad_reference, check_factors_against_dense, edit_metadata
-from orthograd.lora import (
-    AdaptedModel, LoraAdapterSet, attach_lora, load_adapter_checkpoint,
-    merge_lora, save_adapter_checkpoint,
+from helpers import (
+    adapter_mean_grad_reference, check_factors_against_dense, edit_metadata, merge_reference,
 )
-from orthograd.net import Batch, NetworkSpec, ParamVector, forward, init_params
+from orthograd.lora import (
+    AdaptedModel, LoraAdapterSet, attach_lora, load_adapter_checkpoint, save_adapter_checkpoint,
+)
+from orthograd.net import Batch, NetworkSpec, ParamVector, init_params
 
 
 def make_base(sizes=(4, 8, 3), activation="tanh", seed=0):
@@ -45,8 +46,8 @@ def test_attach_is_zero_delta_bitwise():
         assert np.all(model.b_matrix(slot) == 0.0)
         assert not np.all(model.a_matrix(slot) == 0.0)
     x = np.random.default_rng(11).normal(size=(6, 5))
-    assert np.array_equal(model.forward(x), forward(base, x))
-    merged = merge_lora(base, model)
+    assert np.array_equal(model.forward(x), base.forward(x))
+    merged = model.merged()
     assert np.array_equal(merged.flat, base.flat)
 
 
@@ -58,7 +59,7 @@ def test_hand_rank_one_merge_delta():
     theta = np.array([1.0, 0.0, 0.0, 1.0])  # A block then B block
     model = AdaptedModel(base, adapters, theta)
     assert np.array_equal(model.weight_delta(0), np.array([[0.0, 0.0], [1.0, 0.0]]))
-    merged = merge_lora(base, model)
+    merged = model.merged()
     gain = merged.weights(0) - base.weights(0)
     assert np.array_equal(gain, np.array([[0.0, 0.0], [1.0, 0.0]]).T)
 
@@ -71,9 +72,24 @@ def test_merge_matches_adapted_forward():
     model = model.apply_update(g, 0.05)   # move off the zero-delta point
     x = rng.normal(size=(10, 6))
     adapted_logits = model.forward(x)
-    merged_logits = forward(model.merged(), x)
+    merged_logits = model.merged().forward(x)
     scale = max(1.0, float(np.abs(adapted_logits).max()))
     assert np.abs(adapted_logits - merged_logits).max() <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("layers", [None, (1,), (0, 2)])
+def test_merged_equals_reference_fold_bitwise(activation, layers):
+    # merged() writes the cached adapted weights into a copy of the base; the
+    # fold it replaced added the scaled B A to the base weights in place
+    base = make_base((6, 12, 5, 3), activation, seed=15)
+    before = base.flat.copy()
+    model = attach_lora(base, rank=2, scale=8.0, layers=layers, seed=16)
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        model = model.apply_update(rng.normal(size=model.dim), 0.05)
+        assert np.array_equal(model.merged().flat, merge_reference(base, model).flat)
+    assert np.array_equal(base.flat, before)
 
 
 def test_mean_grad_matches_finite_differences_in_adapter_space():
@@ -262,6 +278,6 @@ def test_reused_effective_weights_equal_recomputed_bitwise():
         fresh = base.weight_list()
         for slot, (l, *_rest) in enumerate(model.adapters.layout()):
             fresh[l] = fresh[l] + model.weight_delta(slot).T
-        reused = model.effective_weights()
-        assert reused is model.effective_weights()
+        reused = model.effective_weights
+        assert reused is model.effective_weights
         assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))

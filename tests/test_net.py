@@ -12,9 +12,8 @@ from orthograd import net
 from orthograd.data import Dataset
 from orthograd.lora import attach_lora
 from orthograd.net import (
-    Batch, NetworkSpec, ParamVector, apply_update, evaluate_accuracy, forward,
-    init_params, load_checkpoint, mean_loss_and_grad, per_sample_factors, pretrain,
-    save_checkpoint, _chunk_rows,
+    Batch, NetworkSpec, ParamVector, evaluate_accuracy, init_params, load_checkpoint,
+    pretrain, save_checkpoint, _chunk_rows,
 )
 
 
@@ -25,9 +24,9 @@ def finite_difference_grad(params: ParamVector, batch: Batch, eps: float = 1e-5)
     for i in range(params.dim):
         bumped = base.copy()
         bumped[i] += eps
-        lp, _ = mean_loss_and_grad(ParamVector(bumped, params.spec), batch)
+        lp, _ = ParamVector(bumped, params.spec).mean_loss_and_grad(batch)
         bumped[i] = base[i] - eps
-        lm, _ = mean_loss_and_grad(ParamVector(bumped, params.spec), batch)
+        lm, _ = ParamVector(bumped, params.spec).mean_loss_and_grad(batch)
         grad[i] = (lp - lm) / (2.0 * eps)
     return grad
 
@@ -82,7 +81,7 @@ def test_mean_grad_matches_finite_differences(sizes, activation, seed):
     spec = NetworkSpec(sizes, activation)
     params = init_params(spec, seed)
     batch = random_batch(spec, 6, seed + 100)
-    _, analytic = mean_loss_and_grad(params, batch)
+    _, analytic = params.mean_loss_and_grad(batch)
     fd = finite_difference_grad(params, batch)
     rel = np.abs(analytic - fd) / np.maximum(1.0, np.abs(analytic))
     assert rel.max() <= 1e-5
@@ -93,8 +92,8 @@ def test_per_sample_columns_average_to_mean_grad():
     params = init_params(spec, 3)
     for k in (1, 2, 17, 64):
         batch = random_batch(spec, k, 50 + k)
-        _, mean_grad = mean_loss_and_grad(params, batch)
-        cols = per_sample_factors(params, batch).dense()
+        _, mean_grad = params.mean_loss_and_grad(batch)
+        cols = params.per_sample_factors(batch).dense()
         assert cols.shape == (spec.param_dim, k)
         gap = np.abs(cols.mean(axis=1) - mean_grad)
         assert gap.max() <= 1e-12 * max(1.0, float(np.abs(mean_grad).max()))
@@ -104,10 +103,10 @@ def test_per_sample_column_is_single_sample_gradient():
     spec = NetworkSpec((4, 5, 3), "tanh")
     params = init_params(spec, 9)
     batch = random_batch(spec, 5, 77)
-    cols = per_sample_factors(params, batch).dense()
+    cols = params.per_sample_factors(batch).dense()
     for i in range(batch.size):
         single = Batch(batch.inputs[i:i + 1], batch.labels[i:i + 1])
-        _, g = mean_loss_and_grad(params, single)
+        _, g = params.mean_loss_and_grad(single)
         assert np.abs(cols[:, i] - g).max() <= 1e-12
 
 
@@ -120,12 +119,12 @@ def test_per_sample_factors_act_as_the_dense_matrix():
         for seed in range(4):
             params = init_params(spec, seed)
             if seed % 2:
-                params = apply_update(params, -30.0 * params.flat, 1.0)
+                params = params.apply_update(-30.0 * params.flat, 1.0)
             batch = random_batch(spec, 11, 60 + seed)
-            dense = per_sample_factors(params, batch).dense()
+            dense = params.per_sample_factors(batch).dense()
             zero_columns += int(np.count_nonzero(~dense.any(axis=0)))
-            _, mean_grad = mean_loss_and_grad(params, batch)
-            check_factors_against_dense(per_sample_factors(params, batch), dense, mean_grad, seed)
+            _, mean_grad = params.mean_loss_and_grad(batch)
+            check_factors_against_dense(params.per_sample_factors(batch), dense, mean_grad, seed)
     assert zero_columns > 0
 
 
@@ -134,7 +133,7 @@ def test_zero_params_loss_is_ln_c_exactly():
     zero = ParamVector(np.zeros(spec.param_dim), spec)
     for k in (1, 2, 4, 8):
         batch = random_batch(spec, k, k)
-        loss, _ = mean_loss_and_grad(zero, batch)
+        loss, _ = zero.mean_loss_and_grad(batch)
         assert loss == float(np.log(3.0))
 
 
@@ -144,8 +143,8 @@ def test_loss_invariant_under_batch_duplication():
     batch = random_batch(spec, 9, 22)
     doubled = Batch(np.vstack([batch.inputs, batch.inputs]),
                     np.concatenate([batch.labels, batch.labels]))
-    l1, g1 = mean_loss_and_grad(params, batch)
-    l2, g2 = mean_loss_and_grad(params, doubled)
+    l1, g1 = params.mean_loss_and_grad(batch)
+    l2, g2 = params.mean_loss_and_grad(doubled)
     assert abs(l1 - l2) <= 1e-12 * max(1.0, abs(l1))
     assert np.abs(g1 - g2).max() <= 1e-12
 
@@ -155,7 +154,7 @@ def test_softmax_stability_extreme_logits():
     flat = np.array([1000.0, -1000.0, 0.0, 0.0, 0.0, 0.0])
     params = ParamVector(flat, spec)
     batch = Batch(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]))
-    loss, grad = mean_loss_and_grad(params, batch)
+    loss, grad = params.mean_loss_and_grad(batch)
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad))
 
@@ -191,10 +190,10 @@ def test_apply_update_is_descent_step():
     spec = NetworkSpec((3, 2), "relu")
     params = init_params(spec, 5)
     g = np.arange(spec.param_dim, dtype=float)
-    out = apply_update(params, g, 0.5)
+    out = params.apply_update(g, 0.5)
     assert np.array_equal(out.flat, params.flat - 0.5 * g)
     with pytest.raises(ValueError):
-        apply_update(params, np.zeros(3), 0.1)
+        params.apply_update(np.zeros(3), 0.1)
 
 
 def test_batch_validation_errors():
@@ -202,7 +201,7 @@ def test_batch_validation_errors():
     spec = NetworkSpec((3, 4, 2), "relu")
     params = init_params(spec, 0)
     adapted = attach_lora(params, rank=1, scale=2.0, seed=1)
-    for grad_fn in (lambda b: mean_loss_and_grad(params, b), lambda b: per_sample_factors(params, b),
+    for grad_fn in (params.mean_loss_and_grad, params.per_sample_factors,
                     adapted.mean_loss_and_grad, adapted.per_sample_factors):
         with pytest.raises(ValueError):
             grad_fn(Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
@@ -356,8 +355,8 @@ def test_chunked_logits_match_one_unchunked_pass(activation):
         x = rng.normal(size=(n, spec.in_dim))
         y = rng.integers(0, spec.n_classes, size=n)
         for weights, got, params in (
-                (base.weight_list(), forward(base, x), base),
-                (adapted.effective_weights(), adapted.forward(x), adapted.merged())):
+                (base.weight_list(), base.forward(x), base),
+                (adapted.effective_weights, adapted.forward(x), adapted.merged())):
             want = forward_reference(weights, base.bias_list(), activation, x)
             assert got.shape == want.shape == (n, spec.n_classes)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

@@ -11,8 +11,7 @@ from orthograd.evaluation import evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
 from orthograd.lora import AdaptedModel, attach_lora
 from orthograd.net import (
-    Batch, NetworkSpec, PerSampleGrads, apply_update, forward, init_params,
-    mean_loss_and_grad, per_sample_factors,
+    Batch, NetworkSpec, PerSampleGrads, init_params,
 )
 from orthograd.unlearn import (
     MethodKind, StoppingRule, UnlearnConfig, _CyclicSampler, baseline_step,
@@ -93,11 +92,11 @@ def test_orthograd_step_matches_manual_composition():
     stepped, diag = orthograd_step(params, b_u, b_r, cfg)
 
     # bitwise against the public factored pieces
-    _, g_u = mean_loss_and_grad(params, b_u)
-    grads = per_sample_factors(params, b_r)
+    _, g_u = params.mean_loss_and_grad(b_u)
+    grads = params.per_sample_factors(b_r)
     perp, rank = project_out_span(g_u, grads)
     direction = combine_update(grads.mean(), perp, 0.85)
-    assert np.array_equal(stepped.flat, apply_update(params, direction, 0.02).flat)
+    assert np.array_equal(stepped.flat, params.apply_update(direction, 0.02).flat)
     assert diag.basis_rank == rank
 
     # the update direction against the Gram-Schmidt oracle on the dense
@@ -132,15 +131,15 @@ def test_max_abs_cos_matches_per_column_cosine_loop():
     for seed in range(6):
         params = init_params(spec, seed)
         if seed % 2:
-            params = apply_update(params, -30.0 * params.flat, 1.0)
+            params = params.apply_update(-30.0 * params.flat, 1.0)
         b_u = random_batch(spec, 9, 300 + seed)
         b_r = random_batch(spec, 12, 400 + seed)
-        cols = per_sample_factors(params, b_r).dense()
+        cols = params.per_sample_factors(b_r).dense()
         zero_columns_seen += int(np.count_nonzero(~cols.any(axis=0)))
         for method in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN):
             cfg = make_cfg(method=method)
             _, diag = orthograd_step(params, b_u, b_r, cfg)
-            _, g_u = mean_loss_and_grad(params, b_u)
+            _, g_u = params.mean_loss_and_grad(b_u)
             span = cols if method is MethodKind.ORTHOGRAD_PER_SAMPLE else cols.mean(axis=1)[:, None]
             perp, _ = project_out_span(g_u, PerSampleGrads.columns(span))
             loop = max(abs(cosine(perp, cols[:, i])) for i in range(cols.shape[1]))
@@ -159,7 +158,7 @@ def test_mean_variant_leaks_on_conflicting_retain_batch():
     b_r = Batch(np.vstack([x, x]), np.array([0, 1]))
     b_u = Batch(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
 
-    cols = per_sample_factors(params, b_r).dense()
+    cols = params.per_sample_factors(b_r).dense()
     assert cosine(cols[:, 0], cols[:, 1]) < 0.0   # genuinely conflicting
 
     _, diag_mean = orthograd_step(params, b_u, b_r,
@@ -175,8 +174,8 @@ def test_first_order_retain_invariance_of_projected_direction():
     params = init_params(spec, 6)
     b_u = random_batch(spec, 24, 61)
     b_r = random_batch(spec, 12, 62)
-    _, g_u = mean_loss_and_grad(params, b_u)
-    perp, _ = project_out_span(g_u, per_sample_factors(params, b_r))
+    _, g_u = params.mean_loss_and_grad(b_u)
+    perp, _ = project_out_span(g_u, params.per_sample_factors(b_r))
 
     quad = loss_change_ratios(params, b_r, perp)
     assert np.all((quad >= 3.5) & (quad <= 4.5))   # second-order only
@@ -274,10 +273,10 @@ def test_all_zero_retain_batch_leaves_unlearn_gradient_untouched():
     # with its own prediction then has a per-sample gradient of exactly zero
     spec = NetworkSpec((6, 16, 4), "relu")
     params = init_params(spec, 11)
-    params = apply_update(params, -999.0 * params.flat, 1.0)
+    params = params.apply_update(-999.0 * params.flat, 1.0)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(8, spec.in_dim))
-    b_r = Batch(x, np.argmax(forward(params, x), axis=1))
+    b_r = Batch(x, np.argmax(params.forward(x), axis=1))
     b_u = random_batch(spec, 5, 13)
     model = attach_lora(params, rank=2, scale=8.0, seed=14)
     model = model.apply_update(rng.normal(size=model.dim), 1e-3)
@@ -318,11 +317,11 @@ def test_neggrad_is_gradient_ascent_on_unlearn_batch():
     params = init_params(spec, 8)
     b_u = random_batch(spec, 6, 81)
     b_r = random_batch(spec, 6, 82)
-    _, g_u = mean_loss_and_grad(params, b_u)
+    _, g_u = params.mean_loss_and_grad(b_u)
     stepped = baseline_step(params, b_u, b_r, make_cfg(method=MethodKind.NEGGRAD, eta=0.01))
     assert np.array_equal(stepped.flat, params.flat + 0.01 * g_u)
-    before, _ = mean_loss_and_grad(params, b_u)
-    after, _ = mean_loss_and_grad(stepped, b_u)
+    before, _ = params.mean_loss_and_grad(b_u)
+    after, _ = stepped.mean_loss_and_grad(b_u)
     assert after > before
 
 
