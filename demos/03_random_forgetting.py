@@ -20,7 +20,7 @@ mechanism visible: per-sample projection leaves the 500-point retain
 set at exactly 100% while plain ascent chips it.  The gap gets dramatic
 in the class-forgetting demo, where the ascent signal is stronger.
 
-Takes about half a minute.  Artifacts land in configs/runs-random/.
+Takes about 6 seconds on a 2-core Xeon.  Artifacts land in configs/runs-random/.
 """
 
 import sys

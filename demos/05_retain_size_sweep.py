@@ -18,7 +18,7 @@ Two things to look for in the table:
     never reads the retain set; the run seeds the retain stream
     separately so this holds bit-for-bit, not just approximately
 
-Takes about 30 seconds on a 2-core Xeon.  Artifacts land in configs/runs-random/.
+Takes about 10 seconds on a 2-core Xeon.  Artifacts land in configs/runs-random/.
 """
 
 import sys

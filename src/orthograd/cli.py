@@ -74,10 +74,16 @@ def _unlearn_config(cfg: ExperimentConfig, method: MethodKind, settings: dict, s
 
 
 def _network_spec(cfg: ExperimentConfig) -> net.NetworkSpec:
+    """The ``[network]`` spec, checked on its own and against the ``[dataset]`` it reads."""
     try:
-        return net.NetworkSpec(cfg.layer_sizes, cfg.activation)
+        spec = net.NetworkSpec(cfg.layer_sizes, cfg.activation)
     except ValueError as exc:
         raise ConfigError(f"{cfg.source}: invalid network ({exc})") from None
+    if spec.in_dim != cfg.dim or spec.n_classes != cfg.classes:
+        raise ConfigError(
+            f"{cfg.source}: network ends {spec.in_dim}->{spec.n_classes}, "
+            f"dataset needs {cfg.dim}->{cfg.classes}")
+    return spec
 
 
 def _architecture(spec: net.NetworkSpec) -> str:
@@ -94,10 +100,6 @@ def _original_record(cfg: ExperimentConfig, report, n_retain: int) -> RunRecord:
 def cmd_pretrain(args) -> int:
     cfg = load_experiment_config(args.config)
     spec = _network_spec(cfg)
-    if spec.in_dim != cfg.dim or spec.n_classes != cfg.classes:
-        raise ConfigError(
-            f"{cfg.source}: network ends {spec.in_dim}->{spec.n_classes}, "
-            f"dataset needs {cfg.dim}->{cfg.classes}")
     train, test = _build_dataset(cfg)
     splits = _build_splits(cfg, train, test)   # a bad split setting fails before any training
     params = net.pretrain(spec, train, epochs=cfg.pretrain_epochs,

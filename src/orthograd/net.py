@@ -246,7 +246,7 @@ class PerSampleGrads:
         """G c, (d,): per block, (c * L)^T R."""
         out = np.zeros(self.dim)
         for o, l, r in self.blocks:
-            out[o:o + l.shape[1] * r.shape[1]] = ((c[:, None] * l).T @ r).reshape(-1)
+            np.matmul((c[:, None] * l).T, r, out=out[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1))
         return out
 
     def mean(self) -> np.ndarray:

@@ -217,47 +217,30 @@ def stopping_check(report: AccuracyReport, rule: StoppingRule) -> bool:
 # epoch loop
 
 
-class _CyclicSampler:
-    """Deterministic batches from a shuffled index cycle.
-
-    Always yields exactly ``batch`` indices; when the current permutation
-    runs out mid-draw it is reshuffled and the draw continues.
-    """
-
-    def __init__(self, n: int, batch: int, rng: np.random.Generator):
-        if n < 1 or batch < 1:
-            raise ValueError("sampler needs n >= 1 and batch >= 1")
-        self.n = n
-        self.batch = batch
-        self.rng = rng
-        self.order = rng.permutation(n)
-        self.pos = 0
-
-    def take(self) -> np.ndarray:
-        out = np.empty(self.batch, dtype=np.int64)
-        filled = 0
-        while filled < self.batch:
-            if self.pos == self.n:
-                self.order = self.rng.permutation(self.n)
-                self.pos = 0
-            grab = min(self.batch - filled, self.n - self.pos)
-            out[filled:filled + grab] = self.order[self.pos:self.pos + grab]
-            self.pos += grab
-            filled += grab
-        return out
+def _retain_batches(n: int, batch: int, rng: np.random.Generator):
+    """Consecutive ``batch``-sized slices of one index stream over ``range(n)``,
+    which grows by a fresh ``rng.permutation(n)`` whenever it runs short; a
+    batch may span two or more passes.  Needs n >= 1 and batch >= 1."""
+    stream = rng.permutation(n)
+    while True:
+        while len(stream) < batch:
+            stream = np.concatenate([stream, rng.permutation(n)])
+        yield stream[:batch]
+        stream = stream[batch:]
 
 
 def run_unlearning(pretrained: net.ParamVector, splits: Splits,
                    cfg: UnlearnConfig) -> UnlearnResult:
     """Run one unlearning method until its stopping rule fires or epochs cap.
 
-    Epoch 0 is an evaluation of the starting model: if the stopping rule is
-    already satisfied the pretrained parameters come back unchanged.  Each
-    later epoch is one shuffled pass over the unlearn set; every unlearn
-    batch is paired with a retain batch drawn from a reshuffling cycle.
-    Separate seed streams drive the unlearn order, the retain cycle, and the
-    adapter init, so runs are bit-reproducible and methods that ignore the
-    retain set are unaffected by its size.
+    One loop runs epochs 0 to ``max_epochs``.  Each epoch after 0 is one
+    shuffled pass over the unlearn set, every unlearn batch paired with the
+    next slice of one retain index stream (a reshuffled pass appended
+    whenever it runs short).  Every epoch, 0 included, then evaluates the
+    model and stops once the rule is met, so a start that already meets it
+    comes back unchanged.  Separate seed streams drive the unlearn order,
+    the retain stream and the adapter init, so runs are bit-reproducible and
+    methods that ignore the retain set are unaffected by its size.
     """
     if len(splits.unlearn) == 0 or len(splits.retain) == 0:
         raise ValueError("unlearn and retain sets must be non-empty")
@@ -271,34 +254,26 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
     else:
         model = pretrained
 
-    trace = [evaluate_splits(model, splits)]
-    if stopping_check(trace[0], cfg.stopping):
-        return UnlearnResult(params=model.merged(), trace=tuple(trace),
-                             stop_epoch=0, stopped_early=True)
-
     is_orthograd = cfg.method in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN)
-    sampler = _CyclicSampler(len(splits.retain), cfg.retain_batch, retain_rng)
+    retain_batches = _retain_batches(len(splits.retain), cfg.retain_batch, retain_rng)
     n_u = len(splits.unlearn)
 
-    stop_epoch = cfg.max_epochs
-    stopped_early = False
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = order_rng.permutation(n_u)
-        for start in range(0, n_u, cfg.unlearn_batch):
+    trace = []
+    for epoch in range(cfg.max_epochs + 1):
+        order = order_rng.permutation(n_u) if epoch else []   # epoch 0 takes no steps
+        for start in range(0, len(order), cfg.unlearn_batch):
             idx = order[start:start + cfg.unlearn_batch]
             batch_u = net.Batch(splits.unlearn.inputs[idx], splits.unlearn.labels[idx])
-            ridx = sampler.take()
+            ridx = next(retain_batches)
             batch_r = net.Batch(splits.retain.inputs[ridx], splits.retain.labels[ridx])
             if is_orthograd:
                 model, _ = orthograd_step(model, batch_u, batch_r, cfg)
             else:
                 model = baseline_step(model, batch_u, batch_r, cfg)
-        report = evaluate_splits(model, splits, epoch=epoch)
-        trace.append(report)
-        if stopping_check(report, cfg.stopping):
-            stop_epoch = epoch
-            stopped_early = True
+        trace.append(evaluate_splits(model, splits, epoch=epoch))
+        stopped = stopping_check(trace[-1], cfg.stopping)
+        if stopped:
             break
 
     return UnlearnResult(params=model.merged(), trace=tuple(trace),
-                         stop_epoch=stop_epoch, stopped_early=stopped_early)
+                         stop_epoch=len(trace) - 1, stopped_early=stopped)

@@ -83,6 +83,37 @@ def pretrain_reference(spec, dataset, epochs: int, batch_size: int, eta: float,
     return params
 
 
+class CyclicSamplerReference:
+    """Reference for ``unlearn._retain_batches``: the sampler class it replaced.
+
+    Each ``take()`` returns exactly ``batch`` int64 indices from a shuffled
+    cycle over ``range(n)``; when the current permutation runs out mid-draw,
+    a fresh one is drawn from ``rng`` and the draw continues.
+    """
+
+    def __init__(self, n: int, batch: int, rng: np.random.Generator):
+        if n < 1 or batch < 1:
+            raise ValueError("sampler needs n >= 1 and batch >= 1")
+        self.n = n
+        self.batch = batch
+        self.rng = rng
+        self.order = rng.permutation(n)
+        self.pos = 0
+
+    def take(self) -> np.ndarray:
+        out = np.empty(self.batch, dtype=np.int64)
+        filled = 0
+        while filled < self.batch:
+            if self.pos == self.n:
+                self.order = self.rng.permutation(self.n)
+                self.pos = 0
+            grab = min(self.batch - filled, self.n - self.pos)
+            out[filled:filled + grab] = self.order[self.pos:self.pos + grab]
+            self.pos += grab
+            filled += grab
+        return out
+
+
 def merge_reference(base: ParamVector, model) -> ParamVector:
     """Reference for ``AdaptedModel.merged``: the fold it replaced, which adds each
     adapted layer's ``(scale/rank) (B A)^T`` to a copy of the base weights in place."""

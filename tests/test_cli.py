@@ -315,6 +315,24 @@ def test_unlearn_with_another_network_than_the_checkpoint_is_usage_error(workdir
     assert (tmp_path / "out" / "results.txt").read_bytes() == results
 
 
+@pytest.mark.parametrize("command", ["pretrain", "unlearn"])
+def test_dataset_the_network_cannot_read_is_usage_error(workdir, capsys, command):
+    # both commands check [dataset] against [network] before they write anything
+    tmp_path, cfg_path = workdir
+    if command == "unlearn":
+        assert main(["pretrain", str(cfg_path)]) == 0
+    written = sorted(tmp_path.rglob("*"))
+    results = (tmp_path / "out" / "results.txt").read_bytes() if command == "unlearn" else None
+    cfg_path.write_text(TINY_CONFIG.replace("dim = 5", "dim = 6"), encoding="utf-8")
+    capsys.readouterr()
+    rc = main([command, str(cfg_path)] + (["--method", "neggrad"] if command == "unlearn" else []))
+    assert rc == 2
+    assert "exp.cfg: network ends 5->3, dataset needs 6->3" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == written
+    if results is not None:
+        assert (tmp_path / "out" / "results.txt").read_bytes() == results
+
+
 def test_unlearn_without_checkpoint_is_usage_error(workdir, capsys):
     _, cfg_path = workdir
     rc = main(["unlearn", str(cfg_path), "--method", "finetune"])

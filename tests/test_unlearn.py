@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import cosine, gram_schmidt_basis, loss_change_ratios, project_off
+from helpers import (
+    CyclicSamplerReference, cosine, gram_schmidt_basis, loss_change_ratios, project_off,
+)
 from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
@@ -14,7 +16,7 @@ from orthograd.net import (
     Batch, NetworkSpec, PerSampleGrads, init_params,
 )
 from orthograd.unlearn import (
-    MethodKind, StoppingRule, UnlearnConfig, _CyclicSampler, baseline_step,
+    MethodKind, StoppingRule, UnlearnConfig, _retain_batches, baseline_step,
     combine_update, orthograd_step, run_unlearning, stopping_check,
 )
 
@@ -398,6 +400,19 @@ def test_run_trace_covers_every_epoch_when_never_stopping():
     assert [r.epoch for r in result.trace] == [0, 1, 2, 3]
 
 
+def test_run_with_no_epochs_returns_pretrained_unstopped():
+    # the loop's range bound alone decides that epoch 0 is also the last one
+    params, splits = small_world()
+    for use_lora in (False, True):
+        cfg = make_cfg(stopping=NEVER, max_epochs=0, use_lora=use_lora,
+                       lora_rank=2, lora_scale=8.0)
+        result = run_unlearning(params, splits, cfg)
+        assert len(result.trace) == 1
+        assert result.stop_epoch == 0
+        assert not result.stopped_early
+        assert np.array_equal(result.params.flat, params.flat)
+
+
 def test_run_deterministic_in_seed():
     params, splits = small_world()
     cfg = make_cfg(stopping=NEVER, max_epochs=2, eta=0.02, seed=5)
@@ -464,14 +479,21 @@ def test_orthograd_step_runs_in_adapter_space():
     assert diag.basis_rank == 8
 
 
-def test_cyclic_sampler_covers_and_reshuffles():
-    rng = np.random.default_rng(0)
-    sampler = _CyclicSampler(10, 4, rng)
-    seen = np.concatenate([sampler.take() for _ in range(5)])  # 20 draws, two cycles
+def test_retain_stream_draws_the_cyclic_samplers_batches():
+    # bit for bit, over batches larger than n and batches spanning two passes
+    for n in (1, 3, 7, 10, 64, 500):
+        for batch in (1, 4, 7, 32, 64, 65, 600):
+            for seed in range(3):
+                stream = _retain_batches(n, batch, np.random.default_rng(seed))
+                reference = CyclicSamplerReference(n, batch, np.random.default_rng(seed))
+                for _ in range(40):
+                    got, want = next(stream), reference.take()
+                    assert got.dtype == want.dtype and np.array_equal(got, want)
+    stream = _retain_batches(10, 4, np.random.default_rng(0))
+    seen = np.concatenate([next(stream) for _ in range(5)])  # 20 draws, two passes
     assert len(seen) == 20
     assert np.bincount(seen, minlength=10).tolist() == [2] * 10
-    big = _CyclicSampler(3, 7, np.random.default_rng(1))
-    batch = big.take()
+    batch = next(_retain_batches(3, 7, np.random.default_rng(1)))
     assert len(batch) == 7
     assert set(batch.tolist()) == {0, 1, 2}
 
