@@ -10,9 +10,7 @@ import sys
 from pathlib import Path
 
 from . import data, net
-from .config import (
-    METHOD_NAMES, ConfigError, ExperimentConfig, load_experiment_config, write_atomic,
-)
+from .config import ConfigError, ExperimentConfig, load_experiment_config, write_atomic
 from .evaluation import (
     RunRecord, emit_records, evaluate_splits, parse_records, render_sweep,
     render_table, upsert_records, uis,
@@ -57,7 +55,8 @@ def _build_splits(cfg: ExperimentConfig, train, test, retain_size: int | None = 
 
 
 def _unlearn_config(cfg: ExperimentConfig, method: MethodKind, settings: dict, seed: int,
-                    a_p_test: float, spec: net.NetworkSpec) -> UnlearnConfig:
+                    a_p_test: float, spec: net.NetworkSpec, seed_flag: bool) -> UnlearnConfig:
+    """A run's settings; an error in a seed from ``--seed-list`` (``seed_flag``) names the flag."""
     fields = dict(settings, seed=seed)
     extra = {"threshold": fields.pop("stop_threshold")} if "stop_threshold" in fields else {}
     if cfg.split_mode == "random":
@@ -69,7 +68,10 @@ def _unlearn_config(cfg: ExperimentConfig, method: MethodKind, settings: dict, s
         if ucfg.use_lora:   # the adapter shapes run_unlearning will attach
             LoraAdapterSet(spec, ucfg.lora_rank, ucfg.lora_scale, tuple(range(spec.n_layers)))
     except ValueError as exc:
-        raise ConfigError(f"{cfg.source}: {method.value} settings: {exc}") from None
+        # UnlearnConfig's seed message, and no other, starts with that name
+        where = ("--seed-list" if seed_flag and str(exc).startswith("seed")
+                 else f"{cfg.source}: {method.value} settings")
+        raise ConfigError(f"{where}: {exc}") from None
     return ucfg
 
 
@@ -127,11 +129,12 @@ def cmd_pretrain(args) -> int:
 
 def _parse_methods(raw: str) -> list[MethodKind]:
     if raw == "all":
-        return [MethodKind(name) for name in METHOD_NAMES]
-    if raw not in METHOD_NAMES:
+        return list(MethodKind)
+    try:
+        return [MethodKind(raw)]
+    except ValueError:
         raise ConfigError(f"unknown method {raw!r}; expected 'all' or one of "
-                          + ", ".join(METHOD_NAMES))
-    return [MethodKind(raw)]
+                          + ", ".join(m.value for m in MethodKind)) from None
 
 
 def _parse_int_csv(raw: str, what: str) -> list[int]:
@@ -168,7 +171,8 @@ def cmd_unlearn(args) -> int:
         splits = _build_splits(cfg, train, test, retain_size=size)
         a_p_test = evaluate_splits(pretrained, splits).A_test
         runs += [(splits, a_p_test,
-                  _unlearn_config(cfg, method, settings[method], seed, a_p_test, spec))
+                  _unlearn_config(cfg, method, settings[method], seed, a_p_test, spec,
+                                  bool(args.seed_list)))
                  for method in methods for seed in seeds[method]]
 
     runs_dir = _resolve(cfg, cfg.runs_dir)

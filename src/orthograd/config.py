@@ -27,7 +27,6 @@ __all__ = [
     "write_atomic",
     "ExperimentConfig",
     "load_experiment_config",
-    "METHOD_NAMES",
 ]
 
 
@@ -107,86 +106,66 @@ def format_sections(sections) -> str:
 # experiment configuration
 
 
-METHOD_NAMES = (
-    "orthograd_per_sample",
-    "orthograd_mean",
-    "neggrad",
-    "neggrad_plus",
-    "finetune",
-)
-
 def _section(sections, name: str, source: str) -> dict[str, str]:
     if name not in sections:
         raise ConfigError(f"{source}: missing required section [{name}]")
     return sections[name]
 
 
-def _to_str(value: str, key: str, source: str) -> str:
-    return value
-
-
-def _to_int(value: str, key: str, source: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{source}: key {key!r} expects an integer, got {value!r}") from None
-
-
-def _to_float(value: str, key: str, source: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{source}: key {key!r} expects a number, got {value!r}") from None
-
-
-def _to_bool(value: str, key: str, source: str) -> bool:
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    raise ConfigError(f"{source}: key {key!r} expects 'true' or 'false', got {value!r}")
-
-
-def _to_int_list(value: str, key: str, source: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in value.split(","))
-    except ValueError:
-        raise ConfigError(f"{source}: key {key!r} expects comma-separated integers, got {value!r}") from None
-
-
-# the [unlearn] keys and their converters; a key a config leaves out keeps the
-# default of its UnlearnConfig field or StoppingRule threshold
-_UNLEARN_KEYS = {
-    "alpha": _to_float, "eta": _to_float, "unlearn_batch": _to_int, "retain_batch": _to_int,
-    "max_epochs": _to_int, "use_lora": _to_bool, "lora_rank": _to_int,
-    "lora_scale": _to_float, "seed": _to_int, "stop_threshold": _to_float,
+# each value type a key or a results field can have, by its annotation: (parse, what a
+# bad value should have been); a parse rejects a bad value with ValueError or KeyError
+_VALUE_TYPES = {
+    "str": (str, None),
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "bool": ({"true": True, "false": False}.__getitem__, "'true' or 'false'"),
+    "tuple[int, ...]": (lambda v: tuple(int(part) for part in v.split(",")),
+                        "comma-separated integers"),
 }
 
-# the keys of every other section: key -> (ExperimentConfig field, converter).  A key
-# is required exactly when its field has no default, and each dataset kind also
-# requires its own pair (_KIND_KEYS); a key of another kind or split mode (_OWN_KEYS)
-# is rejected
+
+def _convert(value: str, type_name: str, key: str, source: str):
+    parse, expects = _VALUE_TYPES[type_name]
+    try:
+        return parse(value)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{source}: key {key!r} expects {expects}, got {value!r}") from None
+
+
+def _unlearn_keys() -> tuple[list[str], dict[str, str]]:
+    """The ``[unlearn.<method>]`` method names, and the ``[unlearn]`` keys with their types:
+    ``UnlearnConfig``'s settings plus the ``StoppingRule`` threshold.  A key a config
+    leaves out keeps the default of its field or threshold."""
+    from .unlearn import MethodKind, UnlearnConfig   # here: unlearn imports net, net imports config
+    keys = {f.name: f.type for f in fields(UnlearnConfig) if f.name not in ("method", "stopping")}
+    return [m.value for m in MethodKind], {**keys, "stop_threshold": "float"}
+
+
+# the keys of every other section: key -> its ExperimentConfig field, whose annotation is
+# the key's type.  A key is required exactly when its field has no default, and each
+# dataset kind also requires its own pair (_KIND_KEYS); a key of another kind or split
+# mode (_OWN_KEYS) is rejected
 _SECTION_KEYS = {
     "dataset": {
-        "kind": ("dataset_kind", _to_str), "classes": ("classes", _to_int),
-        "dim": ("dim", _to_int), "per_class": ("per_class", _to_int),
-        "test_per_class": ("test_per_class", _to_int), "spread": ("spread", _to_float),
-        "seed": ("dataset_seed", _to_int), "train_path": ("train_path", _to_str),
-        "test_path": ("test_path", _to_str),
+        "kind": "dataset_kind", "classes": "classes",
+        "dim": "dim", "per_class": "per_class",
+        "test_per_class": "test_per_class", "spread": "spread",
+        "seed": "dataset_seed", "train_path": "train_path",
+        "test_path": "test_path",
     },
-    "network": {"layer_sizes": ("layer_sizes", _to_int_list), "activation": ("activation", _to_str)},
+    "network": {"layer_sizes": "layer_sizes", "activation": "activation"},
     "pretrain": {
-        "epochs": ("pretrain_epochs", _to_int), "batch_size": ("pretrain_batch", _to_int),
-        "eta": ("pretrain_eta", _to_float), "seed": ("pretrain_seed", _to_int),
+        "epochs": "pretrain_epochs", "batch_size": "pretrain_batch",
+        "eta": "pretrain_eta", "seed": "pretrain_seed",
     },
     "splits": {
-        "mode": ("split_mode", _to_str), "fraction": ("fraction", _to_float),
-        "class_label": ("class_label", _to_int), "retain_size": ("retain_size", _to_int),
-        "seed": ("split_seed", _to_int),
+        "mode": "split_mode", "fraction": "fraction",
+        "class_label": "class_label", "retain_size": "retain_size",
+        "seed": "split_seed",
     },
     "paths": {
-        "checkpoint": ("checkpoint_path", _to_str), "results": ("results_path", _to_str),
-        "runs_dir": ("runs_dir", _to_str),
+        "checkpoint": "checkpoint_path", "results": "results_path",
+        "runs_dir": "runs_dir",
     },
 }
 _KIND_KEYS = {"blobs": ("per_class", "test_per_class"), "csv": ("train_path", "test_path")}
@@ -249,34 +228,36 @@ class ExperimentConfig:
 
     def method_settings(self, method: str) -> dict:
         """The typed keys of ``[unlearn]`` merged with ``[unlearn.<method>]``."""
+        types = _unlearn_keys()[1]
         table = {**self.unlearn_base, **self.unlearn_overrides.get(method, {})}
-        return {key: _UNLEARN_KEYS[key](value, key, self.source) for key, value in table.items()}
+        return {key: _convert(value, types[key], key, self.source) for key, value in table.items()}
 
 
 def load_experiment_config(path) -> ExperimentConfig:
     source = str(Path(path))
     sections = parse_sections(path)
+    methods, unlearn_keys = _unlearn_keys()
     for name, table in sections.items():
         if name.startswith("unlearn."):
             method = name[len("unlearn."):]
-            if method not in METHOD_NAMES:
+            if method not in methods:
                 raise ConfigError(
                     f"{source}: unknown method {method!r} in section [{name}]; "
-                    f"expected one of {', '.join(METHOD_NAMES)}")
+                    f"expected one of {', '.join(methods)}")
         elif name != "unlearn" and name not in _SECTION_KEYS:
             raise ConfigError(f"{source}: unknown section [{name}]")
         for key in table:
-            if key not in _SECTION_KEYS.get(name, _UNLEARN_KEYS):
+            if key not in _SECTION_KEYS.get(name, unlearn_keys):
                 raise ConfigError(f"{source}: unknown key {key!r} in section [{name}]")
 
-    defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+    config_fields = {f.name: f for f in fields(ExperimentConfig)}
     values = {}
     for name, keys in _SECTION_KEYS.items():
         table = _section(sections, name, source)
-        for key, (attr, convert) in keys.items():
+        for key, attr in keys.items():
             if key in table:
-                values[attr] = convert(table[key], key, source)
-            elif defaults[attr] is MISSING:
+                values[attr] = _convert(table[key], config_fields[attr].type, key, source)
+            elif config_fields[attr].default is MISSING:
                 raise ConfigError(f"{source}: missing key {key!r} in section [{name}]")
     cfg = ExperimentConfig(
         source=source, **values, unlearn_base=dict(_section(sections, "unlearn", source)),

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import net
-from .config import write_atomic
+from .config import _VALUE_TYPES, write_atomic
 from .data import Splits
 
 __all__ = [
@@ -89,14 +89,10 @@ class RunRecord:
         return (self.method, self.n_retain, self.seed)
 
 
-# the text form of each field type: (format, parse)
-_FIELD_TEXT = {
-    "str": (str, str),
-    "int": (str, int),
-    "float": ("{:.6g}".format, float),
-    "bool": (lambda v: "true" if v else "false", {"true": True, "false": False}.__getitem__),
-}
-_RECORD_TEXT = {f.name: _FIELD_TEXT[f.type] for f in fields(RunRecord)}
+# the text form of each field type; a value is parsed back as a config value of that type
+_FIELD_FORMAT = {"str": str, "int": str, "float": "{:.6g}".format,
+                 "bool": lambda v: "true" if v else "false"}
+_RECORD_TEXT = {f.name: (_FIELD_FORMAT[f.type], _VALUE_TYPES[f.type][0]) for f in fields(RunRecord)}
 RECORD_FIELDS = tuple(_RECORD_TEXT)
 
 

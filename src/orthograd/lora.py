@@ -41,7 +41,8 @@ ADAPTER_HEADER = "ORTHOGRAD-LORA v1"
 
 @dataclass(frozen=True)
 class LoraAdapterSet:
-    """Adapter shapes and placement for one architecture."""
+    """Adapter shapes and placement for one architecture; ``param_dim``, the length of the
+    adapter vector, is where ``layout()`` ends."""
 
     spec: NetworkSpec
     rank: int
@@ -58,24 +59,21 @@ class LoraAdapterSet:
             raise ValueError("at least one layer must be adapted")
         if len(set(self.layers)) != len(self.layers):
             raise ValueError(f"duplicate layer indices: {self.layers}")
-        shapes = self.spec.layer_shapes()
-        for l in self.layers:
-            if not 0 <= l < self.spec.n_layers:
-                raise ValueError(f"layer index {l} out of range for {self.spec.n_layers} layers")
-            (n_in, n_out), _ = shapes[l]
-            if self.rank > min(n_in, n_out):
-                raise ValueError(
-                    f"rank {self.rank} exceeds min(n_in, n_out)={min(n_in, n_out)} at layer {l}")
         slots = []
         off = 0
         for l in self.layers:
-            (n_in, n_out), _ = shapes[l]
+            if not 0 <= l < self.spec.n_layers:
+                raise ValueError(f"layer index {l} out of range for {self.spec.n_layers} layers")
+            n_in, n_out = self.spec.layer_sizes[l:l + 2]
+            if self.rank > min(n_in, n_out):
+                raise ValueError(
+                    f"rank {self.rank} exceeds min(n_in, n_out)={min(n_in, n_out)} at layer {l}")
             a_off = off
             off += self.rank * n_in
-            b_off = off
+            slots.append((l, a_off, (self.rank, n_in), off, (n_out, self.rank)))
             off += n_out * self.rank
-            slots.append((l, a_off, (self.rank, n_in), b_off, (n_out, self.rank)))
-        object.__setattr__(self, "_layout", tuple(slots))   # not a field: eq/hash/repr skip it
+        object.__setattr__(self, "_layout", tuple(slots))   # not fields: eq/hash/repr skip them
+        object.__setattr__(self, "param_dim", off)
 
     @property
     def multiplier(self) -> float:
@@ -85,11 +83,6 @@ class LoraAdapterSet:
     def layout(self) -> tuple[tuple[int, int, tuple[int, int], int, tuple[int, int]], ...]:
         """Per adapted layer: (layer, A offset, A shape, B offset, B shape)."""
         return self._layout
-
-    @property
-    def param_dim(self) -> int:
-        shapes = self.spec.layer_shapes()
-        return sum(self.rank * (shapes[l][0][0] + shapes[l][0][1]) for l in self.layers)
 
 
 class AdaptedModel(Model):

@@ -46,7 +46,8 @@ CHECKPOINT_HEADER = "ORTHOGRAD-CKPT v1"
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture: layer sizes from input to output plus hidden activation."""
+    """Architecture: layer sizes from input to output plus hidden activation; ``param_dim``,
+    the length of the flat parameter vector, is where ``layout()`` ends."""
 
     layer_sizes: tuple[int, ...]
     activation: str = "relu"
@@ -62,13 +63,13 @@ class NetworkSpec:
             raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         slots = []
         off = 0
-        for w_shape, b_shape in self.layer_shapes():
+        for n_in, n_out in zip(sizes, sizes[1:]):
             w_off = off
-            off += w_shape[0] * w_shape[1]
-            b_off = off
-            off += b_shape[0]
-            slots.append((w_off, w_shape, b_off, b_shape))
-        object.__setattr__(self, "_layout", tuple(slots))   # not a field: eq/hash/repr skip it
+            off += n_in * n_out
+            slots.append((w_off, (n_in, n_out), off, (n_out,)))
+            off += n_out
+        object.__setattr__(self, "_layout", tuple(slots))   # not fields: eq/hash/repr skip them
+        object.__setattr__(self, "param_dim", off)
 
     @property
     def n_layers(self) -> int:
@@ -82,19 +83,9 @@ class NetworkSpec:
     def n_classes(self) -> int:
         return self.layer_sizes[-1]
 
-    def layer_shapes(self) -> list[tuple[tuple[int, int], tuple[int]]]:
-        """Per layer: (weight shape (n_in, n_out), bias shape (n_out,))."""
-        sizes = self.layer_sizes
-        return [((sizes[l], sizes[l + 1]), (sizes[l + 1],)) for l in range(self.n_layers)]
-
     def layout(self) -> tuple[tuple[int, tuple[int, int], int, tuple[int]], ...]:
         """Per layer: (weight offset, weight shape, bias offset, bias shape)."""
         return self._layout
-
-    @property
-    def param_dim(self) -> int:
-        sizes = self.layer_sizes
-        return sum(sizes[l] * sizes[l + 1] + sizes[l + 1] for l in range(self.n_layers))
 
 
 class Model:

@@ -110,8 +110,9 @@ class UnlearnConfig:
         for name in ("unlearn_batch", "retain_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_epochs < 0:
-            raise ValueError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        for name in ("max_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

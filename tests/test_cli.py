@@ -12,7 +12,7 @@ from helpers import edit_metadata, save_csv_dataset
 from orthograd import net
 from orthograd.cli import main
 from orthograd.config import (
-    ConfigError, ExperimentConfig, load_experiment_config, parse_sections_text,
+    ConfigError, ExperimentConfig, format_sections, load_experiment_config, parse_sections_text,
 )
 from orthograd.data import gen_gaussian_blobs, partition_train_test
 from orthograd.evaluation import parse_records
@@ -195,16 +195,45 @@ def test_each_method_runs_at_its_own_configured_seed(workdir):
                      "orthograd_per_sample": 2}
 
 
+# one malformed value of each type in each section that has a key of that type:
+# (section, key, value, what the key expects)
+MALFORMED_VALUES = [
+    ("dataset", "classes", "three", "an integer"),
+    ("dataset", "spread", "wide", "a number"),
+    ("network", "layer_sizes", "5,a,3", "comma-separated integers"),
+    ("pretrain", "epochs", "2.5", "an integer"),
+    ("pretrain", "eta", "fast", "a number"),
+    ("splits", "retain_size", "forty", "an integer"),
+    ("splits", "fraction", "1/10", "a number"),
+    ("unlearn", "max_epochs", "3.0", "an integer"),
+    ("unlearn", "alpha", "0,9", "a number"),
+    ("unlearn", "use_lora", "yes", "'true' or 'false'"),
+    ("unlearn.neggrad", "seed", "two", "an integer"),
+    ("unlearn.neggrad", "eta", "abc", "a number"),
+    ("unlearn.neggrad", "use_lora", "True", "'true' or 'false'"),
+]
+
+
 def test_malformed_unlearn_value_is_usage_error(workdir, capsys):
+    # a malformed value in any section exits 2 naming the file, key and value, and writes
+    # nothing; pretrain reads every section but [unlearn] and [unlearn.<method>]
     tmp_path, cfg_path = workdir
     assert main(["pretrain", str(cfg_path)]) == 0
-    cfg_path.write_text(TINY_CONFIG + "\n[unlearn.neggrad]\neta = abc\n", encoding="utf-8")
-    capsys.readouterr()
-    rc = main(["unlearn", str(cfg_path), "--method", "all"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "exp.cfg" in err and "'eta'" in err and "'abc'" in err
-    assert not (tmp_path / "out" / "runs").exists()   # rejected before any run
+    written = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
+    for section, key, value, expects in MALFORMED_VALUES:
+        sections = parse_sections_text(TINY_CONFIG)
+        sections.setdefault(section, {})[key] = value
+        cfg_path.write_text(format_sections(sections) + "\n", encoding="utf-8")
+        commands = [["unlearn", str(cfg_path), "--method", "all"]]
+        if not section.startswith("unlearn"):
+            commands.append(["pretrain", str(cfg_path)])
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 2, (section, key, argv[0])
+            assert capsys.readouterr().err == (
+                f"orthograd: {cfg_path}: key {key!r} expects {expects}, got {value!r}\n")
+            assert {p: p.read_bytes() for p in (tmp_path / "out").rglob("*")
+                    if p.is_file()} == written
 
 
 @pytest.mark.parametrize("method, table, named", [
@@ -223,6 +252,25 @@ def test_out_of_range_unlearn_value_is_usage_error_before_any_run(workdir, capsy
     err = capsys.readouterr().err
     assert rc == 2
     assert "exp.cfg" in err and f"{method} settings" in err and named in err
+    assert not (tmp_path / "out" / "runs").exists()
+    assert (tmp_path / "out" / "results.txt").read_bytes() == results
+
+
+@pytest.mark.parametrize("argv, table, message", [
+    (["--method", "neggrad", "--seed-list", "3,-1"], "", "--seed-list: seed must be >= 0, got -1"),
+    (["--method", "all"], "\n[unlearn.neggrad]\nseed = -1\n",
+     "{cfg}: neggrad settings: seed must be >= 0, got -1"),
+], ids=["flag", "config"])
+def test_negative_unlearn_seed_is_usage_error_before_any_run(workdir, capsys, argv, table,
+                                                             message):
+    # seed 3, or the methods before neggrad, may not write before the negative seed is rejected
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    results = (tmp_path / "out" / "results.txt").read_bytes()
+    cfg_path.write_text(TINY_CONFIG + table, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), *argv]) == 2
+    assert capsys.readouterr().err == f"orthograd: {message.format(cfg=cfg_path)}\n"
     assert not (tmp_path / "out" / "runs").exists()
     assert (tmp_path / "out" / "results.txt").read_bytes() == results
 

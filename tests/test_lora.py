@@ -31,6 +31,20 @@ def test_adapter_dimension_arithmetic():
     model = attach_lora(base, rank=2, scale=1.0, seed=0)
     # rank * (n_in + n_out) summed over both weight layers
     assert model.dim == 2 * (4 + 8) + 2 * (8 + 3)
+    # each adapted layer's A then B, in the order given, contiguous from 0; param_dim is
+    # where they end and equals the closed formula
+    for sizes, rank, layers in [((4, 8, 3), 2, (0, 1)), ((4, 8, 3), 3, (1,)),
+                                ((5, 7, 6, 3), 2, (2, 0)), ((5, 7, 6, 3), 1, (1, 2, 0)),
+                                ((20, 128, 128, 10), 8, (0, 1, 2))]:
+        adapters = LoraAdapterSet(NetworkSpec(sizes), rank, 1.0, layers)
+        off = 0
+        for (l, a_off, a_shape, b_off, b_shape), layer in zip(adapters.layout(), layers,
+                                                              strict=True):
+            n_in, n_out = sizes[layer], sizes[layer + 1]
+            assert (l, a_off, a_shape, b_off, b_shape) == (
+                layer, off, (rank, n_in), off + rank * n_in, (n_out, rank))
+            off += rank * (n_in + n_out)
+        assert off == adapters.param_dim == sum(rank * (sizes[l] + sizes[l + 1]) for l in layers)
 
 
 def test_effective_multiplier():

@@ -45,6 +45,17 @@ def test_param_dim_arithmetic():
     assert offsets == sorted(offsets)
     total = sum(w[0] * w[1] + b[0] for _, w, _, b in spec.layout())
     assert total == spec.param_dim
+    # each layer's weight then bias, contiguous from 0; param_dim is where they end and
+    # equals the closed formula
+    for sizes in [(3, 4, 2), (1, 1), (5, 7, 6, 3), (20, 128, 128, 10)]:
+        spec = NetworkSpec(sizes)
+        off = 0
+        for (w_off, w_shape, b_off, b_shape), n_in, n_out in zip(spec.layout(), sizes[:-1],
+                                                                 sizes[1:], strict=True):
+            assert (w_off, w_shape, b_off, b_shape) == (off, (n_in, n_out), off + n_in * n_out,
+                                                        (n_out,))
+            off += n_in * n_out + n_out
+        assert off == spec.param_dim == sum(a * b + b for a, b in zip(sizes, sizes[1:]))
 
 
 def test_spec_validation():
