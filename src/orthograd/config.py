@@ -16,8 +16,11 @@ typos are easy to find.  ``format_sections`` emits a canonical rendering
 from __future__ import annotations
 
 import os
-from dataclasses import MISSING, dataclass, field, fields
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+
+from . import data
 
 __all__ = [
     "ConfigError",
@@ -27,11 +30,21 @@ __all__ = [
     "write_atomic",
     "ExperimentConfig",
     "load_experiment_config",
+    "usage_errors",
 ]
 
 
 class ConfigError(ValueError):
     """Raised for malformed or invalid configuration input."""
+
+
+@contextmanager
+def usage_errors(where: str):
+    """A library ``ValueError`` raised inside, as a ``ConfigError`` that first names ``where``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def parse_sections_text(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
@@ -94,8 +107,7 @@ def format_sections(sections) -> str:
     """Render sections in canonical compact form (insertion order, no blank
     lines, ``key = value``); no trailing newline."""
     lines: list[str] = []
-    items = sections.items() if isinstance(sections, dict) else sections
-    for name, entries in items:
+    for name, entries in sections.items():
         lines.append(f"[{name}]")
         for key, value in entries.items():
             lines.append(f"{key} = {value}")
@@ -106,11 +118,13 @@ def format_sections(sections) -> str:
 # experiment configuration
 
 
-def _section(sections, name: str, source: str) -> dict[str, str]:
-    if name not in sections:
-        raise ConfigError(f"{source}: missing required section [{name}]")
-    return sections[name]
+def _seed(value: str) -> int:
+    if int(value) < 0:
+        raise ValueError(value)
+    return int(value)
 
+
+Seed = int   # a field annotated Seed holds a random seed, which is never negative
 
 # each value type a key or a results field can have, by its annotation: (parse, what a
 # bad value should have been); a parse rejects a bad value with ValueError or KeyError
@@ -121,6 +135,7 @@ _VALUE_TYPES = {
     "bool": ({"true": True, "false": False}.__getitem__, "'true' or 'false'"),
     "tuple[int, ...]": (lambda v: tuple(int(part) for part in v.split(",")),
                         "comma-separated integers"),
+    "Seed": (_seed, "a non-negative integer"),
 }
 
 
@@ -132,13 +147,12 @@ def _convert(value: str, type_name: str, key: str, source: str):
         raise ConfigError(f"{source}: key {key!r} expects {expects}, got {value!r}") from None
 
 
-def _unlearn_keys() -> tuple[list[str], dict[str, str]]:
-    """The ``[unlearn.<method>]`` method names, and the ``[unlearn]`` keys with their types:
-    ``UnlearnConfig``'s settings plus the ``StoppingRule`` threshold.  A key a config
-    leaves out keeps the default of its field or threshold."""
-    from .unlearn import MethodKind, UnlearnConfig   # here: unlearn imports net, net imports config
+def _unlearn_keys() -> dict[str, str]:
+    """The ``[unlearn]`` keys with their types: ``UnlearnConfig``'s settings plus the
+    ``StoppingRule`` threshold; a key left out keeps its field's or threshold's default."""
+    from .unlearn import UnlearnConfig   # here: unlearn imports net, net imports config
     keys = {f.name: f.type for f in fields(UnlearnConfig) if f.name not in ("method", "stopping")}
-    return [m.value for m in MethodKind], {**keys, "stop_threshold": "float"}
+    return {**keys, "stop_threshold": "float"}
 
 
 # the keys of every other section: key -> its ExperimentConfig field, whose annotation is
@@ -179,12 +193,11 @@ _OWN_KEYS = {
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """Fully parsed experiment description.
+    """Fully parsed experiment description, and the parts of a run it builds.
 
     A field's default is the value of a config key left out (see ``_SECTION_KEYS``).
-    ``unlearn_overrides`` maps method name to raw per-method key overrides
-    from ``[unlearn.<method>]`` sections; ``method_settings`` applies them on
-    top of the ``unlearn`` base table and converts the values.
+    ``unlearn_base`` and ``unlearn_overrides`` hold the raw ``[unlearn]`` and
+    ``[unlearn.<method>]`` tables, which ``unlearn_config`` converts.
     """
 
     source: str
@@ -196,7 +209,7 @@ class ExperimentConfig:
     per_class: int = 0          # blobs only
     test_per_class: int = 0     # blobs only
     spread: float = 1.0
-    dataset_seed: int = 0
+    dataset_seed: Seed = 0
     train_path: str = ""        # csv only
     test_path: str = ""         # csv only
 
@@ -208,14 +221,14 @@ class ExperimentConfig:
     pretrain_epochs: int
     pretrain_batch: int = 64
     pretrain_eta: float = 0.1
-    pretrain_seed: int = 0
+    pretrain_seed: Seed = 0
 
     # splits
     split_mode: str             # "random" or "class"
     fraction: float = 0.05
     class_label: int = -1
     retain_size: int
-    split_seed: int = 0
+    split_seed: Seed = 0
 
     # unlearn base settings (strings resolved later per method)
     unlearn_base: dict = field(default_factory=dict)
@@ -226,17 +239,69 @@ class ExperimentConfig:
     results_path: str
     runs_dir: str = "runs"
 
-    def method_settings(self, method: str) -> dict:
-        """The typed keys of ``[unlearn]`` merged with ``[unlearn.<method>]``."""
-        types = _unlearn_keys()[1]
-        table = {**self.unlearn_base, **self.unlearn_overrides.get(method, {})}
-        return {key: _convert(value, types[key], key, self.source) for key, value in table.items()}
+    def resolve(self, relpath: str) -> Path:
+        """A path from the config, relative to the config file's directory."""
+        return Path(self.source).parent / relpath   # an absolute relpath stays as it is
+
+    def network_spec(self):
+        """The ``[network]`` architecture, as a ``net.NetworkSpec``."""
+        from . import net   # here: net imports config
+        with usage_errors(f"{self.source}: network"):
+            return net.NetworkSpec(self.layer_sizes, self.activation)
+
+    def datasets(self) -> tuple[data.Dataset, data.Dataset]:
+        """The train and test sets of ``[dataset]``; a malformed CSV file is a runtime error."""
+        if self.dataset_kind == "csv":
+            return (data.load_csv_dataset(self.resolve(self.train_path), self.dim, self.classes),
+                    data.load_csv_dataset(self.resolve(self.test_path), self.dim, self.classes))
+        with usage_errors(f"{self.source}: dataset"):
+            full = data.gen_gaussian_blobs(self.classes, self.dim,
+                                           self.per_class + self.test_per_class,
+                                           spread=self.spread, seed=self.dataset_seed)
+            return data.partition_train_test(full, self.per_class)
+
+    def splits(self, train, test, retain_size: int | None = None) -> data.Splits:
+        """The ``[splits]`` of ``train`` and ``test``; a ``retain_size`` given here comes from
+        ``--retain-sizes``, and an error in it names that flag, not the file."""
+        try:
+            return data.make_unlearn_split(
+                train, test, mode=self.split_mode,
+                retain_size=self.retain_size if retain_size is None else retain_size,
+                seed=self.split_seed, fraction=self.fraction, class_label=self.class_label)
+        except ValueError as exc:
+            # make_unlearn_split's retain-size message, and no other, starts with that name
+            where = ("--retain-sizes" if retain_size is not None and str(exc).startswith("retain_size")
+                     else f"{self.source}: splits")
+            raise ConfigError(f"{where}: {exc}") from None
+
+    def unlearn_config(self, method, seed: int | None = None, a_ref: float = 0.0):
+        """``method``'s ``UnlearnConfig``: ``[unlearn.<method>]`` over ``[unlearn]``; a random
+        forget stops at the pretrained test accuracy ``a_ref``.  A ``seed`` given here comes
+        from ``--seed-list``, and an error in it names that flag."""
+        from .lora import LoraAdapterSet
+        from .unlearn import StoppingRule, UnlearnConfig
+        types = _unlearn_keys()
+        table = {**self.unlearn_base, **self.unlearn_overrides.get(method.value, {})}
+        settings = {key: _convert(value, types[key], key, self.source) for key, value in table.items()}
+        extra = {"threshold": settings.pop("stop_threshold")} if "stop_threshold" in settings else {}
+        rule = (StoppingRule.random_forget(target=a_ref, **extra) if self.split_mode == "random"
+                else StoppingRule.class_forget(**extra))
+        spec = self.network_spec()
+        with usage_errors(f"{self.source}: {method.value} settings"):
+            ucfg = UnlearnConfig(method=method, stopping=rule, **settings)
+            if ucfg.use_lora:   # the adapter shapes run_unlearning will attach
+                LoraAdapterSet(spec, ucfg.lora_rank, ucfg.lora_scale, tuple(range(spec.n_layers)))
+        with usage_errors("--seed-list"):   # the file's values passed above, so only a seed fails
+            return ucfg if seed is None else replace(ucfg, seed=seed)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
+    """The experiment at ``path``, with every value checked that needs no data, including
+    the network against the dataset and each method's ``UnlearnConfig``."""
+    from .unlearn import MethodKind
     source = str(Path(path))
     sections = parse_sections(path)
-    methods, unlearn_keys = _unlearn_keys()
+    methods, unlearn_keys = [m.value for m in MethodKind], _unlearn_keys()
     for name, table in sections.items():
         if name.startswith("unlearn."):
             method = name[len("unlearn."):]
@@ -250,17 +315,20 @@ def load_experiment_config(path) -> ExperimentConfig:
             if key not in _SECTION_KEYS.get(name, unlearn_keys):
                 raise ConfigError(f"{source}: unknown key {key!r} in section [{name}]")
 
+    for name in (*_SECTION_KEYS, "unlearn"):
+        if name not in sections:
+            raise ConfigError(f"{source}: missing required section [{name}]")
     config_fields = {f.name: f for f in fields(ExperimentConfig)}
     values = {}
     for name, keys in _SECTION_KEYS.items():
-        table = _section(sections, name, source)
+        table = sections[name]
         for key, attr in keys.items():
             if key in table:
                 values[attr] = _convert(table[key], config_fields[attr].type, key, source)
             elif config_fields[attr].default is MISSING:
                 raise ConfigError(f"{source}: missing key {key!r} in section [{name}]")
     cfg = ExperimentConfig(
-        source=source, **values, unlearn_base=dict(_section(sections, "unlearn", source)),
+        source=source, **values, unlearn_base=dict(sections["unlearn"]),
         unlearn_overrides={name[len("unlearn."):]: dict(table) for name, table in sections.items()
                            if name.startswith("unlearn.")})
 
@@ -279,4 +347,10 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise ConfigError(f"{source}: missing key {key!r} in section [dataset]")
     if cfg.split_mode == "class" and cfg.class_label < 0:
         raise ConfigError(f"{source}: splits mode 'class' requires a class_label")
+    spec = cfg.network_spec()
+    if spec.in_dim != cfg.dim or spec.n_classes != cfg.classes:
+        raise ConfigError(f"{source}: network ends {spec.in_dim}->{spec.n_classes}, "
+                          f"dataset needs {cfg.dim}->{cfg.classes}")
+    for method in MethodKind:
+        cfg.unlearn_config(method)
     return cfg

@@ -412,6 +412,8 @@ def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if not eta > 0:
+        raise ValueError(f"eta must be positive, got {eta}")
     rows = Batch(dataset.inputs, dataset.labels)
     if rows.size == 0:
         raise ValueError("cannot pretrain on an empty dataset")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -211,12 +212,16 @@ MALFORMED_VALUES = [
     ("unlearn.neggrad", "seed", "two", "an integer"),
     ("unlearn.neggrad", "eta", "abc", "a number"),
     ("unlearn.neggrad", "use_lora", "True", "'true' or 'false'"),
+    ("unlearn.finetune", "lora_rank", "two", "an integer"),
+    ("dataset", "seed", "-3", "a non-negative integer"),
+    ("pretrain", "seed", "-1", "a non-negative integer"),
+    ("splits", "seed", "-1", "a non-negative integer"),
 ]
 
 
 def test_malformed_unlearn_value_is_usage_error(workdir, capsys):
     # a malformed value in any section exits 2 naming the file, key and value, and writes
-    # nothing; pretrain reads every section but [unlearn] and [unlearn.<method>]
+    # nothing; both commands check every section, whichever method unlearn runs
     tmp_path, cfg_path = workdir
     assert main(["pretrain", str(cfg_path)]) == 0
     written = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*") if p.is_file()}
@@ -224,9 +229,8 @@ def test_malformed_unlearn_value_is_usage_error(workdir, capsys):
         sections = parse_sections_text(TINY_CONFIG)
         sections.setdefault(section, {})[key] = value
         cfg_path.write_text(format_sections(sections) + "\n", encoding="utf-8")
-        commands = [["unlearn", str(cfg_path), "--method", "all"]]
-        if not section.startswith("unlearn"):
-            commands.append(["pretrain", str(cfg_path)])
+        commands = [["unlearn", str(cfg_path), "--method", "all"], ["pretrain", str(cfg_path)],
+                    ["unlearn", str(cfg_path), "--method", "neggrad"]]
         for argv in commands:
             capsys.readouterr()
             assert main(argv) == 2, (section, key, argv[0])
@@ -234,6 +238,57 @@ def test_malformed_unlearn_value_is_usage_error(workdir, capsys):
                 f"orthograd: {cfg_path}: key {key!r} expects {expects}, got {value!r}\n")
             assert {p: p.read_bytes() for p in (tmp_path / "out").rglob("*")
                     if p.is_file()} == written
+
+
+def _config_mutants():
+    """TINY_CONFIG with one change each: a key left out or set to -1, 0 or a word, an
+    unknown key in a section, or an unknown [unlearn.<method>] section."""
+    for section, table in parse_sections_text(TINY_CONFIG).items():
+        for key in [*table, "bogus"]:
+            for value in ([None, "-1", "0", "two"] if key in table else ["1"]):
+                sections = parse_sections_text(TINY_CONFIG)
+                if value is None:
+                    del sections[section][key]
+                else:
+                    sections[section][key] = value
+                yield sections
+    yield {**parse_sections_text(TINY_CONFIG), "unlearn.warp": {"eta": "1"}}
+
+
+def test_config_mutants_exit_0_or_usage_error_before_any_write(workdir, capsys):
+    # each command runs, or exits 2 naming the config before it writes; none exits 1.
+    # Each mutant starts in a copy of one pretrained directory, so unlearn has a checkpoint
+    base, _ = workdir
+    assert main(["pretrain", str(base / "exp.cfg")]) == 0
+    for i, sections in enumerate(_config_mutants()):
+        shutil.copytree(base / "out", base / f"m{i}" / "out")
+        cfg_path = base / f"m{i}" / "exp.cfg"
+        cfg_path.write_text(format_sections(sections) + "\n", encoding="utf-8")
+        for argv in (["pretrain", str(cfg_path)], ["unlearn", str(cfg_path), "--method", "all"]):
+            before = {p: p.read_bytes() for p in cfg_path.parent.rglob("*") if p.is_file()}
+            capsys.readouterr()
+            rc = main(argv)
+            err = capsys.readouterr().err
+            assert rc in (0, 2), (argv[0], sections, err)
+            if rc == 2:
+                assert err.startswith(f"orthograd: {cfg_path}: "), (argv[0], sections, err)
+                assert {p: p.read_bytes() for p in cfg_path.parent.rglob("*")
+                        if p.is_file()} == before
+
+
+@pytest.mark.parametrize("old, new, named", [
+    ("test_per_class = 12", "test_per_class = 0", "dataset: every class needs more than 40"),
+    ("spread = 1.0", "spread = 0", "dataset: spread must be positive, got 0.0"),
+    ("epochs = 25", "epochs = -1", "pretrain: epochs must be >= 0, got -1"),
+    ("batch_size = 16", "batch_size = 0", "pretrain: batch_size must be >= 1, got 0"),
+    ("eta = 0.1", "eta = -1", "pretrain: eta must be positive, got -1.0"),
+], ids=["test_per_class", "spread", "epochs", "batch_size", "eta"])
+def test_out_of_range_dataset_or_pretrain_value_is_usage_error(workdir, capsys, old, new, named):
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace(old, new), encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"orthograd: {cfg_path}: {named}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method, table, named", [
@@ -308,6 +363,17 @@ def test_out_of_range_split_value_is_usage_error_before_any_training(workdir, ca
     rc = main(["unlearn", str(cfg_path), "--method", "neggrad", "--retain-sizes", "20"])
     assert rc == 2
     assert "exp.cfg: splits: fraction must lie in (0, 1), got 1.5" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "runs").exists()
+
+
+def test_retain_size_zero_from_the_flag_is_usage_error(workdir, capsys):
+    # 0 is a retain size like any other, not a stand-in for the config's retain_size
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad", "--retain-sizes", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "orthograd: --retain-sizes: retain_size must lie in [1, 108], got 0\n")
     assert not (tmp_path / "out" / "runs").exists()
 
 
