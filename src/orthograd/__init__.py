@@ -9,7 +9,7 @@ mean retain gradient.  Modules:
 * ``net``         feed-forward classifier with factored per-sample gradients
 * ``lora``        low-rank adapters for parameter-efficient unlearning
 * ``data``        synthetic blob datasets, CSV ingestion, unlearn/retain splits
-* ``unlearn``     update rules, stopping rules, the epoch loop
+* ``unlearn``     the update rule, stopping rules, the epoch loop
 * ``evaluation``  impact metric and the structured results format
 * ``cli``         the ``orthograd`` command
 """
@@ -26,8 +26,8 @@ from .net import (
     load_checkpoint, pretrain, save_checkpoint,
 )
 from .unlearn import (
-    MethodKind, StoppingRule, UnlearnConfig, UnlearnResult, baseline_step,
-    combine_update, orthograd_step, run_unlearning, stopping_check,
+    MethodKind, StoppingRule, UnlearnConfig, UnlearnResult, orthograd_step,
+    run_unlearning, stopping_check,
 )
 
 __version__ = "0.1.0"
@@ -36,8 +36,7 @@ __all__ = [
     "AccuracyReport", "AdaptedModel", "Batch", "Dataset", "LoraAdapterSet",
     "MethodKind", "NetworkSpec", "ParamVector", "PerSampleGrads", "RunRecord",
     "Splits", "StoppingRule", "UnlearnConfig", "UnlearnResult",
-    "attach_lora", "baseline_step", "combine_update",
-    "evaluate_accuracy", "evaluate_splits", "gen_gaussian_blobs",
+    "attach_lora", "evaluate_accuracy", "evaluate_splits", "gen_gaussian_blobs",
     "init_params", "load_checkpoint", "load_csv_dataset",
     "make_unlearn_split", "orthograd_step",
     "partition_train_test", "pretrain", "project_out_span",

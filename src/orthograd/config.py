@@ -262,17 +262,19 @@ class ExperimentConfig:
 
     def splits(self, train, test, retain_size: int | None = None) -> data.Splits:
         """The ``[splits]`` of ``train`` and ``test``; a ``retain_size`` given here comes from
-        ``--retain-sizes``, and an error in it names that flag, not the file."""
-        try:
+        ``--retain-sizes``, and is applied once the file's splits are built, so an error in
+        it names that flag, not the file."""
+        def build(size):
             return data.make_unlearn_split(
-                train, test, mode=self.split_mode,
-                retain_size=self.retain_size if retain_size is None else retain_size,
-                seed=self.split_seed, fraction=self.fraction, class_label=self.class_label)
-        except ValueError as exc:
-            # make_unlearn_split's retain-size message, and no other, starts with that name
-            where = ("--retain-sizes" if retain_size is not None and str(exc).startswith("retain_size")
-                     else f"{self.source}: splits")
-            raise ConfigError(f"{where}: {exc}") from None
+                train, test, mode=self.split_mode, retain_size=size, seed=self.split_seed,
+                fraction=self.fraction, class_label=self.class_label)
+
+        with usage_errors(f"{self.source}: splits"):
+            splits = build(self.retain_size)
+        if retain_size is None:
+            return splits
+        with usage_errors("--retain-sizes"):
+            return build(retain_size)
 
     def unlearn_config(self, method, seed: int | None = None, a_ref: float = 0.0):
         """``method``'s ``UnlearnConfig``: ``[unlearn.<method>]`` over ``[unlearn]``; a random
@@ -345,6 +347,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     for key in _KIND_KEYS[cfg.dataset_kind]:
         if key not in sections["dataset"]:
             raise ConfigError(f"{source}: missing key {key!r} in section [dataset]")
+    if cfg.resolve(cfg.checkpoint_path).resolve() == cfg.resolve(cfg.results_path).resolve():
+        raise ConfigError(f"{source}: [paths] checkpoint and results name the same file "
+                          f"{cfg.results_path!r}")
     if cfg.split_mode == "class" and cfg.class_label < 0:
         raise ConfigError(f"{source}: splits mode 'class' requires a class_label")
     spec = cfg.network_spec()

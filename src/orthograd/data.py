@@ -61,15 +61,13 @@ class Splits:
     """Unlearn/retain/test partition of an experiment.
 
     ``test`` is what the test-accuracy metric sees; in class mode it already
-    excludes the forgotten class, whose test points live in ``heldout``.
+    excludes the forgotten class.
     """
 
     unlearn: Dataset
     retain: Dataset
     test: Dataset
     mode: str                       # "random" or "class"
-    heldout: Dataset | None = None  # class mode only
-    forgotten_class: int = -1
 
     @property
     def n_retain(self) -> int:
@@ -169,7 +167,7 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
     random mode: D_u is a uniform sample of ceil(fraction * N) training
     points; D_r is a uniform subsample of the remainder.  class mode: D_u is
     every training point of ``class_label``; D_r is sampled from the other
-    classes; test points of the class move to ``heldout``.
+    classes; test points of the class leave the test view.
 
     The unlearn set is drawn before the retain set, so for a fixed seed D_u
     is identical across different ``retain_size`` values.
@@ -189,9 +187,7 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
         mask = np.ones(n, dtype=bool)
         mask[unlearn_idx] = False
         pool = np.flatnonzero(mask)
-        heldout = None
         test_view = test
-        forgotten = -1
     elif mode == "class":
         if not 0 <= class_label < train.n_classes:
             raise ValueError(f"class_label {class_label} out of range [0, {train.n_classes})")
@@ -200,12 +196,9 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
             raise ValueError(f"training set has no points of class {class_label}")
         pool = np.flatnonzero(train.labels != class_label)
         test_keep = np.flatnonzero(test.labels != class_label)
-        test_drop = np.flatnonzero(test.labels == class_label)
         if test_keep.size == 0:
             raise ValueError("test set would be empty after removing the forgotten class")
         test_view = test.subset(test_keep)
-        heldout = test.subset(test_drop)
-        forgotten = class_label
     else:
         raise ValueError(f"mode must be 'random' or 'class', got {mode!r}")
 
@@ -218,6 +211,4 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
         retain=train.subset(retain_idx),
         test=test_view,
         mode=mode,
-        heldout=heldout,
-        forgotten_class=forgotten,
     )

@@ -1,22 +1,20 @@
 """Unlearning update rules and the epoch loop.
 
-The central step removes the influence of an unlearn batch while shielding
-the retain data: the unlearn gradient is projected onto the orthogonal
-complement of the span of per-sample retain gradients, then combined with
-the mean retain gradient,
+Every method takes one kind of step: the unlearn gradient, passed through a
+projection P, is combined with the mean retain gradient,
 
-    g = alpha * g_retain_mean - (1 - alpha) * g_unlearn_perp
+    g = alpha * g_retain_mean - (1 - alpha) * P g_unlearn
 
 and applied as a descent step.  The retain term descends (preserves retain
-behaviour) while the projected unlearn term ascends; to first order the
-ascent direction leaves every spanned retain sample's loss unchanged.
-
-Baselines share the plumbing: plain gradient ascent on the unlearn batch
-(``neggrad``), the same combination without the projection
-(``neggrad_plus``), and descent on the retain batch only (``finetune``).
+behaviour) while the unlearn term ascends.  The methods differ only in P and
+alpha.  ``orthograd_per_sample`` projects out every per-sample retain
+gradient, so to first order the ascent leaves every spanned retain sample's
+loss unchanged; ``orthograd_mean`` projects out only their mean;
+``neggrad_plus`` takes P = I; ``neggrad`` is alpha = 0 and ``finetune`` is
+alpha = 1, and each skips the gradient pass it does not read.
 Any method can run either on the full parameter vector or inside a low-rank
 adapter space attached to a frozen base model: both are ``net.Model``s, so
-the steps call the same methods in either space.  The epoch loop evaluates
+the step calls the same methods in either space.  The epoch loop evaluates
 the model itself and merges adapters once, for the result.  Retain means,
 projections and diagnostics come from factored per-sample gradients
 (``net.PerSampleGrads``).
@@ -42,9 +40,7 @@ __all__ = [
     "UnlearnConfig",
     "StepDiagnostics",
     "UnlearnResult",
-    "combine_update",
     "orthograd_step",
-    "baseline_step",
     "stopping_check",
     "run_unlearning",
 ]
@@ -153,59 +149,33 @@ class UnlearnResult:
 # update rules
 
 
-def combine_update(g_retain_mean: np.ndarray, g_unlearn: np.ndarray, alpha: float) -> np.ndarray:
-    """Blend retain descent with unlearn ascent: alpha*g_r - (1-alpha)*g_u.
-
-    The caller applies the result as a descent step, so the second term
-    ascends on the unlearn objective.  alpha=1 returns the retain mean
-    bit-for-bit; alpha=0 returns the pure ascent direction.
-    """
-    g_retain_mean = np.asarray(g_retain_mean, dtype=np.float64)
-    g_unlearn = np.asarray(g_unlearn, dtype=np.float64)
-    if g_retain_mean.shape != g_unlearn.shape:
-        raise ValueError(f"shape mismatch: {g_retain_mean.shape} vs {g_unlearn.shape}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * g_retain_mean - (1.0 - alpha) * g_unlearn
-
-
 def orthograd_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnConfig):
-    """One projected update; returns (updated model, diagnostics).
+    """One update of ``cfg.method``; returns (updated model, diagnostics or None).
 
-    Per-sample variant: the retain basis spans every per-sample retain
-    gradient, so the projected unlearn direction is orthogonal to each of
-    them.  Mean variant: the basis spans only the mean retain gradient;
-    conflicting retain samples can then leak through the projection.
+    Diagnostics come only with a projection.  The per-sample variant's basis
+    spans every per-sample retain gradient, so the projected unlearn
+    direction is orthogonal to each of them; the mean variant's spans only
+    the mean retain gradient, so conflicting retain samples can leak through.
     """
-    if cfg.method not in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN):
-        raise ValueError(f"orthograd_step cannot run method {cfg.method.value}")
-    _, g_u = model.mean_loss_and_grad(batch_u)
+    method = cfg.method
+    if method is not MethodKind.FINETUNE:
+        _, g_u = model.mean_loss_and_grad(batch_u)
+    if method is MethodKind.NEGGRAD:   # alpha = 0
+        return model.apply_update(-g_u, cfg.eta), None
     grads = model.per_sample_factors(batch_r)
     g_r_mean = grads.mean()
+    if method is MethodKind.FINETUNE:   # alpha = 1
+        return model.apply_update(g_r_mean, cfg.eta), None
 
-    span = (grads if cfg.method is MethodKind.ORTHOGRAD_PER_SAMPLE
-            else net.PerSampleGrads.columns(g_r_mean[:, None]))
-    g_u_perp, rank = project_out_span(g_u, span)
-
-    g = combine_update(g_r_mean, g_u_perp, cfg.alpha)
-    diag = StepDiagnostics(basis_rank=rank, g_u_norm=float(np.linalg.norm(g_u)),
-                           g_u_perp_norm=float(np.linalg.norm(g_u_perp)),
-                           grads=grads, g_u_perp=g_u_perp)
-    return model.apply_update(g, cfg.eta), diag
-
-
-def baseline_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnConfig):
-    """One update for the non-projecting baselines."""
-    if cfg.method is MethodKind.NEGGRAD:
-        _, g_u = model.mean_loss_and_grad(batch_u)
-        return model.apply_update(-g_u, cfg.eta)
-    if cfg.method is MethodKind.NEGGRAD_PLUS:
-        _, g_u = model.mean_loss_and_grad(batch_u)
-        g_r_mean = model.per_sample_factors(batch_r).mean()
-        return model.apply_update(combine_update(g_r_mean, g_u, cfg.alpha), cfg.eta)
-    if cfg.method is MethodKind.FINETUNE:
-        return model.apply_update(model.per_sample_factors(batch_r).mean(), cfg.eta)
-    raise ValueError(f"baseline_step cannot run method {cfg.method.value}")
+    g, diag = g_u, None   # neggrad_plus: P = I
+    if method is not MethodKind.NEGGRAD_PLUS:
+        span = (grads if method is MethodKind.ORTHOGRAD_PER_SAMPLE
+                else net.PerSampleGrads.columns(g_r_mean[:, None]))
+        g, rank = project_out_span(g_u, span)
+        diag = StepDiagnostics(basis_rank=rank, g_u_norm=float(np.linalg.norm(g_u)),
+                               g_u_perp_norm=float(np.linalg.norm(g)),
+                               grads=grads, g_u_perp=g)
+    return model.apply_update(cfg.alpha * g_r_mean - (1.0 - cfg.alpha) * g, cfg.eta), diag
 
 
 def stopping_check(report: AccuracyReport, rule: StoppingRule) -> bool:
@@ -255,7 +225,6 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
     else:
         model = pretrained
 
-    is_orthograd = cfg.method in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN)
     retain_batches = _retain_batches(len(splits.retain), cfg.retain_batch, retain_rng)
     n_u = len(splits.unlearn)
 
@@ -267,10 +236,7 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
             batch_u = net.Batch(splits.unlearn.inputs[idx], splits.unlearn.labels[idx])
             ridx = next(retain_batches)
             batch_r = net.Batch(splits.retain.inputs[ridx], splits.retain.labels[ridx])
-            if is_orthograd:
-                model, _ = orthograd_step(model, batch_u, batch_r, cfg)
-            else:
-                model = baseline_step(model, batch_u, batch_r, cfg)
+            model, _ = orthograd_step(model, batch_u, batch_r, cfg)
         trace.append(evaluate_splits(model, splits, epoch=epoch))
         stopped = stopping_check(trace[-1], cfg.stopping)
         if stopped:

@@ -8,7 +8,9 @@ import numpy as np
 
 from orthograd import net
 from orthograd.data import Dataset
+from orthograd.linalg import project_out_span
 from orthograd.net import Batch, ParamVector, init_params
+from orthograd.unlearn import MethodKind
 
 
 def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
@@ -112,6 +114,42 @@ class CyclicSamplerReference:
             self.pos += grab
             filled += grab
         return out
+
+
+def combine_update_reference(g_retain_mean: np.ndarray, g_unlearn: np.ndarray,
+                             alpha: float) -> np.ndarray:
+    """Reference for the blend inside ``unlearn.orthograd_step``: the function it replaced,
+    alpha*g_r - (1-alpha)*g_u after a float64 conversion and a shape and alpha check."""
+    g_retain_mean = np.asarray(g_retain_mean, dtype=np.float64)
+    g_unlearn = np.asarray(g_unlearn, dtype=np.float64)
+    if g_retain_mean.shape != g_unlearn.shape:
+        raise ValueError(f"shape mismatch: {g_retain_mean.shape} vs {g_unlearn.shape}")
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha * g_retain_mean - (1.0 - alpha) * g_unlearn
+
+
+def step_reference(model, batch_u: Batch, batch_r: Batch, cfg):
+    """Reference for ``unlearn.orthograd_step``: the two steps it replaced, the projected one
+    for the orthograd methods and ``baseline_step`` for the rest.  Returns the updated model
+    and, for a projection, ``(basis rank, ||g_u||, g_u_perp)``."""
+    if cfg.method in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN):
+        _, g_u = model.mean_loss_and_grad(batch_u)
+        grads = model.per_sample_factors(batch_r)
+        g_r_mean = grads.mean()
+        span = (grads if cfg.method is MethodKind.ORTHOGRAD_PER_SAMPLE
+                else net.PerSampleGrads.columns(g_r_mean[:, None]))
+        g_u_perp, rank = project_out_span(g_u, span)
+        g = combine_update_reference(g_r_mean, g_u_perp, cfg.alpha)
+        return model.apply_update(g, cfg.eta), (rank, float(np.linalg.norm(g_u)), g_u_perp)
+    if cfg.method is MethodKind.NEGGRAD:
+        _, g_u = model.mean_loss_and_grad(batch_u)
+        return model.apply_update(-g_u, cfg.eta), None
+    if cfg.method is MethodKind.NEGGRAD_PLUS:
+        _, g_u = model.mean_loss_and_grad(batch_u)
+        g_r_mean = model.per_sample_factors(batch_r).mean()
+        return model.apply_update(combine_update_reference(g_r_mean, g_u, cfg.alpha), cfg.eta), None
+    return model.apply_update(model.per_sample_factors(batch_r).mean(), cfg.eta), None
 
 
 def merge_reference(base: ParamVector, model) -> ParamVector:

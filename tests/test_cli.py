@@ -358,6 +358,10 @@ def test_out_of_range_split_value_is_usage_error_before_any_training(workdir, ca
     rc = main(["unlearn", str(cfg_path), "--method", "neggrad"])
     assert rc == 2
     assert "exp.cfg: splits: retain_size must lie in [1, 108], got 9000" in capsys.readouterr().err
+    # the file's retain size is checked even when the flag replaces it
+    rc = main(["unlearn", str(cfg_path), "--method", "neggrad", "--retain-sizes", "20"])
+    assert rc == 2
+    assert "exp.cfg: splits: retain_size must lie in [1, 108], got 9000" in capsys.readouterr().err
     # a bad file value still names the file when the flag sets the retain size
     cfg_path.write_text(TINY_CONFIG.replace("fraction = 0.1", "fraction = 1.5"), encoding="utf-8")
     rc = main(["unlearn", str(cfg_path), "--method", "neggrad", "--retain-sizes", "20"])
@@ -375,6 +379,20 @@ def test_retain_size_zero_from_the_flag_is_usage_error(workdir, capsys):
     assert capsys.readouterr().err == (
         "orthograd: --retain-sizes: retain_size must lie in [1, 108], got 0\n")
     assert not (tmp_path / "out" / "runs").exists()
+
+
+@pytest.mark.parametrize("results", ["out/pretrained.ckpt", "out/../out/./pretrained.ckpt"])
+def test_checkpoint_and_results_in_one_file_is_usage_error(workdir, capsys, results):
+    # pretrain would write the checkpoint and then read it back as a results file
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace("results = out/results.txt", f"results = {results}"),
+                        encoding="utf-8")
+    for argv in (["pretrain"], ["unlearn", "--method", "neggrad"]):
+        assert main([*argv, str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"orthograd: {cfg_path}: [paths] checkpoint and results name the same file "
+            f"{results!r}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
 @pytest.mark.parametrize("prefix", ["unlearned-", "trace-", "results"])

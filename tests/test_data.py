@@ -91,8 +91,8 @@ def test_random_split_disjoint_and_sized():
     n = len(train)
     assert len(splits.unlearn) == int(np.ceil(0.05 * n))
     assert len(splits.retain) == 50
-    assert splits.heldout is None
-    assert len(splits.test) == len(test)
+    assert np.array_equal(splits.test.inputs, test.inputs)
+    assert np.array_equal(splits.test.labels, test.labels)
 
     def rows(ds):
         return {tuple(row) for row in ds.inputs}
@@ -118,9 +118,7 @@ def test_class_split_completeness():
     assert len(splits.unlearn) == int(np.sum(train.labels == 3))
     assert not np.any(splits.retain.labels == 3)
     assert not np.any(splits.test.labels == 3)
-    assert np.all(splits.heldout.labels == 3)
-    assert len(splits.test) + len(splits.heldout) == len(test)
-    assert splits.forgotten_class == 3
+    assert len(splits.test) == len(test) - int(np.sum(test.labels == 3))
 
 
 def test_split_validation():

@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from helpers import (
-    CyclicSamplerReference, cosine, gram_schmidt_basis, loss_change_ratios, project_off,
+    CyclicSamplerReference, combine_update_reference, cosine, gram_schmidt_basis,
+    loss_change_ratios, project_off, step_reference,
 )
 from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
 from orthograd.lora import AdaptedModel, attach_lora
 from orthograd.net import (
-    Batch, NetworkSpec, PerSampleGrads, init_params,
+    Batch, Model, NetworkSpec, PerSampleGrads, init_params,
 )
 from orthograd.unlearn import (
-    MethodKind, StoppingRule, UnlearnConfig, _retain_batches, baseline_step,
-    combine_update, orthograd_step, run_unlearning, stopping_check,
+    MethodKind, StoppingRule, UnlearnConfig, _retain_batches, orthograd_step,
+    run_unlearning, stopping_check,
 )
 
 NEVER = StoppingRule.class_forget(threshold=-1.0)  # accuracy is never negative
@@ -31,36 +32,6 @@ def random_batch(spec, k, seed):
     rng = np.random.default_rng(seed)
     return Batch(rng.normal(size=(k, spec.in_dim)),
                  rng.integers(0, spec.n_classes, size=k))
-
-
-# ---------------------------------------------------------------------------
-# combine_update
-
-
-def test_combine_update_hand_values():
-    out = combine_update(np.array([1.0, 0.0]), np.array([0.0, 2.0]), alpha=0.9)
-    assert np.allclose(out, [0.9, -0.2], atol=1e-15)
-
-
-def test_combine_update_alpha_one_is_retain_mean_bitwise():
-    rng = np.random.default_rng(0)
-    g_r = rng.normal(size=50)
-    g_u = rng.normal(size=50)
-    assert np.array_equal(combine_update(g_r, g_u, 1.0), g_r)
-
-
-def test_combine_update_alpha_zero_is_pure_ascent():
-    rng = np.random.default_rng(1)
-    g_r = rng.normal(size=50)
-    g_u = rng.normal(size=50)
-    assert np.array_equal(combine_update(g_r, g_u, 0.0), -g_u)
-
-
-def test_combine_update_validation():
-    with pytest.raises(ValueError):
-        combine_update(np.zeros(3), np.zeros(4), 0.5)
-    with pytest.raises(ValueError):
-        combine_update(np.zeros(3), np.zeros(3), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +50,7 @@ def test_direction_pipeline_hand_oracle():
     perp, rank = project_out_span(g_u, PerSampleGrads.columns(g_r))
     assert rank == 2
     assert np.allclose(perp, [0.0, 0.0, 1.0], atol=1e-12)
-    direction = combine_update(g_r.mean(axis=1), perp, alpha=0.9)
+    direction = combine_update_reference(g_r.mean(axis=1), perp, alpha=0.9)
     assert np.allclose(direction, [0.9, 0.45, -0.1], atol=1e-12)
     landed = np.zeros(3) - 0.1 * direction
     assert np.allclose(landed, [-0.09, -0.045, 0.01], atol=1e-12)
@@ -97,7 +68,7 @@ def test_orthograd_step_matches_manual_composition():
     _, g_u = params.mean_loss_and_grad(b_u)
     grads = params.per_sample_factors(b_r)
     perp, rank = project_out_span(g_u, grads)
-    direction = combine_update(grads.mean(), perp, 0.85)
+    direction = combine_update_reference(grads.mean(), perp, 0.85)
     assert np.array_equal(stepped.flat, params.apply_update(direction, 0.02).flat)
     assert diag.basis_rank == rank
 
@@ -105,7 +76,7 @@ def test_orthograd_step_matches_manual_composition():
     # columns, within a fixed tolerance
     cols = grads.dense()
     q_ref, kept = gram_schmidt_basis(cols, default_drop_tol(params.dim))
-    dense = combine_update(cols.mean(axis=1), project_off(g_u, q_ref), 0.85)
+    dense = combine_update_reference(cols.mean(axis=1), project_off(g_u, q_ref), 0.85)
     assert np.abs(direction - dense).max() <= 1e-10 * np.abs(direction).max()
     assert rank == len(kept)
 
@@ -291,7 +262,7 @@ def test_all_zero_retain_batch_leaves_unlearn_gradient_untouched():
         assert rank == 0
         assert np.array_equal(perp, g_u)
         stepped, diag = orthograd_step(m, b_u, b_r, make_cfg(alpha=0.0, eta=0.1))
-        ascent = baseline_step(m, b_u, b_r, make_cfg(method=MethodKind.NEGGRAD, eta=0.1))
+        ascent, _ = orthograd_step(m, b_u, b_r, make_cfg(method=MethodKind.NEGGRAD, eta=0.1))
         assert diag.basis_rank == 0
         assert np.array_equal(stepped.coords, ascent.coords)
 
@@ -305,12 +276,12 @@ def test_alpha_one_collapses_every_combiner_to_finetune_bitwise():
     params = init_params(spec, 7)
     b_u = random_batch(spec, 6, 71)
     b_r = random_batch(spec, 9, 72)
-    fin = baseline_step(params, b_u, b_r, make_cfg(method=MethodKind.FINETUNE, eta=0.05))
+    fin, _ = orthograd_step(params, b_u, b_r, make_cfg(method=MethodKind.FINETUNE, eta=0.05))
     for method in (MethodKind.ORTHOGRAD_PER_SAMPLE, MethodKind.ORTHOGRAD_MEAN):
         stepped, _ = orthograd_step(params, b_u, b_r, make_cfg(method=method, alpha=1.0, eta=0.05))
         assert np.array_equal(stepped.flat, fin.flat)
-    ngp = baseline_step(params, b_u, b_r,
-                        make_cfg(method=MethodKind.NEGGRAD_PLUS, alpha=1.0, eta=0.05))
+    ngp, _ = orthograd_step(params, b_u, b_r,
+                            make_cfg(method=MethodKind.NEGGRAD_PLUS, alpha=1.0, eta=0.05))
     assert np.array_equal(ngp.flat, fin.flat)
 
 
@@ -320,21 +291,59 @@ def test_neggrad_is_gradient_ascent_on_unlearn_batch():
     b_u = random_batch(spec, 6, 81)
     b_r = random_batch(spec, 6, 82)
     _, g_u = params.mean_loss_and_grad(b_u)
-    stepped = baseline_step(params, b_u, b_r, make_cfg(method=MethodKind.NEGGRAD, eta=0.01))
+    stepped, _ = orthograd_step(params, b_u, b_r, make_cfg(method=MethodKind.NEGGRAD, eta=0.01))
     assert np.array_equal(stepped.flat, params.flat + 0.01 * g_u)
     before, _ = params.mean_loss_and_grad(b_u)
     after, _ = stepped.mean_loss_and_grad(b_u)
     assert after > before
 
 
-def test_step_method_dispatch_guards():
-    spec = NetworkSpec((4, 3), "relu")
-    params = init_params(spec, 0)
-    b = random_batch(spec, 3, 1)
-    with pytest.raises(ValueError):
-        orthograd_step(params, b, b, make_cfg(method=MethodKind.NEGGRAD))
-    with pytest.raises(ValueError):
-        baseline_step(params, b, b, make_cfg(method=MethodKind.ORTHOGRAD_MEAN))
+def test_one_step_takes_the_old_steps_bitwise():
+    # every method, in both spaces, over chained steps on fresh batches
+    spec = NetworkSpec((6, 12, 4), "relu")
+    for method in MethodKind:
+        cfg = make_cfg(method=method, alpha=0.8, eta=0.05)
+        for start in both_spaces(spec, 20):
+            model = want = start
+            for step in range(4):
+                b_u = random_batch(spec, 5, 1000 + step)
+                b_r = random_batch(spec, 7, 1100 + step)
+                model, diag = orthograd_step(model, b_u, b_r, cfg)
+                want, ref = step_reference(want, b_u, b_r, cfg)
+                assert type(model) is type(want)
+                assert np.array_equal(model.coords, want.coords)
+                if ref is None:
+                    assert diag is None
+                    continue
+                rank, g_u_norm, g_u_perp = ref
+                assert (diag.basis_rank, diag.g_u_norm) == (rank, g_u_norm)
+                assert diag.g_u_perp_norm == float(np.linalg.norm(g_u_perp))
+                assert np.array_equal(diag.g_u_perp, g_u_perp)
+            assert not np.array_equal(model.coords, start.coords)
+
+
+def test_neggrad_and_finetune_skip_the_pass_they_do_not_read(monkeypatch):
+    # neggrad never reads the retain batch, finetune never the unlearn batch
+    def refuse(name):
+        def call(self, batch):
+            raise AssertionError(f"{name} called")
+        return call
+
+    params, splits = small_world()
+    spec = params.spec
+    b_u, b_r = random_batch(spec, 5, 30), random_batch(spec, 7, 31)
+    for method, skipped in ((MethodKind.NEGGRAD, "per_sample_factors"),
+                            (MethodKind.FINETUNE, "mean_loss_and_grad")):
+        with monkeypatch.context() as patch:
+            patch.setattr(Model, skipped, refuse(skipped))
+            for model in both_spaces(spec, 3):
+                stepped, diag = orthograd_step(model, b_u, b_r, make_cfg(method=method))
+                assert diag is None
+                assert not np.array_equal(stepped.coords, model.coords)
+            for use_lora in (False, True):
+                cfg = make_cfg(method=method, max_epochs=1, eta=0.01, use_lora=use_lora,
+                               lora_rank=2, lora_scale=8.0)
+                assert run_unlearning(params, splits, cfg).stop_epoch == 1
 
 
 # ---------------------------------------------------------------------------
