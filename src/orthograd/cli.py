@@ -11,8 +11,7 @@ import sys
 from . import net
 from .config import ConfigError, load_experiment_config, usage_errors, write_atomic
 from .evaluation import (
-    RunRecord, emit_records, evaluate_splits, parse_records, render_sweep,
-    render_table, upsert_records, uis,
+    RunRecord, emit_records, evaluate_splits, parse_records, render_table, upsert_records, uis,
 )
 from .unlearn import MethodKind, run_unlearning
 
@@ -24,12 +23,21 @@ def _architecture(spec: net.NetworkSpec) -> str:
     return f"{'-'.join(str(s) for s in spec.layer_sizes)} ({spec.activation})"
 
 
+def _update_results(cfg, records):
+    """Upsert ``records`` into the config's results file; returns the file's path."""
+    path = cfg.resolve(cfg.results_path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    existing = parse_records(path) if path.exists() else []
+    emit_records(upsert_records(existing, records), path)
+    return path
+
+
 def cmd_pretrain(args) -> int:
     cfg = load_experiment_config(args.config)
     spec = cfg.network_spec()
     train, test = cfg.datasets()
     splits = cfg.splits(train, test)   # a bad split setting fails before any training
-    with usage_errors(f"{cfg.source}: pretrain"):   # so does a bad [pretrain] value
+    with usage_errors(f"{cfg.source}: pretrain"):   # so does a dataset pretrain rejects
         params = net.pretrain(spec, train, epochs=cfg.pretrain_epochs,
                               batch_size=cfg.pretrain_batch, eta=cfg.pretrain_eta,
                               seed=cfg.pretrain_seed)
@@ -41,13 +49,10 @@ def cmd_pretrain(args) -> int:
     report = evaluate_splits(params, splits)
     train_acc = net.evaluate_accuracy(params, train)
 
-    results_path = cfg.resolve(cfg.results_path)
-    results_path.parent.mkdir(parents=True, exist_ok=True)
-    existing = parse_records(results_path) if results_path.exists() else []
-    original = RunRecord(method="original", seed=cfg.pretrain_seed, epoch=0,
-                         A_u=report.A_u, A_r=report.A_r, A_test=report.A_test, uis=0.0,
-                         stop_epoch=0, stopped_early=False, n_retain=splits.n_retain)
-    emit_records(upsert_records(existing, [original]), results_path)
+    _update_results(cfg, [RunRecord(
+        method="original", seed=cfg.pretrain_seed, epoch=0, A_u=report.A_u, A_r=report.A_r,
+        A_test=report.A_test, uis=0.0, stop_epoch=0, stopped_early=False,
+        n_retain=splits.n_retain)])
 
     print(f"pretrained {_architecture(spec)} for {cfg.pretrain_epochs} epochs")
     print(f"train accuracy {train_acc:.2f}  test accuracy {report.A_test:.2f}")
@@ -121,10 +126,7 @@ def cmd_unlearn(args) -> int:
         ]
         write_atomic(runs_dir / f"trace-{stem}.txt", ("\n".join(trace_lines) + "\n").encode("utf-8"))
 
-    results_path = cfg.resolve(cfg.results_path)
-    results_path.parent.mkdir(parents=True, exist_ok=True)
-    existing = parse_records(results_path) if results_path.exists() else []
-    emit_records(upsert_records(existing, records), results_path)
+    results_path = _update_results(cfg, records)
 
     for rec in sorted(records, key=RunRecord.sort_key):
         early = "stopped" if rec.stopped_early else "epoch cap"
@@ -140,7 +142,7 @@ def cmd_compare(args) -> int:
         records = parse_records(args.results)
     except (FileNotFoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    print(render_sweep(records) if args.sweep else render_table(records))
+    print(render_table(records))
     return 0
 
 
@@ -164,8 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="summarize a results file")
     p_cmp.add_argument("results", help="results file written by 'unlearn'")
-    p_cmp.add_argument("--sweep", action="store_true",
-                       help="group by retain size instead of aggregating")
     return parser
 
 

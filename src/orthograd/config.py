@@ -156,9 +156,8 @@ def _unlearn_keys() -> dict[str, str]:
 
 
 # the keys of every other section: key -> its ExperimentConfig field, whose annotation is
-# the key's type.  A key is required exactly when its field has no default, and each
-# dataset kind also requires its own pair (_KIND_KEYS); a key of another kind or split
-# mode (_OWN_KEYS) is rejected
+# the key's type.  A key is required exactly when its field has no default, or when the
+# dataset kind or split mode requires it (_OWN_KEYS); a key of another kind or mode is rejected
 _SECTION_KEYS = {
     "dataset": {
         "kind": "dataset_kind", "classes": "classes",
@@ -182,12 +181,12 @@ _SECTION_KEYS = {
         "runs_dir": "runs_dir",
     },
 }
-_KIND_KEYS = {"blobs": ("per_class", "test_per_class"), "csv": ("train_path", "test_path")}
-# section -> (the key that selects, {each value it takes: the keys that apply under it only})
+# section -> (the key that selects, {each value it takes: (the keys it requires, the keys
+# it allows), which apply under that value only})
 _OWN_KEYS = {
-    "dataset": ("kind", {"blobs": ("per_class", "test_per_class", "spread", "seed"),
-                         "csv": ("train_path", "test_path")}),
-    "splits": ("mode", {"random": ("fraction",), "class": ("class_label",)}),
+    "dataset": ("kind", {"blobs": (("per_class", "test_per_class"), ("spread", "seed")),
+                         "csv": (("train_path", "test_path"), ())}),
+    "splits": ("mode", {"random": ((), ("fraction",)), "class": (("class_label",), ())}),
 }
 
 
@@ -226,7 +225,7 @@ class ExperimentConfig:
     # splits
     split_mode: str             # "random" or "class"
     fraction: float = 0.05
-    class_label: int = -1
+    class_label: int = -1       # class mode only
     retain_size: int
     split_seed: Seed = 0
 
@@ -285,9 +284,9 @@ class ExperimentConfig:
         types = _unlearn_keys()
         table = {**self.unlearn_base, **self.unlearn_overrides.get(method.value, {})}
         settings = {key: _convert(value, types[key], key, self.source) for key, value in table.items()}
-        extra = {"threshold": settings.pop("stop_threshold")} if "stop_threshold" in settings else {}
-        rule = (StoppingRule.random_forget(target=a_ref, **extra) if self.split_mode == "random"
-                else StoppingRule.class_forget(**extra))
+        threshold = settings.pop("stop_threshold", None)
+        rule = (StoppingRule.random_forget(target=a_ref, threshold=threshold)
+                if self.split_mode == "random" else StoppingRule.class_forget(threshold=threshold))
         spec = self.network_spec()
         with usage_errors(f"{self.source}: {method.value} settings"):
             ucfg = UnlearnConfig(method=method, stopping=rule, **settings)
@@ -299,7 +298,9 @@ class ExperimentConfig:
 
 def load_experiment_config(path) -> ExperimentConfig:
     """The experiment at ``path``, with every value checked that needs no data, including
-    the network against the dataset and each method's ``UnlearnConfig``."""
+    the pretraining schedule, the network against the dataset and each method's
+    ``UnlearnConfig``."""
+    from . import net
     from .unlearn import MethodKind
     source = str(Path(path))
     sections = parse_sections(path)
@@ -339,19 +340,18 @@ def load_experiment_config(path) -> ExperimentConfig:
         if value not in own_keys:
             raise ConfigError(f"{source}: {name} {selector} must be "
                               f"{' or '.join(map(repr, own_keys))}, got {value!r}")
-        for other, keys in own_keys.items():
-            for key in keys:
+        for other, (required, allowed) in own_keys.items():
+            for key in required + allowed:
                 if other != value and key in sections[name]:
                     raise ConfigError(f"{source}: key {key!r} in section [{name}] applies "
                                       f"only to {selector} = {other}, not {value}")
-    for key in _KIND_KEYS[cfg.dataset_kind]:
-        if key not in sections["dataset"]:
-            raise ConfigError(f"{source}: missing key {key!r} in section [dataset]")
+                if other == value and key in required and key not in sections[name]:
+                    raise ConfigError(f"{source}: missing key {key!r} in section [{name}]")
     if cfg.resolve(cfg.checkpoint_path).resolve() == cfg.resolve(cfg.results_path).resolve():
         raise ConfigError(f"{source}: [paths] checkpoint and results name the same file "
                           f"{cfg.results_path!r}")
-    if cfg.split_mode == "class" and cfg.class_label < 0:
-        raise ConfigError(f"{source}: splits mode 'class' requires a class_label")
+    with usage_errors(f"{source}: pretrain"):
+        net.check_schedule(cfg.pretrain_epochs, cfg.pretrain_batch, cfg.pretrain_eta)
     spec = cfg.network_spec()
     if spec.in_dim != cfg.dim or spec.n_classes != cfg.classes:
         raise ConfigError(f"{source}: network ends {spec.in_dim}->{spec.n_classes}, "

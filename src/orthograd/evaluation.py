@@ -35,7 +35,6 @@ __all__ = [
     "parse_records",
     "emit_records",
     "render_table",
-    "render_sweep",
 ]
 
 
@@ -156,21 +155,15 @@ def _mean_std(values) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())  # population std: one run -> 0.00
 
 
-def _method_order(records) -> list[str]:
-    methods = sorted({r.method for r in records})
-    if "original" in methods:
-        methods.remove("original")
-        methods.insert(0, "original")
-    return methods
-
-
 def render_table(records) -> str:
-    """Per-method summary: accuracy columns then UIS, mean +/- std over seeds."""
+    """One row per (method, n_retain), ``original`` first: the seed count, then the accuracy
+    columns and UIS as mean +/- std over seeds."""
     if not records:
         return "(no records)"
-    lines = [f"{'method':<22} {'n':>3}  {'A_u':>14}  {'A_r':>14}  {'A_test':>14}  {'UIS':>15}"]
-    for method in _method_order(records):
-        group = [r for r in records if r.method == method]
+    lines = [f"{'method':<22} {'n_retain':>8} {'n':>3}  {'A_u':>14}  {'A_r':>14}  {'A_test':>14}"
+             f"  {'UIS':>15}"]
+    for _, method, size in sorted({(r.method != "original", r.method, r.n_retain) for r in records}):
+        group = [r for r in records if r.method == method and r.n_retain == size]
         cells = []
         for field in ("A_u", "A_r", "A_test"):
             m, s = _mean_std([getattr(r, field) for r in group])
@@ -180,22 +173,6 @@ def render_table(records) -> str:
         else:
             m, s = _mean_std([r.uis for r in group])
             uis_cell = f"{m:6.3f} ± {s:5.3f}"
-        lines.append(f"{method:<22} {len(group):>3}  " + "  ".join(f"{c:>14}" for c in cells)
-                     + f"  {uis_cell:>15}")
-    return "\n".join(lines)
-
-
-def render_sweep(records) -> str:
-    """UIS versus retain-set size, one row per (method, n_retain)."""
-    if not records:
-        return "(no records)"
-    lines = [f"{'method':<22} {'n_retain':>8} {'n':>3}  {'UIS':>15}"]
-    for method in _method_order(records):
-        if method == "original":
-            continue
-        sizes = sorted({r.n_retain for r in records if r.method == method})
-        for size in sizes:
-            group = [r for r in records if r.method == method and r.n_retain == size]
-            m, s = _mean_std([r.uis for r in group])
-            lines.append(f"{method:<22} {size:>8} {len(group):>3}  {m:6.3f} ± {s:5.3f}")
+        lines.append(f"{method:<22} {size:>8} {len(group):>3}  "
+                     + "  ".join(f"{c:>14}" for c in cells) + f"  {uis_cell:>15}")
     return "\n".join(lines)

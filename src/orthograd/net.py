@@ -33,6 +33,7 @@ __all__ = [
     "PerSampleGrads",
     "init_params",
     "evaluate_accuracy",
+    "check_schedule",
     "pretrain",
     "save_checkpoint",
     "load_checkpoint",
@@ -404,16 +405,21 @@ def evaluate_accuracy(params: Model, data) -> float:
     return 100.0 * float(np.count_nonzero(pred == y)) / x.shape[0]
 
 
-def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
-             eta: float, seed: int) -> ParamVector:
-    """Mini-batch gradient descent from a fresh init; deterministic in seed.  The dataset is
-    checked once (every batch is a subset of its rows); one copy of the init trains in place."""
+def check_schedule(epochs: int, batch_size: int, eta: float) -> None:
+    """Reject a pretraining schedule ``pretrain`` cannot run."""
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not eta > 0:
         raise ValueError(f"eta must be positive, got {eta}")
+
+
+def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
+             eta: float, seed: int) -> ParamVector:
+    """Mini-batch gradient descent from a fresh init; deterministic in seed.  The dataset is
+    checked once (every batch is a subset of its rows); one copy of the init trains in place."""
+    check_schedule(epochs, batch_size, eta)
     rows = Batch(dataset.inputs, dataset.labels)
     if rows.size == 0:
         raise ValueError("cannot pretrain on an empty dataset")

@@ -63,23 +63,27 @@ class StoppingRule:
     ``random_forget``: stop once the unlearn-set accuracy has dropped to the
     pretrained test accuracy (``target``) plus ``threshold`` points or below.
     ``class_forget``: stop once the unlearn-set accuracy falls below
-    ``threshold`` percent.
+    ``threshold`` percent.  A ``threshold`` of None takes the mode's default.
     """
 
     mode: str
     target: float = 0.0
-    threshold: float = 0.5
+    threshold: float | None = None
+    _DEFAULT_THRESHOLDS = {"random_forget": 0.5, "class_forget": 1.0}   # not a field
 
     def __post_init__(self):
-        if self.mode not in ("random_forget", "class_forget"):
-            raise ValueError(f"mode must be 'random_forget' or 'class_forget', got {self.mode!r}")
+        if self.mode not in self._DEFAULT_THRESHOLDS:
+            raise ValueError(f"mode must be {' or '.join(map(repr, self._DEFAULT_THRESHOLDS))}, "
+                             f"got {self.mode!r}")
+        if self.threshold is None:
+            object.__setattr__(self, "threshold", self._DEFAULT_THRESHOLDS[self.mode])
 
     @classmethod
-    def random_forget(cls, target: float, threshold: float = 0.5) -> "StoppingRule":
+    def random_forget(cls, target: float, threshold: float | None = None) -> "StoppingRule":
         return cls(mode="random_forget", target=target, threshold=threshold)
 
     @classmethod
-    def class_forget(cls, threshold: float = 1.0) -> "StoppingRule":
+    def class_forget(cls, threshold: float | None = None) -> "StoppingRule":
         return cls(mode="class_forget", threshold=threshold)
 
 
@@ -116,8 +120,11 @@ class StepDiagnostics:
     """Geometry of one projection step.
 
     ``basis_rank`` is the number of retain gradient columns the kernel kept,
-    at most min(k, d); see ``linalg.project_out_span``.  ``max_abs_cos``,
-    against every per-sample retain gradient (a zero column counts as 0), is
+    at most min(k, d); see ``linalg.project_out_span``.  ``max_abs_cos`` is
+    taken against every per-sample retain gradient (a zero column counts as
+    0), also the columns the kernel dropped as dependent, whose direction is
+    roundoff; so it can read far above roundoff (up to 0.49 on the random-lora
+    benchmark) and is not a bound on the projection's orthogonality.  It is
     computed on first read from the step's gradients, which eq, hash and
     repr skip; a caller that never reads it never pays for it.
     """

@@ -139,14 +139,18 @@ def _csv_config(tmp_path) -> str:
     return dataset + TINY_CONFIG[TINY_CONFIG.index("[network]"):]
 
 
-@pytest.mark.parametrize("kind, key", [("blobs", "per_class"), ("csv", "train_path")])
+@pytest.mark.parametrize("kind, key", [("blobs", "per_class"), ("csv", "train_path"),
+                                       ("class", "class_label")])
 def test_kind_specific_key_is_required(tmp_path, capsys, kind, key):
-    config = TINY_CONFIG if kind == "blobs" else _csv_config(tmp_path)
+    config = _csv_config(tmp_path) if kind == "csv" else TINY_CONFIG
+    section = "splits" if kind == "class" else "dataset"
+    if kind == "class":   # a class forget that names no class; fraction is random mode's own
+        config = config.replace("mode = random\nfraction = 0.1", "mode = class")
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text("\n".join(l for l in config.splitlines() if not l.startswith(key + " ")),
                         encoding="utf-8")
     assert main(["pretrain", str(cfg_path)]) == 2
-    assert f"exp.cfg: missing key '{key}' in section [dataset]" in capsys.readouterr().err
+    assert f"exp.cfg: missing key '{key}' in section [{section}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old, new, section, key", [
@@ -289,6 +293,15 @@ def test_out_of_range_dataset_or_pretrain_value_is_usage_error(workdir, capsys, 
     assert main(["pretrain", str(cfg_path)]) == 2
     assert capsys.readouterr().err.startswith(f"orthograd: {cfg_path}: {named}")
     assert not (tmp_path / "out").exists()
+    # unlearn rejects the same file, against a checkpoint pretrained from the good one
+    cfg_path.write_text(TINY_CONFIG, encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 0
+    cfg_path.write_text(TINY_CONFIG.replace(old, new), encoding="utf-8")
+    written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 2
+    assert capsys.readouterr().err.startswith(f"orthograd: {cfg_path}: {named}")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
 
 
 @pytest.mark.parametrize("method, table, named", [
@@ -340,6 +353,11 @@ def test_out_of_range_split_value_is_usage_error_before_any_training(workdir, ca
     err = capsys.readouterr().err
     assert rc == 2
     assert "exp.cfg" in err and "retain_size must lie in [1, 108], got 9000" in err
+    assert not (tmp_path / "out").exists()
+    cfg_path.write_text(TINY_CONFIG.replace("mode = random\nfraction = 0.1",
+                                            "mode = class\nclass_label = -1"), encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 2
+    assert "exp.cfg: splits: class_label -1 out of range [0, 3)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
     monkeypatch.undo()
 
@@ -562,10 +580,13 @@ def test_retain_size_sweep_records_and_summary(workdir, capsys):
     assert sorted(r.n_retain for r in records) == [20, 40]
 
     capsys.readouterr()
-    assert main(["compare", str(tmp_path / "out" / "results.txt"), "--sweep"]) == 0
-    out = capsys.readouterr().out
-    rows = [l for l in out.splitlines() if l.startswith("neggrad")]
-    assert len(rows) == 2
+    assert main(["compare", str(tmp_path / "out" / "results.txt")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # one row per (method, retain size), the reference first; each row has every column
+    assert lines[0].split() == ["method", "n_retain", "n", "A_u", "A_r", "A_test", "UIS"]
+    assert [l.split()[:3] for l in lines[1:]] == [
+        ["original", "40", "1"], ["neggrad", "20", "1"], ["neggrad", "40", "1"]]
+    assert [l.count("±") for l in lines[1:]] == [3, 4, 4]
 
 
 def test_compare_on_malformed_results_is_usage_error(tmp_path, capsys):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from orthograd.evaluation import (
-    RunRecord, emit_records, format_record, parse_record_line, parse_records,
-    render_sweep, render_table, uis, upsert_records,
+    RunRecord, emit_records, format_record, parse_record_line, parse_records, render_table,
+    uis, upsert_records,
 )
 
 # Published reference points for the score: an unlearned model at
@@ -125,14 +125,22 @@ def test_table_single_record_zero_std():
 
 
 def test_sweep_table_groups_by_retain_size():
+    # a size is its own experiment: each gets a full row, never a mean over sizes
     records = [
-        _record(method="neggrad", seed=s, uis_value=0.054, n_retain=size)
+        _record(method="neggrad", seed=s, uis_value=0.054 + size / 1e5, n_retain=size)
         for s in (0, 1) for size in (100, 500, 2000)
     ] + [
         _record(method="orthograd_per_sample", seed=s, uis_value=0.01, n_retain=size)
         for s in (0, 1) for size in (100, 500, 2000)
-    ]
-    out = render_sweep(records)
-    neggrad_rows = [l for l in out.splitlines() if l.startswith("neggrad ")]
-    assert len(neggrad_rows) == 3
-    assert [int(r.split()[1]) for r in neggrad_rows] == [100, 500, 2000]
+    ] + [_record(method="original", n_retain=500)]
+    lines = render_table(records).splitlines()
+    assert lines[0].split() == ["method", "n_retain", "n", "A_u", "A_r", "A_test", "UIS"]
+    assert lines[1].split() == ["original", "500", "1", "96.41", "±", "0.00", "99.20", "±",
+                                "0.00", "95.80", "±", "0.00", "-"]
+    neggrad_rows = [l.split() for l in lines if l.startswith("neggrad ")]
+    assert [row[:3] for row in neggrad_rows] == [["neggrad", size, "2"]
+                                                 for size in ("100", "500", "2000")]
+    assert [row[3:] for row in neggrad_rows] == [
+        ["96.41", "±", "0.00", "99.20", "±", "0.00", "95.80", "±", "0.00", uis_cell, "±", "0.000"]
+        for uis_cell in ("0.055", "0.059", "0.074")]
+    assert len(lines) == 1 + 1 + 3 + 3

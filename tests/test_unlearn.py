@@ -370,6 +370,13 @@ def test_stopping_rule_validation():
         StoppingRule(mode="sometimes")
 
 
+def test_stopping_rule_built_directly_takes_its_modes_default():
+    assert StoppingRule(mode="random_forget", target=81.06) == StoppingRule.random_forget(81.06)
+    assert StoppingRule(mode="class_forget") == StoppingRule.class_forget()
+    assert StoppingRule.random_forget(81.06).threshold == 0.5
+    assert StoppingRule.class_forget().threshold == 1.0
+
+
 # ---------------------------------------------------------------------------
 # epoch loop
 
