@@ -50,7 +50,7 @@ def cmd_pretrain(args) -> int:
     train_acc = net.evaluate_accuracy(params, train)
 
     _update_results(cfg, [RunRecord(
-        method="original", seed=cfg.pretrain_seed, epoch=0, A_u=report.A_u, A_r=report.A_r,
+        method="original", seed=cfg.pretrain_seed, A_u=report.A_u, A_r=report.A_r,
         A_test=report.A_test, uis=0.0, stop_epoch=0, stopped_early=False,
         n_retain=splits.n_retain)])
 
@@ -112,8 +112,7 @@ def cmd_unlearn(args) -> int:
         result = run_unlearning(pretrained, splits, ucfg)
         final = result.trace[-1]
         records.append(RunRecord(
-            method=method.value, seed=seed, epoch=final.epoch,
-            A_u=final.A_u, A_r=final.A_r, A_test=final.A_test,
+            method=method.value, seed=seed, A_u=final.A_u, A_r=final.A_r, A_test=final.A_test,
             uis=uis(a_p_test, final.A_test, final.A_u),
             stop_epoch=result.stop_epoch, stopped_early=result.stopped_early,
             n_retain=size))
@@ -121,8 +120,8 @@ def cmd_unlearn(args) -> int:
         stem = f"{method.value}-nr{size}-s{seed}"
         net.save_checkpoint(runs_dir / f"unlearned-{stem}.ckpt", result.params, seed=seed)
         trace_lines = [
-            f"epoch={r.epoch} A_u={r.A_u:.6g} A_r={r.A_r:.6g} A_test={r.A_test:.6g}"
-            for r in result.trace
+            f"epoch={epoch} A_u={r.A_u:.6g} A_r={r.A_r:.6g} A_test={r.A_test:.6g}"
+            for epoch, r in enumerate(result.trace)
         ]
         write_atomic(runs_dir / f"trace-{stem}.txt", ("\n".join(trace_lines) + "\n").encode("utf-8"))
 

@@ -291,7 +291,7 @@ class ExperimentConfig:
         with usage_errors(f"{self.source}: {method.value} settings"):
             ucfg = UnlearnConfig(method=method, stopping=rule, **settings)
             if ucfg.use_lora:   # the adapter shapes run_unlearning will attach
-                LoraAdapterSet(spec, ucfg.lora_rank, ucfg.lora_scale, tuple(range(spec.n_layers)))
+                LoraAdapterSet(spec, ucfg.lora_rank, ucfg.lora_scale)
         with usage_errors("--seed-list"):   # the file's values passed above, so only a seed fails
             return ucfg if seed is None else replace(ucfg, seed=seed)
 

@@ -124,7 +124,7 @@ def partition_train_test(data: Dataset, train_per_class: int) -> tuple[Dataset, 
 
 
 def load_csv_dataset(path, n_features: int, n_classes: int) -> Dataset:
-    """Load ``f1,...,fn,label`` lines; errors carry the 1-based line number."""
+    """Load ``f1,...,fn,label`` lines of finite features; errors carry the 1-based line number."""
     from pathlib import Path
 
     p = Path(path)
@@ -146,6 +146,8 @@ def load_csv_dataset(path, n_features: int, n_classes: int) -> Dataset:
                 feats = [float(f) for f in fields[:-1]]
             except ValueError:
                 raise ValueError(f"{p}:{lineno}: non-numeric feature value") from None
+            if not all(map(math.isfinite, feats)):
+                raise ValueError(f"{p}:{lineno}: non-finite feature value")
             try:
                 label = int(fields[-1])
             except ValueError:

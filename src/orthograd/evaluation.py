@@ -52,16 +52,14 @@ class AccuracyReport:
     A_u: float      # unlearn set
     A_r: float      # retain set
     A_test: float   # test set (class mode: forgotten class excluded)
-    epoch: int = 0
 
 
-def evaluate_splits(params, splits: Splits, epoch: int = 0) -> AccuracyReport:
+def evaluate_splits(params, splits: Splits) -> AccuracyReport:
     """Accuracy of a model in any space on the unlearn, retain, and test sets."""
     return AccuracyReport(
         A_u=net.evaluate_accuracy(params, splits.unlearn),
         A_r=net.evaluate_accuracy(params, splits.retain),
         A_test=net.evaluate_accuracy(params, splits.test),
-        epoch=epoch,
     )
 
 
@@ -71,11 +69,11 @@ def evaluate_splits(params, splits: Splits, epoch: int = 0) -> AccuracyReport:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One line of the results file; its fields, in order, are the record's keys."""
+    """One line of the results file; its fields, in order, are the record's keys.  Other
+    keys on a line are ignored, so files that also hold ``epoch`` still parse."""
 
     method: str
     seed: int
-    epoch: int
     A_u: float
     A_r: float
     A_test: float

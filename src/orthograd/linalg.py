@@ -113,13 +113,14 @@ def _cholesky_keep(gram: np.ndarray, tol: float, dim: int) -> np.ndarray:
     return out
 
 
-def project_out_span(v: np.ndarray, grads, tol: float | None = None) -> tuple[np.ndarray, int]:
+def project_out_span(v: np.ndarray, grads) -> tuple[np.ndarray, int]:
     """``(v_perp, rank)``: ``v`` minus its projection onto the span of a factored G.
 
     A Cholesky over ``G^T G`` visits the columns left to right and drops a
     column whose residual against the kept columns before it has norm at most
-    ``tol * max(norm(column), 1)``, or squared norm at most the Gram roundoff
-    floor ``64 * eps * norm(column)^2``; so near-dependent columns are
+    ``tol * max(norm(column), 1)``, with the fixed ``tol = default_drop_tol(d)``,
+    or squared norm at most the Gram roundoff floor ``64 * eps *
+    norm(column)^2``; so near-dependent columns are
     discarded deterministically (earlier columns win), and at most d are
     kept.  ``rank`` is the number of columns kept, at most ``min(k, d)``; it
     can exceed the span's dimension by a column whose residual is roundoff
@@ -141,19 +142,14 @@ def project_out_span(v: np.ndarray, grads, tol: float | None = None) -> tuple[np
     ----------
     v : (d,) vector to project.
     grads : ``net.PerSampleGrads`` spanning the subspace to remove.
-    tol : positive rank tolerance; defaults to ``default_drop_tol(d)``.
     """
     v = _check_vector(v, "v")
     if grads.dim != v.shape[0]:
         raise ValueError(f"dimension mismatch: v has length {v.shape[0]}, grads have dim {grads.dim}")
-    if tol is None:
-        tol = default_drop_tol(grads.dim)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
     gram = grads.gram()
     if not np.all(np.isfinite(gram)):
         raise ValueError("grads contain non-finite entries")
-    w = _cholesky_keep(gram, tol, grads.dim)
+    w = _cholesky_keep(gram, default_drop_tol(grads.dim), grads.dim)
     out = v.copy()
     for _ in range(2):   # rank 0 subtracts exact zeros: v comes back bit for bit
         out -= grads.matvec(w @ (w.T @ grads.rmatvec(out)))

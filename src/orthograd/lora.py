@@ -1,8 +1,8 @@
 """Low-rank adapters over the feed-forward classifier's weight matrices.
 
-An adapted layer replaces its weight by ``W + (scale/rank) * (B A)^T`` where
-``A`` has shape ``(rank, n_in)`` and ``B`` has shape ``(n_out, rank)`` (the
-transpose appears because weights are stored input-major).  ``B`` starts at
+Every weight layer is adapted: its weight becomes ``W + (scale/rank) * (B A)^T``
+where ``A`` has shape ``(rank, n_in)`` and ``B`` has shape ``(n_out, rank)``
+(the transpose appears because weights are stored input-major).  ``B`` starts at
 zero, so attaching adapters does not change the function; ``A`` is random so
 the first update to ``B`` already moves the effective weight.  Biases are
 never adapted.
@@ -24,7 +24,8 @@ import numpy as np
 
 from .config import write_atomic
 from .net import (
-    Model, NetworkSpec, ParamVector, _decode_checkpoint, _encode_checkpoint, _metadata,
+    Model, NetworkSpec, ParamVector, _checkpoint_errors, _decode_checkpoint, _encode_checkpoint,
+    _metadata,
 )
 
 __all__ = [
@@ -41,37 +42,26 @@ ADAPTER_HEADER = "ORTHOGRAD-LORA v1"
 
 @dataclass(frozen=True)
 class LoraAdapterSet:
-    """Adapter shapes and placement for one architecture; ``param_dim``, the length of the
-    adapter vector, is where ``layout()`` ends."""
+    """Adapter shapes for one architecture, on every weight layer; ``param_dim``, the
+    length of the adapter vector, is where ``layout()`` ends."""
 
     spec: NetworkSpec
     rank: int
     scale: float
-    layers: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(int(l) for l in self.layers))
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not (self.scale > 0):
             raise ValueError(f"scale must be positive, got {self.scale}")
-        if len(self.layers) == 0:
-            raise ValueError("at least one layer must be adapted")
-        if len(set(self.layers)) != len(self.layers):
-            raise ValueError(f"duplicate layer indices: {self.layers}")
         slots = []
         off = 0
-        for l in self.layers:
-            if not 0 <= l < self.spec.n_layers:
-                raise ValueError(f"layer index {l} out of range for {self.spec.n_layers} layers")
-            n_in, n_out = self.spec.layer_sizes[l:l + 2]
+        for l, (n_in, n_out) in enumerate(zip(self.spec.layer_sizes, self.spec.layer_sizes[1:])):
             if self.rank > min(n_in, n_out):
                 raise ValueError(
                     f"rank {self.rank} exceeds min(n_in, n_out)={min(n_in, n_out)} at layer {l}")
-            a_off = off
-            off += self.rank * n_in
-            slots.append((l, a_off, (self.rank, n_in), off, (n_out, self.rank)))
-            off += n_out * self.rank
+            slots.append((off, (self.rank, n_in), off + self.rank * n_in, (n_out, self.rank)))
+            off += self.rank * (n_in + n_out)
         object.__setattr__(self, "_layout", tuple(slots))   # not fields: eq/hash/repr skip them
         object.__setattr__(self, "param_dim", off)
 
@@ -80,8 +70,8 @@ class LoraAdapterSet:
         """Effective low-rank update multiplier scale/rank."""
         return self.scale / self.rank
 
-    def layout(self) -> tuple[tuple[int, int, tuple[int, int], int, tuple[int, int]], ...]:
-        """Per adapted layer: (layer, A offset, A shape, B offset, B shape)."""
+    def layout(self) -> tuple[tuple[int, tuple[int, int], int, tuple[int, int]], ...]:
+        """Per weight layer: (A offset, A shape, B offset, B shape)."""
         return self._layout
 
 
@@ -113,68 +103,60 @@ class AdaptedModel(Model):
     def coords(self) -> np.ndarray:
         return self.theta
 
-    def a_matrix(self, slot: int) -> np.ndarray:
-        _, a_off, a_shape, _, _ = self.adapters.layout()[slot]
+    def a_matrix(self, layer: int) -> np.ndarray:
+        a_off, a_shape, _, _ = self.adapters.layout()[layer]
         return self.theta[a_off:a_off + a_shape[0] * a_shape[1]].reshape(a_shape)
 
-    def b_matrix(self, slot: int) -> np.ndarray:
-        _, _, _, b_off, b_shape = self.adapters.layout()[slot]
+    def b_matrix(self, layer: int) -> np.ndarray:
+        _, _, b_off, b_shape = self.adapters.layout()[layer]
         return self.theta[b_off:b_off + b_shape[0] * b_shape[1]].reshape(b_shape)
 
-    def weight_delta(self, slot: int) -> np.ndarray:
+    def weight_delta(self, layer: int) -> np.ndarray:
         """Scaled low-rank update (scale/rank) B A, output-major (n_out, n_in)."""
-        return self.adapters.multiplier * (self.b_matrix(slot) @ self.a_matrix(slot))
+        return self.adapters.multiplier * (self.b_matrix(layer) @ self.a_matrix(layer))
 
     @cached_property
     def effective_weights(self) -> tuple[np.ndarray, ...]:
         """Per layer ``W + (scale/rank) (B A)^T``; shared by every use, do not modify."""
-        weights = self.base.weight_list()
-        for slot, (l, *_rest) in enumerate(self.adapters.layout()):
-            weights[l] = weights[l] + self.weight_delta(slot).T
-        return tuple(weights)
+        return tuple(w + self.weight_delta(l).T for l, w in enumerate(self.base.weight_list()))
 
     def _layers(self):
         return self.effective_weights, self.base.bias_list()
 
     def _blocks(self, acts, deltas):
-        # per adapted layer, with m the multiplier: the A block (m delta_i B) (x) a_i
+        # per layer, with m the multiplier: the A block (m delta_i B) (x) a_i
         # and the B block delta_i (x) (m A a_i)
         mult = self.adapters.multiplier
         blocks = []
-        for slot, (l, a_off, _, b_off, _) in enumerate(self.adapters.layout()):
-            blocks.append((a_off, mult * (deltas[l] @ self.b_matrix(slot)), acts[l]))
-            blocks.append((b_off, deltas[l], mult * (acts[l] @ self.a_matrix(slot).T)))
+        for l, (a_off, _, b_off, _) in enumerate(self.adapters.layout()):
+            blocks.append((a_off, mult * (deltas[l] @ self.b_matrix(l)), acts[l]))
+            blocks.append((b_off, deltas[l], mult * (acts[l] @ self.a_matrix(l).T)))
         return blocks
 
     def _at(self, theta: np.ndarray) -> "AdaptedModel":
         return AdaptedModel(self.base, self.adapters, theta)
 
     def merged(self) -> ParamVector:
-        """The base vector with each adapted layer's weight slot holding its effective weight."""
+        """The base vector with each weight slot holding its effective weight."""
         merged = ParamVector(self.base.flat.copy(), self.spec)
-        for l, *_rest in self.adapters.layout():
-            merged.weights(l)[...] = self.effective_weights[l]
+        for l, w in enumerate(self.effective_weights):
+            merged.weights(l)[...] = w
         return merged
 
 
-def attach_lora(base: ParamVector, rank: int, scale: float,
-                layers: tuple[int, ...] | None = None, seed: int = 0) -> AdaptedModel:
-    """Attach freshly initialized adapters to a model.
+def attach_lora(base: ParamVector, rank: int, scale: float, seed: int = 0) -> AdaptedModel:
+    """Attach freshly initialized adapters to every weight layer of a model.
 
     ``A`` entries are zero-mean normal with variance 1/n_in, ``B`` starts at
     zero, so the adapted model computes exactly the base function until the
-    first update.  ``layers`` defaults to every weight layer.
+    first update.
     """
-    if layers is None:
-        layers = tuple(range(base.spec.n_layers))
-    adapters = LoraAdapterSet(spec=base.spec, rank=rank, scale=float(scale), layers=tuple(layers))
+    adapters = LoraAdapterSet(spec=base.spec, rank=rank, scale=float(scale))
     rng = np.random.default_rng(seed)
     theta = np.zeros(adapters.param_dim)
-    for _, a_off, a_shape, _b_off, _b_shape in adapters.layout():
-        n_in = a_shape[1]
-        block = rng.normal(0.0, np.sqrt(1.0 / n_in), size=a_shape)
-        theta[a_off:a_off + block.size] = block.reshape(-1)
-        # B block stays zero
+    for a_off, (_, n_in), _, _ in adapters.layout():   # the B blocks stay zero
+        size = adapters.rank * n_in
+        theta[a_off:a_off + size] = rng.normal(0.0, np.sqrt(1.0 / n_in), size=size)
     return AdaptedModel(base, adapters, theta)
 
 
@@ -182,14 +164,12 @@ def attach_lora(base: ParamVector, rank: int, scale: float,
 # adapter checkpoints: same container as model checkpoints, different header
 
 
-def save_adapter_checkpoint(path, model: AdaptedModel, seed: int = 0) -> None:
+def save_adapter_checkpoint(path, model: AdaptedModel) -> None:
     adapters = model.adapters
     sections = {
         "adapter": {
             "rank": str(adapters.rank),
             "scale": repr(float(adapters.scale)),
-            "layers": ",".join(str(l) for l in adapters.layers),
-            "seed": str(int(seed)),
             "d": str(model.dim),
         },
         "model": {
@@ -201,17 +181,18 @@ def save_adapter_checkpoint(path, model: AdaptedModel, seed: int = 0) -> None:
 
 
 def load_adapter_checkpoint(path, base: ParamVector) -> AdaptedModel:
+    """Read an adapter checkpoint onto ``base``; a malformed file is a ValueError naming it."""
     blob = Path(path).read_bytes()
-    sections, payload = _decode_checkpoint(blob, ADAPTER_HEADER, path)
-    rank, scale, layers = _metadata(sections, "adapter", ("rank", "scale", "layers"), path)
-    sizes, activation = _metadata(sections, "model", ("layer_sizes", "activation"), path)
-    sizes = tuple(int(s) for s in sizes.split(","))
-    spec = NetworkSpec(sizes, activation)
-    if spec != base.spec:
-        raise ValueError(f"{path}: adapter architecture {sizes} does not match base model")
-    adapters = LoraAdapterSet(spec=spec, rank=int(rank), scale=float(scale),
-                              layers=tuple(int(l) for l in layers.split(",")))
-    if payload.shape[0] != adapters.param_dim:
-        raise ValueError(f"{path}: payload has {payload.shape[0]} values, "
-                         f"expected {adapters.param_dim}")
+    with _checkpoint_errors(path):
+        sections, payload = _decode_checkpoint(blob, ADAPTER_HEADER, path)
+        rank, scale = _metadata(sections, "adapter", ("rank", "scale"))
+        sizes, activation = _metadata(sections, "model", ("layer_sizes", "activation"))
+        sizes = tuple(int(s) for s in sizes.split(","))
+        spec = NetworkSpec(sizes, activation)
+        if spec != base.spec:
+            raise ValueError(f"adapter architecture {sizes} does not match base model")
+        adapters = LoraAdapterSet(spec=spec, rank=int(rank), scale=float(scale))
+        if payload.shape[0] != adapters.param_dim:
+            raise ValueError(f"payload has {payload.shape[0]} values, "
+                             f"expected {adapters.param_dim}")
     return AdaptedModel(base, adapters, payload.copy())

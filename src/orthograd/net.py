@@ -17,12 +17,13 @@ the mean gradient is the row sum of the factors of the mean-scaled pass.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import format_sections, parse_sections_text, write_atomic
+from .config import ConfigError, format_sections, parse_sections_text, write_atomic
 
 __all__ = [
     "ACTIVATIONS",
@@ -453,14 +454,28 @@ def _encode_checkpoint(header: str, sections, payload: np.ndarray) -> bytes:
 def _decode_checkpoint(blob: bytes, header: str, path) -> tuple[dict, np.ndarray]:
     sep = blob.find(b"\n\n")
     if sep < 0:
-        raise ValueError(f"{path}: malformed checkpoint (no metadata/payload separator)")
+        raise ValueError("malformed checkpoint (no metadata/payload separator)")
     text = blob[:sep].decode("utf-8")
     lines = text.split("\n", 1)
     if lines[0] != header:
-        raise ValueError(f"{path}: expected header {header!r}, got {lines[0]!r}")
+        raise ValueError(f"expected header {header!r}, got {lines[0]!r}")
     sections = parse_sections_text(lines[1] if len(lines) > 1 else "", source=str(path))
-    payload = np.frombuffer(blob[sep + 2:], dtype="<f8")
-    return sections, payload
+    raw = blob[sep + 2:]
+    if len(raw) % 8:
+        raise ValueError(f"payload of {len(raw)} bytes is not a whole number of float64 values")
+    return sections, np.frombuffer(raw, dtype="<f8")
+
+
+@contextmanager
+def _checkpoint_errors(path):
+    """A ValueError raised inside, reraised naming the checkpoint file first; a metadata
+    syntax error, a ConfigError, already names the file and the line."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_checkpoint(path, params: ParamVector, seed: int) -> None:
@@ -474,27 +489,29 @@ def save_checkpoint(path, params: ParamVector, seed: int) -> None:
     write_atomic(path, _encode_checkpoint(CHECKPOINT_HEADER, {"model": meta}, params.flat))
 
 
-def _metadata(sections: dict, name: str, keys, path) -> list[str]:
+def _metadata(sections: dict, name: str, keys) -> list[str]:
     """The values of ``keys`` in a checkpoint's ``[name]`` section; a missing section
-    or key is a ValueError naming the file."""
+    or key is a ValueError."""
     if name not in sections:
-        raise ValueError(f"{path}: checkpoint missing [{name}] metadata")
+        raise ValueError(f"checkpoint missing [{name}] metadata")
     missing = [key for key in keys if key not in sections[name]]
     if missing:
-        raise ValueError(f"{path}: checkpoint [{name}] metadata missing {', '.join(missing)}")
+        raise ValueError(f"checkpoint [{name}] metadata missing {', '.join(missing)}")
     return [sections[name][key] for key in keys]
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
-    """Read a model checkpoint; returns (params, metadata dict)."""
+    """Read a model checkpoint; returns (params, metadata dict).  A malformed file is a
+    ValueError naming it."""
     blob = Path(path).read_bytes()
-    sections, payload = _decode_checkpoint(blob, CHECKPOINT_HEADER, path)
-    sizes, activation, seed, d = _metadata(sections, "model",
-                                           ("layer_sizes", "activation", "seed", "d"), path)
-    spec = NetworkSpec(tuple(int(s) for s in sizes.split(",")), activation)
-    d = int(d)
-    if d != spec.param_dim:
-        raise ValueError(f"{path}: metadata d={d} does not match architecture ({spec.param_dim})")
-    if payload.shape[0] != d:
-        raise ValueError(f"{path}: payload has {payload.shape[0]} values, expected {d}")
-    return ParamVector(payload.copy(), spec), {"seed": int(seed), "d": d}
+    with _checkpoint_errors(path):
+        sections, payload = _decode_checkpoint(blob, CHECKPOINT_HEADER, path)
+        sizes, activation, seed, d = _metadata(sections, "model",
+                                               ("layer_sizes", "activation", "seed", "d"))
+        spec = NetworkSpec(tuple(int(s) for s in sizes.split(",")), activation)
+        seed, d = int(seed), int(d)
+        if d != spec.param_dim:
+            raise ValueError(f"metadata d={d} does not match architecture ({spec.param_dim})")
+        if payload.shape[0] != d:
+            raise ValueError(f"payload has {payload.shape[0]} values, expected {d}")
+    return ParamVector(payload.copy(), spec), {"seed": seed, "d": d}

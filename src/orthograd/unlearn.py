@@ -147,9 +147,13 @@ class StepDiagnostics:
 @dataclass(frozen=True)
 class UnlearnResult:
     params: net.ParamVector          # final full-parameter model (merged if LoRA)
-    trace: tuple[AccuracyReport, ...]
-    stop_epoch: int
+    trace: tuple[AccuracyReport, ...]   # one report per epoch, from epoch 0
     stopped_early: bool
+
+    @property
+    def stop_epoch(self) -> int:
+        """The last epoch run: the trace's last index."""
+        return len(self.trace) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +248,9 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
             ridx = next(retain_batches)
             batch_r = net.Batch(splits.retain.inputs[ridx], splits.retain.labels[ridx])
             model, _ = orthograd_step(model, batch_u, batch_r, cfg)
-        trace.append(evaluate_splits(model, splits, epoch=epoch))
+        trace.append(evaluate_splits(model, splits))
         stopped = stopping_check(trace[-1], cfg.stopping)
         if stopped:
             break
 
-    return UnlearnResult(params=model.merged(), trace=tuple(trace),
-                         stop_epoch=len(trace) - 1, stopped_early=stopped)
+    return UnlearnResult(params=model.merged(), trace=tuple(trace), stopped_early=stopped)

@@ -154,14 +154,14 @@ def step_reference(model, batch_u: Batch, batch_r: Batch, cfg):
 
 def merge_reference(base: ParamVector, model) -> ParamVector:
     """Reference for ``AdaptedModel.merged``: the fold it replaced, which adds each
-    adapted layer's ``(scale/rank) (B A)^T`` to a copy of the base weights in place."""
+    layer's ``(scale/rank) (B A)^T`` to a copy of the base weights in place."""
     if base.spec != model.spec:
         raise ValueError("base parameters and adapted model disagree on the architecture")
     flat = base.flat.copy()
     merged = ParamVector(flat, base.spec)
-    for slot, (l, *_rest) in enumerate(model.adapters.layout()):
+    for l in range(base.spec.n_layers):
         w = merged.weights(l)
-        w += model.weight_delta(slot).T
+        w += model.weight_delta(l).T
     return merged
 
 
@@ -169,17 +169,17 @@ def adapter_mean_grad_reference(model, batch: Batch) -> np.ndarray:
     """Reference for the adapter-space mean gradient: the hand-derived chain rule
     that ``AdaptedModel.mean_loss_and_grad`` used before the shared factor route.
 
-    Per adapted layer, with ``gw = a^T delta`` the layer's mean weight gradient
+    Per layer, with ``gw = a^T delta`` the layer's mean weight gradient
     (input-major) and m the multiplier: ``dA = m (gw B)^T`` and ``dB = m gw^T A^T``.
     """
     _, acts, deltas = net._engine_pass(model.effective_weights, model.base.bias_list(),
                                        model.spec, batch, per_sample=False)
     mult = model.adapters.multiplier
     grad = np.empty(model.dim)
-    for slot, (l, a_off, _, b_off, _) in enumerate(model.adapters.layout()):
+    for l, (a_off, _, b_off, _) in enumerate(model.adapters.layout()):
         gw = acts[l].T @ deltas[l]
-        da = mult * (gw @ model.b_matrix(slot)).T
-        db = mult * gw.T @ model.a_matrix(slot).T
+        da = mult * (gw @ model.b_matrix(l)).T
+        db = mult * gw.T @ model.a_matrix(l).T
         grad[a_off:a_off + da.size] = da.reshape(-1)
         grad[b_off:b_off + db.size] = db.reshape(-1)
     return grad

@@ -189,6 +189,33 @@ def test_csv_dataset_runs_like_the_blobs_it_holds(tmp_path):
         assert (csv_dir / "out" / rel).read_bytes() == (blobs_dir / "out" / rel).read_bytes()
 
 
+def test_non_finite_csv_feature_is_runtime_error_before_any_write(tmp_path, capsys):
+    # both commands read the dataset before they write; unlearn runs against a
+    # checkpoint pretrained on the file before its third line was spoiled
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(_csv_config(tmp_path), encoding="utf-8")
+    train = tmp_path / "data" / "train.csv"
+    good = train.read_text(encoding="utf-8")
+    lines = good.splitlines()
+    lines[2] = "nan" + lines[2][lines[2].index(","):]
+    bad = "\n".join(lines) + "\n"
+    message = f"orthograd: {train}:3: non-finite feature value"
+
+    train.write_text(bad, encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+    train.write_text(good, encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 0
+    written = {p: p.read_bytes() for p in (tmp_path / "out").rglob("*")}
+    train.write_text(bad, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 1
+    assert message in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in (tmp_path / "out").rglob("*")} == written
+
+
 def test_each_method_runs_at_its_own_configured_seed(workdir):
     tmp_path, cfg_path = workdir
     cfg_path.write_text(TINY_CONFIG + "\n[unlearn.neggrad]\nseed = 5\n", encoding="utf-8")
@@ -503,6 +530,31 @@ def test_checkpoint_missing_a_metadata_key_is_runtime_error(workdir, capsys):
     assert not (tmp_path / "out" / "runs").exists()
 
 
+@pytest.mark.parametrize("old, new, wording", [
+    (b"layer_sizes = 5,12,3", b"layer_sizes = 5,x,3",
+     "invalid literal for int() with base 10: 'x'"),
+    (b"layer_sizes = 5,12,3", b"layer_sizes = 5,0,3",
+     "layer sizes must be positive, got (5, 0, 3)"),
+    (b"seed = 0", b"seed = zz", "invalid literal for int() with base 10: 'zz'"),
+    (b"activation = relu", b"activation = gelu",
+     "activation must be one of ('relu', 'tanh'), got 'gelu'"),
+    (None, None, "payload of 885 bytes is not a whole number of float64 values"),
+], ids=["layer_sizes-x", "layer_sizes-0", "seed-zz", "activation-gelu", "truncated-payload"])
+def test_malformed_checkpoint_value_is_runtime_error_naming_the_file(workdir, capsys, old, new,
+                                                                     wording):
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "out" / "pretrained.ckpt"
+    if old is None:   # 111 values, 888 bytes, cut by 3
+        ckpt.write_bytes(ckpt.read_bytes()[:-3])
+    else:
+        edit_metadata(ckpt, old, new)
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 1
+    assert capsys.readouterr().err == f"orthograd: {ckpt}: {wording}\n"
+    assert not (tmp_path / "out" / "runs").exists()
+
+
 def test_pretrain_unlearn_compare_workflow(workdir, capsys):
     tmp_path, cfg_path = workdir
     assert main(["pretrain", str(cfg_path)]) == 0
@@ -535,6 +587,20 @@ def test_pretrain_unlearn_compare_workflow(workdir, capsys):
     table = capsys.readouterr().out
     assert "original" in table and "neggrad_plus" in table
     assert "±" in table
+
+
+def test_trace_has_one_line_per_epoch_run_numbered_from_0(workdir):
+    # overlapping blobs, so that neggrad runs epochs before it stops
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace("spread = 1.0", "spread = 3.0"), encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 0
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad", "--seed-list", "0"]) == 0
+    rec = next(r for r in parse_records(tmp_path / "out" / "results.txt")
+               if r.method == "neggrad")
+    assert rec.stop_epoch >= 1
+    trace = (tmp_path / "out" / "runs" / "trace-neggrad-nr40-s0.txt").read_text(encoding="utf-8")
+    assert ([line.split()[0] for line in trace.splitlines()]
+            == [f"epoch={e}" for e in range(rec.stop_epoch + 1)])
 
 
 def test_method_filter_and_unknown_method(workdir, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -39,14 +41,14 @@ def test_uis_basic_properties():
 
 
 def _record(method="orthograd_per_sample", seed=0, uis_value=0.02, n_retain=500):
-    return RunRecord(method=method, seed=seed, epoch=7, A_u=96.4123456,
+    return RunRecord(method=method, seed=seed, A_u=96.4123456,
                      A_r=99.2, A_test=95.8, uis=uis_value, stop_epoch=7,
                      stopped_early=True, n_retain=n_retain)
 
 
 def test_record_format_fixed_order_and_six_digits():
     line = format_record(_record())
-    assert line.startswith("method=orthograd_per_sample seed=0 epoch=7 ")
+    assert line.startswith("method=orthograd_per_sample seed=0 A_u=")
     assert "A_u=96.4123" in line          # 6 significant digits
     assert "stopped_early=true" in line
     assert line.split()[-1] == "n_retain=500"
@@ -107,7 +109,7 @@ def test_table_reprints_reference_scores():
                 uis_value=uis(81.06, 78.22, 81.04)),
         _record(method="neggrad_plus", seed=0,
                 uis_value=uis(81.06, 75.47, 80.41)),
-        RunRecord(method="original", seed=0, epoch=0, A_u=94.26, A_r=99.9,
+        RunRecord(method="original", seed=0, A_u=94.26, A_r=99.9,
                   A_test=81.06, uis=0.0, stop_epoch=0, stopped_early=False,
                   n_retain=500),
     ]
@@ -144,3 +146,31 @@ def test_sweep_table_groups_by_retain_size():
         ["96.41", "±", "0.00", "99.20", "±", "0.00", "95.80", "±", "0.00", uis_cell, "±", "0.000"]
         for uis_cell in ("0.055", "0.059", "0.074")]
     assert len(lines) == 1 + 1 + 3 + 3
+
+
+# Records in the format written while each record also stored its final epoch, a copy
+# of stop_epoch; the table is the one `orthograd compare` printed for them then.
+EARLIER_RECORDS = """\
+method=neggrad seed=0 epoch=17 A_u=95.6 A_r=98.4 A_test=95.1 uis=0.00883576 stop_epoch=17 stopped_early=true n_retain=500
+method=neggrad seed=1 epoch=17 A_u=95.6 A_r=98.4 A_test=95 uis=0.00935551 stop_epoch=17 stopped_early=true n_retain=500
+method=original seed=0 epoch=0 A_u=100 A_r=100 A_test=96.2 uis=0 stop_epoch=0 stopped_early=false n_retain=500
+method=orthograd_per_sample seed=0 epoch=19 A_u=96 A_r=100 A_test=94.9 uis=0.00779626 stop_epoch=19 stopped_early=true n_retain=100
+method=orthograd_per_sample seed=0 epoch=29 A_u=95.6 A_r=100 A_test=94.8 uis=0.010395 stop_epoch=29 stopped_early=true n_retain=500
+method=orthograd_per_sample seed=1 epoch=26 A_u=96.4 A_r=100 A_test=94.9 uis=0.00779626 stop_epoch=26 stopped_early=true n_retain=500
+"""
+EARLIER_TABLE = """\
+method                 n_retain   n             A_u             A_r          A_test              UIS
+original                    500   1  100.00 ±  0.00  100.00 ±  0.00   96.20 ±  0.00                -
+neggrad                     500   2   95.60 ±  0.00   98.40 ±  0.00   95.05 ±  0.05    0.009 ± 0.000
+orthograd_per_sample        100   1   96.00 ±  0.00  100.00 ±  0.00   94.90 ±  0.00    0.008 ± 0.000
+orthograd_per_sample        500   2   96.00 ±  0.40  100.00 ±  0.00   94.85 ±  0.05    0.009 ± 0.001"""
+
+
+def test_results_file_of_the_earlier_format_parses_and_tables_alike(tmp_path):
+    path = tmp_path / "results.txt"
+    path.write_text(EARLIER_RECORDS, encoding="utf-8")
+    records = parse_records(path)
+    assert render_table(records) == EARLIER_TABLE
+    # rewriting the file drops the epoch key and changes nothing else
+    emit_records(records, path)
+    assert path.read_text(encoding="utf-8") == re.sub(r" epoch=\d+", "", EARLIER_RECORDS)

@@ -31,20 +31,19 @@ def test_adapter_dimension_arithmetic():
     model = attach_lora(base, rank=2, scale=1.0, seed=0)
     # rank * (n_in + n_out) summed over both weight layers
     assert model.dim == 2 * (4 + 8) + 2 * (8 + 3)
-    # each adapted layer's A then B, in the order given, contiguous from 0; param_dim is
+    # each weight layer's A then B, in network order, contiguous from 0; param_dim is
     # where they end and equals the closed formula
-    for sizes, rank, layers in [((4, 8, 3), 2, (0, 1)), ((4, 8, 3), 3, (1,)),
-                                ((5, 7, 6, 3), 2, (2, 0)), ((5, 7, 6, 3), 1, (1, 2, 0)),
-                                ((20, 128, 128, 10), 8, (0, 1, 2))]:
-        adapters = LoraAdapterSet(NetworkSpec(sizes), rank, 1.0, layers)
+    for sizes, rank in [((4, 8, 3), 2), ((4, 8, 3), 3), ((5, 7, 6, 3), 2), ((5, 7, 6, 3), 1),
+                        ((20, 128, 128, 10), 8)]:
+        adapters = LoraAdapterSet(NetworkSpec(sizes), rank, 1.0)
         off = 0
-        for (l, a_off, a_shape, b_off, b_shape), layer in zip(adapters.layout(), layers,
-                                                              strict=True):
-            n_in, n_out = sizes[layer], sizes[layer + 1]
-            assert (l, a_off, a_shape, b_off, b_shape) == (
-                layer, off, (rank, n_in), off + rank * n_in, (n_out, rank))
+        for (a_off, a_shape, b_off, b_shape), n_in, n_out in zip(adapters.layout(), sizes,
+                                                                 sizes[1:]):
+            assert (a_off, a_shape, b_off, b_shape) == (
+                off, (rank, n_in), off + rank * n_in, (n_out, rank))
             off += rank * (n_in + n_out)
-        assert off == adapters.param_dim == sum(rank * (sizes[l] + sizes[l + 1]) for l in layers)
+        assert len(adapters.layout()) == len(sizes) - 1
+        assert off == adapters.param_dim == sum(rank * (a + b) for a, b in zip(sizes, sizes[1:]))
 
 
 def test_effective_multiplier():
@@ -56,9 +55,9 @@ def test_effective_multiplier():
 def test_attach_is_zero_delta_bitwise():
     base = make_base((5, 10, 4), "relu", seed=3)
     model = attach_lora(base, rank=3, scale=16.0, seed=7)
-    for slot in range(len(model.adapters.layers)):
-        assert np.all(model.b_matrix(slot) == 0.0)
-        assert not np.all(model.a_matrix(slot) == 0.0)
+    for l in range(base.spec.n_layers):
+        assert np.all(model.b_matrix(l) == 0.0)
+        assert not np.all(model.a_matrix(l) == 0.0)
     x = np.random.default_rng(11).normal(size=(6, 5))
     assert np.array_equal(model.forward(x), base.forward(x))
     merged = model.merged()
@@ -69,7 +68,7 @@ def test_hand_rank_one_merge_delta():
     # 2x2 layer, rank 1, scale 1: A = [[1, 0]], B = [[0], [1]]
     # output-major update B A = [[0, 0], [1, 0]]
     base = make_base((2, 2), "relu", seed=1)
-    adapters = LoraAdapterSet(spec=base.spec, rank=1, scale=1.0, layers=(0,))
+    adapters = LoraAdapterSet(spec=base.spec, rank=1, scale=1.0)
     theta = np.array([1.0, 0.0, 0.0, 1.0])  # A block then B block
     model = AdaptedModel(base, adapters, theta)
     assert np.array_equal(model.weight_delta(0), np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -92,13 +91,12 @@ def test_merge_matches_adapted_forward():
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-@pytest.mark.parametrize("layers", [None, (1,), (0, 2)])
-def test_merged_equals_reference_fold_bitwise(activation, layers):
+def test_merged_equals_reference_fold_bitwise(activation):
     # merged() writes the cached adapted weights into a copy of the base; the
     # fold it replaced added the scaled B A to the base weights in place
     base = make_base((6, 12, 5, 3), activation, seed=15)
     before = base.flat.copy()
-    model = attach_lora(base, rank=2, scale=8.0, layers=layers, seed=16)
+    model = attach_lora(base, rank=2, scale=8.0, seed=16)
     rng = np.random.default_rng(17)
     for _ in range(5):
         model = model.apply_update(rng.normal(size=model.dim), 0.05)
@@ -130,13 +128,13 @@ def test_mean_grad_matches_finite_differences_in_adapter_space():
 def test_mean_grad_matches_the_hand_derived_chain_rule():
     # the mean gradient is the row sum of the factor blocks, (m delta B)^T a and
     # delta^T (m a A^T); the reference associates it as (a^T delta) B instead
-    spec = NetworkSpec((6, 12, 8, 3), "tanh")
     worst = 0.0
-    for seed in range(4):
-        base = init_params(spec, seed)
-        for rank in (1, 2, 3):
-            for layers in ((0,), (1, 2), (2, 0), (0, 1, 2)):
-                model = attach_lora(base, rank=rank, scale=8.0, layers=layers, seed=seed + 10)
+    for sizes in ((6, 3), (6, 12, 3), (6, 12, 8, 3)):
+        spec = NetworkSpec(sizes, "tanh")
+        for seed in range(4):
+            base = init_params(spec, seed)
+            for rank in (1, 2, 3):
+                model = attach_lora(base, rank=rank, scale=8.0, seed=seed + 10)
                 model = model.apply_update(
                     np.random.default_rng(seed + 20).normal(size=model.dim), 0.1)
                 batch = random_batch(spec, 9, seed + 30)
@@ -159,16 +157,16 @@ def test_per_sample_adapter_columns_average_to_mean():
 
 
 def test_per_sample_adapter_factors_act_as_the_dense_matrix():
-    # every layer and a partial set; saturated models (weights scaled 31x)
-    # give exactly-zero per-sample gradients
+    # one to three weight layers; saturated models (weights scaled 31x) give
+    # exactly-zero per-sample gradients
     zero_columns = 0
     for activation in ("relu", "tanh"):
-        for layers in (None, (1,), (0, 2)):
+        for sizes in ((6, 4), (6, 9, 4), (6, 12, 9, 4)):
             for saturate in (False, True):
-                base = make_base((6, 12, 9, 4), activation, seed=30)
+                base = make_base(sizes, activation, seed=30)
                 if saturate:
                     base = ParamVector(31.0 * base.flat, base.spec)
-                model = attach_lora(base, rank=3, scale=6.0, layers=layers, seed=31)
+                model = attach_lora(base, rank=3, scale=6.0, seed=31)
                 model = model.apply_update(np.random.default_rng(32).normal(size=model.dim),
                                            0.05)
                 batch = random_batch(base.spec, 10, 33)
@@ -192,24 +190,12 @@ def test_biases_never_adapted():
         assert np.array_equal(merged.biases(l), base.biases(l))
 
 
-def test_partial_layer_adaptation():
-    base = make_base((4, 8, 3), seed=22)
-    model = attach_lora(base, rank=2, scale=4.0, layers=(1,), seed=23)
-    assert model.dim == 2 * (8 + 3)
-    model = model.apply_update(np.ones(model.dim), 0.1)
-    merged = model.merged()
-    assert np.array_equal(merged.weights(0), base.weights(0))
-    assert not np.array_equal(merged.weights(1), base.weights(1))
-
-
 def test_attach_validation():
     base = make_base((4, 8, 3))
     with pytest.raises(ValueError):
         attach_lora(base, rank=0, scale=1.0)
     with pytest.raises(ValueError):
         attach_lora(base, rank=5, scale=1.0)   # rank > min(4, 8) at layer 0
-    with pytest.raises(ValueError):
-        attach_lora(base, rank=1, scale=1.0, layers=(2,))
     with pytest.raises(ValueError):
         attach_lora(base, rank=1, scale=-1.0)
 
@@ -228,12 +214,12 @@ def test_adapter_checkpoint_round_trip(tmp_path):
     model = attach_lora(base, rank=2, scale=8.0, seed=31)
     model = model.apply_update(np.random.default_rng(32).normal(size=model.dim), 0.05)
     path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, model, seed=31)
+    save_adapter_checkpoint(path, model)
     loaded = load_adapter_checkpoint(path, base)
     assert loaded.adapters == model.adapters
     assert np.array_equal(loaded.theta, model.theta)
     first = path.read_bytes()
-    save_adapter_checkpoint(path, loaded, seed=31)
+    save_adapter_checkpoint(path, loaded)
     assert path.read_bytes() == first
 
 
@@ -241,7 +227,7 @@ def test_failed_adapter_checkpoint_rename_keeps_the_previous_file(tmp_path, monk
     base = make_base((5, 10, 4), seed=30)
     model = attach_lora(base, rank=2, scale=8.0, seed=31)
     path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, model, seed=31)
+    save_adapter_checkpoint(path, model)
     first = path.read_bytes()
 
     def failing_replace(src, dst):
@@ -249,7 +235,7 @@ def test_failed_adapter_checkpoint_rename_keeps_the_previous_file(tmp_path, monk
 
     monkeypatch.setattr(os, "replace", failing_replace)
     with pytest.raises(OSError, match="rename refused"):
-        save_adapter_checkpoint(path, model.apply_update(np.ones(model.dim), 0.1), seed=31)
+        save_adapter_checkpoint(path, model.apply_update(np.ones(model.dim), 0.1))
     assert path.read_bytes() == first
     assert [p.name for p in tmp_path.iterdir()] == ["adapters.ckpt"]
 
@@ -258,19 +244,18 @@ def test_adapter_checkpoint_rejects_wrong_base(tmp_path):
     base = make_base((5, 10, 4), seed=30)
     model = attach_lora(base, rank=2, scale=8.0, seed=31)
     path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, model, seed=31)
+    save_adapter_checkpoint(path, model)
     other = make_base((5, 12, 4), seed=30)
     with pytest.raises(ValueError):
         load_adapter_checkpoint(path, other)
 
 
 @pytest.mark.parametrize("section, key", [("adapter", "rank"), ("adapter", "scale"),
-                                          ("adapter", "layers"), ("model", "layer_sizes"),
-                                          ("model", "activation")])
+                                          ("model", "layer_sizes"), ("model", "activation")])
 def test_adapter_checkpoint_missing_metadata_key_names_file_and_key(tmp_path, section, key):
     base = make_base((5, 10, 4), seed=30)
     path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, attach_lora(base, rank=2, scale=8.0, seed=31), seed=31)
+    save_adapter_checkpoint(path, attach_lora(base, rank=2, scale=8.0, seed=31))
     line = next(l for l in path.read_bytes().split(b"\n") if l.startswith(key.encode() + b" = "))
     edit_metadata(path, line, None)
     with pytest.raises(ValueError,
@@ -289,9 +274,59 @@ def test_reused_effective_weights_equal_recomputed_bitwise():
     rng = np.random.default_rng(14)
     for _ in range(3):
         model = model.apply_update(rng.normal(size=model.dim), 0.05)
-        fresh = base.weight_list()
-        for slot, (l, *_rest) in enumerate(model.adapters.layout()):
-            fresh[l] = fresh[l] + model.weight_delta(slot).T
+        fresh = [w + model.weight_delta(l).T for l, w in enumerate(base.weight_list())]
         reused = model.effective_weights
         assert reused is model.effective_weights
         assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+
+
+def _earlier_adapter_file(path, layers: str, seed: int, theta: np.ndarray) -> None:
+    """An adapter file of a rank-2, scale-8 set on a (5, 10, 4) tanh base, in the format
+    written while adapters could sit on a subset of the layers: its metadata also lists
+    the adapted ``layers`` and the attach ``seed``."""
+    meta = (f"ORTHOGRAD-LORA v1\n[adapter]\nrank = 2\nscale = 8.0\nlayers = {layers}\n"
+            f"seed = {seed}\nd = {theta.size}\n[model]\nlayer_sizes = 5,10,4\n"
+            f"activation = tanh\n\n")
+    path.write_bytes(meta.encode("utf-8") + theta.astype("<f8").tobytes())
+
+
+def test_adapter_file_of_the_earlier_format_loads_bit_for_bit(tmp_path):
+    base = make_base((5, 10, 4), seed=30)
+    model = attach_lora(base, rank=2, scale=8.0, seed=31)
+    model = model.apply_update(np.random.default_rng(32).normal(size=model.dim), 0.05)
+    old = tmp_path / "old.ckpt"
+    _earlier_adapter_file(old, "0,1", 31, model.theta)
+    loaded = load_adapter_checkpoint(old, base)
+    assert loaded.adapters == model.adapters
+    assert np.array_equal(loaded.theta, model.theta)
+    # the file written now is the same file without those two lines
+    new = tmp_path / "new.ckpt"
+    save_adapter_checkpoint(new, loaded)
+    assert new.read_bytes() == old.read_bytes().replace(b"layers = 0,1\nseed = 31\n", b"")
+
+
+def test_adapter_file_of_a_partial_layer_set_fails_the_payload_check(tmp_path):
+    # adapters on layer 1 alone hold 2 * (10 + 4) values; every layer's hold 58
+    base = make_base((5, 10, 4), seed=30)
+    path = tmp_path / "partial.ckpt"
+    _earlier_adapter_file(path, "1", 0, np.random.default_rng(33).normal(size=28))
+    with pytest.raises(ValueError, match=r"partial\.ckpt: payload has 28 values, expected 58$"):
+        load_adapter_checkpoint(path, base)
+
+
+@pytest.mark.parametrize("old, new, wording", [
+    (b"rank = 2", b"rank = x", "invalid literal for int() with base 10: 'x'"),
+    (b"rank = 2", b"rank = 5", "rank 5 exceeds min(n_in, n_out)=4 at layer 1"),
+    (None, None, "payload of 461 bytes is not a whole number of float64 values"),
+], ids=["rank-x", "rank-5", "truncated-payload"])
+def test_malformed_adapter_checkpoint_value_names_the_file(tmp_path, old, new, wording):
+    base = make_base((5, 10, 4), seed=30)
+    path = tmp_path / "adapters.ckpt"
+    save_adapter_checkpoint(path, attach_lora(base, rank=2, scale=8.0, seed=31))
+    if old is None:   # 58 values, 464 bytes, cut by 3
+        path.write_bytes(path.read_bytes()[:-3])
+    else:
+        edit_metadata(path, old, new)
+    with pytest.raises(ValueError) as err:
+        load_adapter_checkpoint(path, base)
+    assert str(err.value) == f"{path}: {wording}"

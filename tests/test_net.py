@@ -9,6 +9,7 @@ from helpers import (
     check_factors_against_dense, edit_metadata, forward_reference, pretrain_reference,
 )
 from orthograd import net
+from orthograd.config import ConfigError
 from orthograd.data import Dataset
 from orthograd.lora import attach_lora
 from orthograd.net import (
@@ -349,6 +350,19 @@ def test_checkpoint_missing_metadata_key_names_file_and_key(tmp_path, key):
     edit_metadata(path, b"[model]", b"[other]")
     with pytest.raises(ValueError, match=r"model.ckpt: checkpoint missing \[model\] metadata"):
         load_checkpoint(path)
+
+
+def test_checkpoint_metadata_syntax_error_names_the_file_once(tmp_path):
+    # the metadata parser's ConfigError already starts with the file and line, and
+    # passes through the loader's prefix unchanged
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, init_params(NetworkSpec((3, 2), "relu"), 1), seed=1)
+    edit_metadata(path, b"seed = 1", b"seed 1")
+    with pytest.raises(ConfigError) as err:
+        load_checkpoint(path)
+    message = str(err.value)
+    assert message.startswith(f"{path}:") and message.count(str(path)) == 1
+    assert message.endswith(": expected 'key = value' or '[section]', got 'seed 1'")
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
