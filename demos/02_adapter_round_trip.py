@@ -1,25 +1,20 @@
-"""Low-rank adapters: attach, train, merge, save, reload.
+"""Low-rank adapters: attach, train, merge.
 
 Adapters let the unlearning loop touch a ~20x smaller parameter vector
-while the base network stays frozen.  Three guarantees matter and all
-three are checked here with exact comparisons:
+while the base network stays frozen.  Two guarantees matter and both
+are checked here:
 
   1. attaching is a no-op: the adapted model's logits are bit-identical
      to the base model's until the adapter moves
   2. merging is faithful: folding B@A into the base weights reproduces
      the adapted model's logits to float precision
-  3. checkpoints round-trip: adapter state written to disk comes back
-     bit-identical
 
 Run:  python3 demos/02_adapter_round_trip.py
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
-from orthograd.lora import attach_lora, load_adapter_checkpoint, save_adapter_checkpoint
+from orthograd.lora import attach_lora
 from orthograd.net import Batch, NetworkSpec, init_params
 
 spec = NetworkSpec((20, 128, 128, 10), "relu")
@@ -46,11 +41,3 @@ for _ in range(5):
 merged = model.merged()
 gap = np.max(np.abs(merged.forward(probe) - model.forward(probe)))
 print(f"after 5 updates, |merged logits - adapted logits| max = {gap:.2e}")
-
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "adapter.ckpt"
-    save_adapter_checkpoint(path, model)
-    loaded = load_adapter_checkpoint(path, base)
-    ok = np.array_equal(loaded.theta, model.theta)
-    print(f"adapter checkpoint round-trip bit-identical: {ok}")
-    print(f"checkpoint size on disk: {path.stat().st_size} bytes")

@@ -18,26 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
-from .config import write_atomic
-from .net import (
-    Model, NetworkSpec, ParamVector, _checkpoint_errors, _decode_checkpoint, _encode_checkpoint,
-    _metadata,
-)
+from .net import Model, NetworkSpec, ParamVector
 
 __all__ = [
     "LoraAdapterSet",
     "AdaptedModel",
     "attach_lora",
-    "save_adapter_checkpoint",
-    "load_adapter_checkpoint",
-    "ADAPTER_HEADER",
 ]
-
-ADAPTER_HEADER = "ORTHOGRAD-LORA v1"
 
 
 @dataclass(frozen=True)
@@ -159,40 +149,3 @@ def attach_lora(base: ParamVector, rank: int, scale: float, seed: int = 0) -> Ad
         theta[a_off:a_off + size] = rng.normal(0.0, np.sqrt(1.0 / n_in), size=size)
     return AdaptedModel(base, adapters, theta)
 
-
-# ---------------------------------------------------------------------------
-# adapter checkpoints: same container as model checkpoints, different header
-
-
-def save_adapter_checkpoint(path, model: AdaptedModel) -> None:
-    adapters = model.adapters
-    sections = {
-        "adapter": {
-            "rank": str(adapters.rank),
-            "scale": repr(float(adapters.scale)),
-            "d": str(model.dim),
-        },
-        "model": {
-            "layer_sizes": ",".join(str(s) for s in adapters.spec.layer_sizes),
-            "activation": adapters.spec.activation,
-        },
-    }
-    write_atomic(path, _encode_checkpoint(ADAPTER_HEADER, sections, model.theta))
-
-
-def load_adapter_checkpoint(path, base: ParamVector) -> AdaptedModel:
-    """Read an adapter checkpoint onto ``base``; a malformed file is a ValueError naming it."""
-    blob = Path(path).read_bytes()
-    with _checkpoint_errors(path):
-        sections, payload = _decode_checkpoint(blob, ADAPTER_HEADER, path)
-        rank, scale = _metadata(sections, "adapter", ("rank", "scale"))
-        sizes, activation = _metadata(sections, "model", ("layer_sizes", "activation"))
-        sizes = tuple(int(s) for s in sizes.split(","))
-        spec = NetworkSpec(sizes, activation)
-        if spec != base.spec:
-            raise ValueError(f"adapter architecture {sizes} does not match base model")
-        adapters = LoraAdapterSet(spec=spec, rank=int(rank), scale=float(scale))
-        if payload.shape[0] != adapters.param_dim:
-            raise ValueError(f"payload has {payload.shape[0]} values, "
-                             f"expected {adapters.param_dim}")
-    return AdaptedModel(base, adapters, payload.copy())

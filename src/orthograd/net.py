@@ -17,7 +17,6 @@ the mean gradient is the row sum of the factors of the mean-scaled pass.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -288,13 +287,6 @@ def _activate(name: str, z: np.ndarray) -> None:
         np.tanh(z, out=z)
 
 
-def _activation_grad(name: str, act: np.ndarray) -> np.ndarray:
-    # from the stored activation output; relu's output is > 0 exactly where its input is
-    if name == "relu":
-        return (act > 0.0).astype(np.float64)
-    return 1.0 - act * act
-
-
 def _forward_layers(weights, biases, activation, x):
     """Forward pass; returns (logits, activations).
 
@@ -371,7 +363,13 @@ def _engine_pass(weights, biases, spec: NetworkSpec, batch: Batch, per_sample: b
     for l in range(len(weights) - 1, -1, -1):
         deltas[l] = delta
         if l > 0:
-            delta = (delta @ weights[l].T) * _activation_grad(spec.activation, acts[l])
+            # the activation's derivative, from its stored output: relu's output is > 0
+            # exactly where its input is, and the bool mask multiplies as 1.0 or 0.0
+            delta = delta @ weights[l].T
+            if spec.activation == "relu":
+                delta *= acts[l] > 0.0
+            else:
+                delta *= 1.0 - acts[l] * acts[l]
     return logits, acts, deltas
 
 
@@ -444,38 +442,26 @@ def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
 # checkpoint format: text metadata block, blank line, raw float64 payload
 
 
-def _encode_checkpoint(header: str, sections, payload: np.ndarray) -> bytes:
+def _encode_checkpoint(sections, payload: np.ndarray) -> bytes:
     # metadata must stay free of blank lines: the first blank line is the
     # metadata/payload boundary
-    text = header + "\n" + format_sections(sections)
+    text = CHECKPOINT_HEADER + "\n" + format_sections(sections)
     return text.encode("utf-8") + b"\n\n" + payload.astype("<f8").tobytes()
 
 
-def _decode_checkpoint(blob: bytes, header: str, path) -> tuple[dict, np.ndarray]:
+def _decode_checkpoint(blob: bytes, path) -> tuple[dict, np.ndarray]:
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise ValueError("malformed checkpoint (no metadata/payload separator)")
-    text = blob[:sep].decode("utf-8")
-    lines = text.split("\n", 1)
-    if lines[0] != header:
-        raise ValueError(f"expected header {header!r}, got {lines[0]!r}")
-    sections = parse_sections_text(lines[1] if len(lines) > 1 else "", source=str(path))
+    header, _, text = blob[:sep].decode("utf-8").partition("\n")
+    if header != CHECKPOINT_HEADER:
+        raise ValueError(f"expected header {CHECKPOINT_HEADER!r}, got {header!r}")
+    # the header line parses as a blank line, so a syntax error names the file's own line
+    sections = parse_sections_text("\n" + text, source=str(path))
     raw = blob[sep + 2:]
     if len(raw) % 8:
         raise ValueError(f"payload of {len(raw)} bytes is not a whole number of float64 values")
     return sections, np.frombuffer(raw, dtype="<f8")
-
-
-@contextmanager
-def _checkpoint_errors(path):
-    """A ValueError raised inside, reraised naming the checkpoint file first; a metadata
-    syntax error, a ConfigError, already names the file and the line."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_checkpoint(path, params: ParamVector, seed: int) -> None:
@@ -486,32 +472,31 @@ def save_checkpoint(path, params: ParamVector, seed: int) -> None:
         "seed": str(int(seed)),
         "d": str(params.dim),
     }
-    write_atomic(path, _encode_checkpoint(CHECKPOINT_HEADER, {"model": meta}, params.flat))
-
-
-def _metadata(sections: dict, name: str, keys) -> list[str]:
-    """The values of ``keys`` in a checkpoint's ``[name]`` section; a missing section
-    or key is a ValueError."""
-    if name not in sections:
-        raise ValueError(f"checkpoint missing [{name}] metadata")
-    missing = [key for key in keys if key not in sections[name]]
-    if missing:
-        raise ValueError(f"checkpoint [{name}] metadata missing {', '.join(missing)}")
-    return [sections[name][key] for key in keys]
+    write_atomic(path, _encode_checkpoint({"model": meta}, params.flat))
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
     """Read a model checkpoint; returns (params, metadata dict).  A malformed file is a
-    ValueError naming it."""
+    ValueError naming it; a metadata syntax error, a ConfigError, already names the file
+    and the line."""
     blob = Path(path).read_bytes()
-    with _checkpoint_errors(path):
-        sections, payload = _decode_checkpoint(blob, CHECKPOINT_HEADER, path)
-        sizes, activation, seed, d = _metadata(sections, "model",
-                                               ("layer_sizes", "activation", "seed", "d"))
-        spec = NetworkSpec(tuple(int(s) for s in sizes.split(",")), activation)
-        seed, d = int(seed), int(d)
+    try:
+        sections, payload = _decode_checkpoint(blob, path)
+        if "model" not in sections:
+            raise ValueError("checkpoint missing [model] metadata")
+        meta = sections["model"]
+        missing = [key for key in ("layer_sizes", "activation", "seed", "d") if key not in meta]
+        if missing:
+            raise ValueError(f"checkpoint [model] metadata missing {', '.join(missing)}")
+        spec = NetworkSpec(tuple(int(s) for s in meta["layer_sizes"].split(",")),
+                           meta["activation"])
+        seed, d = int(meta["seed"]), int(meta["d"])
         if d != spec.param_dim:
             raise ValueError(f"metadata d={d} does not match architecture ({spec.param_dim})")
         if payload.shape[0] != d:
             raise ValueError(f"payload has {payload.shape[0]} values, expected {d}")
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return ParamVector(payload.copy(), spec), {"seed": seed, "d": d}

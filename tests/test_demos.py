@@ -1,8 +1,8 @@
 """The self-contained demos run to completion.
 
-Demos 01 and 02 call the public gradient, update, merge and adapter
-checkpoint names; each runs as its own process, from a scratch directory,
-with warnings as errors.
+Demos 01 and 02 call the public gradient, update, attach and merge names;
+each runs as its own process, from a scratch directory, with warnings as
+errors.
 Demos 03-05 write run directories under ``configs/`` and stay out.
 """
 

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
-from helpers import (
-    adapter_mean_grad_reference, check_factors_against_dense, edit_metadata, merge_reference,
-)
-from orthograd.lora import (
-    AdaptedModel, LoraAdapterSet, attach_lora, load_adapter_checkpoint, save_adapter_checkpoint,
-)
+from helpers import adapter_mean_grad_reference, check_factors_against_dense, merge_reference
+from orthograd.lora import AdaptedModel, LoraAdapterSet, attach_lora
 from orthograd.net import Batch, NetworkSpec, ParamVector, init_params
 
 
@@ -209,63 +203,6 @@ def test_attach_deterministic_in_seed():
     assert not np.array_equal(a.theta, c.theta)
 
 
-def test_adapter_checkpoint_round_trip(tmp_path):
-    base = make_base((5, 10, 4), seed=30)
-    model = attach_lora(base, rank=2, scale=8.0, seed=31)
-    model = model.apply_update(np.random.default_rng(32).normal(size=model.dim), 0.05)
-    path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, model)
-    loaded = load_adapter_checkpoint(path, base)
-    assert loaded.adapters == model.adapters
-    assert np.array_equal(loaded.theta, model.theta)
-    first = path.read_bytes()
-    save_adapter_checkpoint(path, loaded)
-    assert path.read_bytes() == first
-
-
-def test_failed_adapter_checkpoint_rename_keeps_the_previous_file(tmp_path, monkeypatch):
-    base = make_base((5, 10, 4), seed=30)
-    model = attach_lora(base, rank=2, scale=8.0, seed=31)
-    path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, model)
-    first = path.read_bytes()
-
-    def failing_replace(src, dst):
-        raise OSError("rename refused")
-
-    monkeypatch.setattr(os, "replace", failing_replace)
-    with pytest.raises(OSError, match="rename refused"):
-        save_adapter_checkpoint(path, model.apply_update(np.ones(model.dim), 0.1))
-    assert path.read_bytes() == first
-    assert [p.name for p in tmp_path.iterdir()] == ["adapters.ckpt"]
-
-
-def test_adapter_checkpoint_rejects_wrong_base(tmp_path):
-    base = make_base((5, 10, 4), seed=30)
-    model = attach_lora(base, rank=2, scale=8.0, seed=31)
-    path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, model)
-    other = make_base((5, 12, 4), seed=30)
-    with pytest.raises(ValueError):
-        load_adapter_checkpoint(path, other)
-
-
-@pytest.mark.parametrize("section, key", [("adapter", "rank"), ("adapter", "scale"),
-                                          ("model", "layer_sizes"), ("model", "activation")])
-def test_adapter_checkpoint_missing_metadata_key_names_file_and_key(tmp_path, section, key):
-    base = make_base((5, 10, 4), seed=30)
-    path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, attach_lora(base, rank=2, scale=8.0, seed=31))
-    line = next(l for l in path.read_bytes().split(b"\n") if l.startswith(key.encode() + b" = "))
-    edit_metadata(path, line, None)
-    with pytest.raises(ValueError,
-                       match=f"adapters.ckpt: checkpoint \\[{section}\\] metadata missing {key}$"):
-        load_adapter_checkpoint(path, base)
-    edit_metadata(path, f"[{section}]".encode(), b"[other]")
-    with pytest.raises(ValueError, match=f"adapters.ckpt: checkpoint missing \\[{section}\\] metadata"):
-        load_adapter_checkpoint(path, base)
-
-
 def test_reused_effective_weights_equal_recomputed_bitwise():
     # the adapted weights are built once per model; every read, and every
     # updated model, must see exactly what a fresh computation gives
@@ -278,55 +215,3 @@ def test_reused_effective_weights_equal_recomputed_bitwise():
         reused = model.effective_weights
         assert reused is model.effective_weights
         assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
-
-
-def _earlier_adapter_file(path, layers: str, seed: int, theta: np.ndarray) -> None:
-    """An adapter file of a rank-2, scale-8 set on a (5, 10, 4) tanh base, in the format
-    written while adapters could sit on a subset of the layers: its metadata also lists
-    the adapted ``layers`` and the attach ``seed``."""
-    meta = (f"ORTHOGRAD-LORA v1\n[adapter]\nrank = 2\nscale = 8.0\nlayers = {layers}\n"
-            f"seed = {seed}\nd = {theta.size}\n[model]\nlayer_sizes = 5,10,4\n"
-            f"activation = tanh\n\n")
-    path.write_bytes(meta.encode("utf-8") + theta.astype("<f8").tobytes())
-
-
-def test_adapter_file_of_the_earlier_format_loads_bit_for_bit(tmp_path):
-    base = make_base((5, 10, 4), seed=30)
-    model = attach_lora(base, rank=2, scale=8.0, seed=31)
-    model = model.apply_update(np.random.default_rng(32).normal(size=model.dim), 0.05)
-    old = tmp_path / "old.ckpt"
-    _earlier_adapter_file(old, "0,1", 31, model.theta)
-    loaded = load_adapter_checkpoint(old, base)
-    assert loaded.adapters == model.adapters
-    assert np.array_equal(loaded.theta, model.theta)
-    # the file written now is the same file without those two lines
-    new = tmp_path / "new.ckpt"
-    save_adapter_checkpoint(new, loaded)
-    assert new.read_bytes() == old.read_bytes().replace(b"layers = 0,1\nseed = 31\n", b"")
-
-
-def test_adapter_file_of_a_partial_layer_set_fails_the_payload_check(tmp_path):
-    # adapters on layer 1 alone hold 2 * (10 + 4) values; every layer's hold 58
-    base = make_base((5, 10, 4), seed=30)
-    path = tmp_path / "partial.ckpt"
-    _earlier_adapter_file(path, "1", 0, np.random.default_rng(33).normal(size=28))
-    with pytest.raises(ValueError, match=r"partial\.ckpt: payload has 28 values, expected 58$"):
-        load_adapter_checkpoint(path, base)
-
-
-@pytest.mark.parametrize("old, new, wording", [
-    (b"rank = 2", b"rank = x", "invalid literal for int() with base 10: 'x'"),
-    (b"rank = 2", b"rank = 5", "rank 5 exceeds min(n_in, n_out)=4 at layer 1"),
-    (None, None, "payload of 461 bytes is not a whole number of float64 values"),
-], ids=["rank-x", "rank-5", "truncated-payload"])
-def test_malformed_adapter_checkpoint_value_names_the_file(tmp_path, old, new, wording):
-    base = make_base((5, 10, 4), seed=30)
-    path = tmp_path / "adapters.ckpt"
-    save_adapter_checkpoint(path, attach_lora(base, rank=2, scale=8.0, seed=31))
-    if old is None:   # 58 values, 464 bytes, cut by 3
-        path.write_bytes(path.read_bytes()[:-3])
-    else:
-        edit_metadata(path, old, new)
-    with pytest.raises(ValueError) as err:
-        load_adapter_checkpoint(path, base)
-    assert str(err.value) == f"{path}: {wording}"

@@ -354,15 +354,41 @@ def test_checkpoint_missing_metadata_key_names_file_and_key(tmp_path, key):
 
 def test_checkpoint_metadata_syntax_error_names_the_file_once(tmp_path):
     # the metadata parser's ConfigError already starts with the file and line, and
-    # passes through the loader's prefix unchanged
+    # passes through the loader's prefix unchanged; the line is the file's own, header
+    # line included
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(NetworkSpec((3, 2), "relu"), 1), seed=1)
-    edit_metadata(path, b"seed = 1", b"seed 1")
+    edit_metadata(path, b"seed = 1", b"seed 1")   # line 5
     with pytest.raises(ConfigError) as err:
         load_checkpoint(path)
-    message = str(err.value)
-    assert message.startswith(f"{path}:") and message.count(str(path)) == 1
-    assert message.endswith(": expected 'key = value' or '[section]', got 'seed 1'")
+    assert str(err.value) == f"{path}:5: expected 'key = value' or '[section]', got 'seed 1'"
+
+
+# A (2, 2) relu model's checkpoint, byte for byte: the header, the [model] keys in
+# order, a blank line, then the six parameters as little-endian float64.
+_CHECKPOINT_BYTES = (
+    b"ORTHOGRAD-CKPT v1\n[model]\nlayer_sizes = 2,2\nactivation = relu\nseed = 7\nd = 6\n\n"
+    + bytes.fromhex("000000000000e03f"    # 0.5
+                    "000000000000f4bf"    # -1.25
+                    "9a9999999999b93f"    # 0.1
+                    "0000000000000000"    # 0.0
+                    "0000000000000840"    # 3.0
+                    "000000000000e8bf")   # -0.75
+)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    flat = np.array([0.5, -1.25, 0.1, 0.0, 3.0, -0.75])
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ParamVector(flat, NetworkSpec((2, 2), "relu")), seed=7)
+    assert path.read_bytes() == _CHECKPOINT_BYTES
+    # a file of these bytes loads bit for bit, and saving it again gives the same bytes
+    path.write_bytes(_CHECKPOINT_BYTES)
+    loaded, meta = load_checkpoint(path)
+    assert loaded.spec == NetworkSpec((2, 2), "relu") and meta == {"seed": 7, "d": 6}
+    assert loaded.flat.tobytes() == flat.tobytes()
+    save_checkpoint(path, loaded, seed=meta["seed"])
+    assert path.read_bytes() == _CHECKPOINT_BYTES
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
