@@ -11,15 +11,17 @@ The punchline is the conflicting-batch demo at the end: when two retain
 samples pull in opposing directions, the mean direction represents
 neither, and projecting against it still lets the update damage
 individual samples.  Projecting against the full per-sample span cannot.
+Each batch is a ``data.Dataset`` of rows, the one row type the gradient
+calls take.
 
 Run:  python3 demos/01_projection_geometry.py
 """
 
 import numpy as np
 
+from orthograd.data import Dataset
 from orthograd.linalg import project_out_span
 from orthograd.net import (
-    Batch,
     NetworkSpec,
     ParamVector,
     PerSampleGrads,
@@ -29,8 +31,8 @@ from orthograd.net import (
 
 def random_batch(spec, k, seed):
     rng = np.random.default_rng(seed)
-    return Batch(rng.normal(size=(k, spec.layer_sizes[0])),
-                 rng.integers(0, spec.layer_sizes[-1], size=k))
+    return Dataset(rng.normal(size=(k, spec.in_dim)),
+                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 def max_abs_cos(direction, columns):
@@ -44,7 +46,7 @@ def project_off_mean(g_u, grads):
 
 
 def sample_loss(params, x, y):
-    loss, _ = params.mean_loss_and_grad(Batch(x[None, :], np.array([y])))
+    loss, _ = params.mean_loss_and_grad(Dataset(x[None, :], np.array([y]), params.spec.n_classes))
     return loss
 
 
@@ -76,7 +78,7 @@ def main():
     for name, direction in (("raw g_u", g_u), ("projected", vs_all)):
         v = direction / np.linalg.norm(direction)
         ratios = []
-        for i in range(batch_r.size):
+        for i in range(len(batch_r)):
             x, y = batch_r.inputs[i], int(batch_r.labels[i])
             base = sample_loss(params, x, y)
             d1 = sample_loss(ParamVector(params.flat + 1e-3 * v, spec), x, y) - base
@@ -92,8 +94,8 @@ def main():
     params3 = init_params(spec3, seed=10)
     rng = np.random.default_rng(10)
     x = rng.normal(size=6)
-    batch_conflict = Batch(np.vstack([x, x]), np.array([0, 1]))
-    batch_u3 = Batch(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
+    batch_conflict = Dataset(np.vstack([x, x]), np.array([0, 1]), 3)
+    batch_u3 = Dataset(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4), 3)
 
     grads3 = params3.per_sample_factors(batch_conflict)
     cols3 = grads3.dense()

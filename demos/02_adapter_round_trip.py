@@ -9,13 +9,16 @@ are checked here:
   2. merging is faithful: folding B@A into the base weights reproduces
      the adapted model's logits to float precision
 
+The training batches are ``data.Dataset`` rows, as everywhere else.
+
 Run:  python3 demos/02_adapter_round_trip.py
 """
 
 import numpy as np
 
+from orthograd.data import Dataset
 from orthograd.lora import attach_lora
-from orthograd.net import Batch, NetworkSpec, init_params
+from orthograd.net import NetworkSpec, init_params
 
 spec = NetworkSpec((20, 128, 128, 10), "relu")
 base = init_params(spec, seed=4)
@@ -34,7 +37,7 @@ print(f"\nlogits bit-identical at attach: {same}")
 # a few descent steps on random data move the adapter off zero
 rng = np.random.default_rng(45)
 for _ in range(5):
-    batch = Batch(rng.normal(size=(8, 20)), rng.integers(0, 10, size=8))
+    batch = Dataset(rng.normal(size=(8, 20)), rng.integers(0, 10, size=8), 10)
     _, g = model.mean_loss_and_grad(batch)
     model = model.apply_update(g, 0.05)
 

@@ -22,7 +22,7 @@ from .evaluation import AccuracyReport, RunRecord, evaluate_splits, uis
 from .linalg import project_out_span
 from .lora import AdaptedModel, LoraAdapterSet, attach_lora
 from .net import (
-    Batch, NetworkSpec, ParamVector, PerSampleGrads, evaluate_accuracy, init_params,
+    NetworkSpec, ParamVector, PerSampleGrads, evaluate_accuracy, init_params,
     load_checkpoint, pretrain, save_checkpoint,
 )
 from .unlearn import (
@@ -33,7 +33,7 @@ from .unlearn import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyReport", "AdaptedModel", "Batch", "Dataset", "LoraAdapterSet",
+    "AccuracyReport", "AdaptedModel", "Dataset", "LoraAdapterSet",
     "MethodKind", "NetworkSpec", "ParamVector", "PerSampleGrads", "RunRecord",
     "Splits", "StoppingRule", "UnlearnConfig", "UnlearnResult",
     "attach_lora", "evaluate_accuracy", "evaluate_splits", "gen_gaussian_blobs",

@@ -15,6 +15,7 @@ typos are easy to find.  ``format_sections`` emits a canonical rendering
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -24,7 +25,6 @@ from . import data
 
 __all__ = [
     "ConfigError",
-    "parse_sections",
     "format_sections",
     "parse_sections_text",
     "write_atomic",
@@ -124,6 +124,12 @@ def _seed(value: str) -> int:
     return int(value)
 
 
+def _finite(value: str) -> float:
+    if not math.isfinite(float(value)):   # inf, nan, and literals that overflow to inf
+        raise ValueError(value)
+    return float(value)
+
+
 Seed = int   # a field annotated Seed holds a random seed, which is never negative
 
 # each value type a key or a results field can have, by its annotation: (parse, what a
@@ -131,7 +137,7 @@ Seed = int   # a field annotated Seed holds a random seed, which is never negati
 _VALUE_TYPES = {
     "str": (str, None),
     "int": (int, "an integer"),
-    "float": (float, "a number"),
+    "float": (_finite, "a finite number"),
     "bool": ({"true": True, "false": False}.__getitem__, "'true' or 'false'"),
     "tuple[int, ...]": (lambda v: tuple(int(part) for part in v.split(",")),
                         "comma-separated integers"),

@@ -29,7 +29,6 @@ __all__ = [
     "AccuracyReport",
     "RunRecord",
     "evaluate_splits",
-    "RECORD_FIELDS",
     "format_record",
     "parse_record_line",
     "parse_records",

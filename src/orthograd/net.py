@@ -13,6 +13,8 @@ itself at new coordinates; ``ParamVector`` is the full space and
 ``lora.AdaptedModel`` the adapter space.  Per-sample gradients come out
 factored per layer (``PerSampleGrads``), never as a dense (d, k) matrix, and
 the mean gradient is the row sum of the factors of the mean-scaled pass.
+Every batch is a ``data.Dataset``; the gradient calls check it against the
+network, and pretraining takes its batches as subsets of one checked set.
 """
 
 from __future__ import annotations
@@ -23,13 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, format_sections, parse_sections_text, write_atomic
+from .data import Dataset
 
 __all__ = [
-    "ACTIVATIONS",
     "NetworkSpec",
     "Model",
     "ParamVector",
-    "Batch",
     "PerSampleGrads",
     "init_params",
     "evaluate_accuracy",
@@ -37,7 +38,6 @@ __all__ = [
     "pretrain",
     "save_checkpoint",
     "load_checkpoint",
-    "CHECKPOINT_HEADER",
 ]
 
 ACTIVATIONS = ("relu", "tanh")
@@ -107,18 +107,18 @@ class Model:
         """Logits for a batch of inputs, shape (k, n_classes)."""
         return _logits(*self._layers(), self.spec, inputs)
 
-    def _factors(self, batch: Batch, per_sample: bool):
+    def _factors(self, batch: Dataset, per_sample: bool):
         """(logits, factored gradients) of a checked batch; see ``_engine_pass`` for the scale."""
         logits, acts, deltas = _engine_pass(*self._layers(), self.spec, batch, per_sample)
         return logits, PerSampleGrads(self.dim, self._blocks(acts, deltas))
 
-    def mean_loss_and_grad(self, batch: Batch) -> tuple[float, np.ndarray]:
+    def mean_loss_and_grad(self, batch: Dataset) -> tuple[float, np.ndarray]:
         """Mean softmax cross-entropy over the batch and its gradient over ``coords``."""
         _check_batch(batch, self.spec)
         logits, grads = self._factors(batch, per_sample=False)
         return float(np.mean(_cross_entropy_losses(logits, batch.labels))), grads.sum()
 
-    def per_sample_factors(self, batch: Batch) -> PerSampleGrads:
+    def per_sample_factors(self, batch: Dataset) -> PerSampleGrads:
         """Each sample's own loss gradient over ``coords``, factored; ``mean()`` matches
         ``mean_loss_and_grad`` up to roundoff."""
         _check_batch(batch, self.spec)
@@ -186,22 +186,6 @@ class ParamVector(Model):
         return ParamVector(flat, self.spec)
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Mini-batch of inputs (k, n_in) and integer labels (k,)."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", np.asarray(self.inputs, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
-
 class PerSampleGrads:
     """k per-sample gradients in R^d as per-layer outer-product factors, O(k * width).
 
@@ -260,18 +244,17 @@ class PerSampleGrads:
         return g
 
 
-def _check_batch(batch, spec: NetworkSpec) -> None:
+def _check_batch(batch: Dataset, spec: NetworkSpec) -> None:
+    """What a ``Dataset`` does not check itself: rows, and its fit to the network."""
     x, y = batch.inputs, batch.labels
     n_in, n_classes = spec.in_dim, spec.n_classes
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError(f"batch inputs must be (k, n_in) with k >= 1, got shape {x.shape}")
+    if len(batch) < 1:
+        raise ValueError("batch has no rows, needs k >= 1")
     if x.shape[1] != n_in:
         raise ValueError(f"batch inputs have {x.shape[1]} features, network expects {n_in}")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"batch labels must have shape ({x.shape[0]},), got {y.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("batch inputs contain non-finite values")
-    if y.min() < 0 or y.max() >= n_classes:
+    if y.max() >= n_classes:
         raise ValueError(f"batch labels must lie in [0, {n_classes}), got range [{y.min()}, {y.max()}]")
 
 
@@ -346,7 +329,7 @@ def _cross_entropy_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -logp[np.arange(logits.shape[0]), labels]
 
 
-def _engine_pass(weights, biases, spec: NetworkSpec, batch: Batch, per_sample: bool):
+def _engine_pass(weights, biases, spec: NetworkSpec, batch: Dataset, per_sample: bool):
     """Forward and backward pass over a checked batch; returns (logits, acts, deltas).
 
     ``deltas[l]`` is the loss gradient at layer l's pre-activation, one row
@@ -354,7 +337,7 @@ def _engine_pass(weights, biases, spec: NetworkSpec, batch: Batch, per_sample: b
     divided by the batch size so that row sums give the mean gradient.
     """
     logits, acts = _forward_layers(weights, biases, spec.activation, batch.inputs)
-    k = batch.size
+    k = len(batch)
     delta = _softmax(logits)
     delta[np.arange(k), batch.labels] -= 1.0
     if not per_sample:
@@ -416,25 +399,29 @@ def check_schedule(epochs: int, batch_size: int, eta: float) -> None:
 
 def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
              eta: float, seed: int) -> ParamVector:
-    """Mini-batch gradient descent from a fresh init; deterministic in seed.  The dataset is
-    checked once (every batch is a subset of its rows); one copy of the init trains in place."""
+    """Mini-batch gradient descent from a fresh init; deterministic in seed.  The dataset
+    (any object with ``inputs`` and ``labels``) is checked once, and every batch is a subset
+    of its rows; one copy of the init trains in place.  Training that ends with a
+    non-finite parameter, as a too large ``eta`` can, is a ValueError."""
     check_schedule(epochs, batch_size, eta)
-    rows = Batch(dataset.inputs, dataset.labels)
-    if rows.size == 0:
+    rows = Dataset(dataset.inputs, dataset.labels, spec.n_classes)
+    if len(rows) == 0:
         raise ValueError("cannot pretrain on an empty dataset")
     _check_batch(rows, spec)
     flat = init_params(spec, seed).flat.copy()
     params = ParamVector(flat, spec)
     grad = np.empty_like(flat)
     shuffle_rng = np.random.default_rng([seed, 1])
-    for _ in range(epochs):
-        order = shuffle_rng.permutation(rows.size)
-        for start in range(0, rows.size, batch_size):
-            idx = order[start:start + batch_size]
-            batch = Batch(rows.inputs[idx], rows.labels[idx])
-            params._factors(batch, per_sample=False)[1].sum(out=grad)
-            grad *= eta   # the bits of flat - eta * grad, without a temporary
-            flat -= grad
+    with np.errstate(over="ignore", invalid="ignore"):   # a diverging run: reported below
+        for _ in range(epochs):
+            order = shuffle_rng.permutation(len(rows))
+            for start in range(0, len(rows), batch_size):
+                batch = rows.subset(order[start:start + batch_size])
+                params._factors(batch, per_sample=False)[1].sum(out=grad)
+                grad *= eta   # the bits of flat - eta * grad, without a temporary
+                flat -= grad
+    if not np.all(np.isfinite(flat)):
+        raise ValueError(f"training diverged to non-finite parameters at eta = {eta}")
     return params
 
 
@@ -476,9 +463,9 @@ def save_checkpoint(path, params: ParamVector, seed: int) -> None:
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
-    """Read a model checkpoint; returns (params, metadata dict).  A malformed file is a
-    ValueError naming it; a metadata syntax error, a ConfigError, already names the file
-    and the line."""
+    """Read a model checkpoint; returns (params, metadata dict).  A malformed file, or one
+    whose payload holds a non-finite value, is a ValueError naming it; a metadata syntax
+    error, a ConfigError, already names the file and the line."""
     blob = Path(path).read_bytes()
     try:
         sections, payload = _decode_checkpoint(blob, path)
@@ -495,6 +482,8 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
             raise ValueError(f"metadata d={d} does not match architecture ({spec.param_dim})")
         if payload.shape[0] != d:
             raise ValueError(f"payload has {payload.shape[0]} values, expected {d}")
+        if not np.all(np.isfinite(payload)):
+            raise ValueError("payload holds non-finite values")
     except ConfigError:
         raise
     except ValueError as exc:

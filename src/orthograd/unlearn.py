@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import net
-from .data import Splits
+from .data import Dataset, Splits
 from .evaluation import AccuracyReport, evaluate_splits
 from .linalg import project_out_span
 from .lora import attach_lora
@@ -160,7 +160,7 @@ class UnlearnResult:
 # update rules
 
 
-def orthograd_step(model, batch_u: net.Batch, batch_r: net.Batch, cfg: UnlearnConfig):
+def orthograd_step(model, batch_u: Dataset, batch_r: Dataset, cfg: UnlearnConfig):
     """One update of ``cfg.method``; returns (updated model, diagnostics or None).
 
     Diagnostics come only with a projection.  The per-sample variant's basis
@@ -243,10 +243,8 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
     for epoch in range(cfg.max_epochs + 1):
         order = order_rng.permutation(n_u) if epoch else []   # epoch 0 takes no steps
         for start in range(0, len(order), cfg.unlearn_batch):
-            idx = order[start:start + cfg.unlearn_batch]
-            batch_u = net.Batch(splits.unlearn.inputs[idx], splits.unlearn.labels[idx])
-            ridx = next(retain_batches)
-            batch_r = net.Batch(splits.retain.inputs[ridx], splits.retain.labels[ridx])
+            batch_u = splits.unlearn.subset(order[start:start + cfg.unlearn_batch])
+            batch_r = splits.retain.subset(next(retain_batches))
             model, _ = orthograd_step(model, batch_u, batch_r, cfg)
         trace.append(evaluate_splits(model, splits))
         stopped = stopping_check(trace[-1], cfg.stopping)

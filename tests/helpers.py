@@ -9,7 +9,7 @@ import numpy as np
 from orthograd import net
 from orthograd.data import Dataset
 from orthograd.linalg import project_out_span
-from orthograd.net import Batch, ParamVector, init_params
+from orthograd.net import ParamVector, init_params
 from orthograd.unlearn import MethodKind
 
 
@@ -80,7 +80,8 @@ def pretrain_reference(spec, dataset, epochs: int, batch_size: int, eta: float,
         order = shuffle_rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start:start + batch_size]
-            _, grad = params.mean_loss_and_grad(Batch(dataset.inputs[idx], dataset.labels[idx]))
+            batch = Dataset(dataset.inputs[idx], dataset.labels[idx], spec.n_classes)
+            _, grad = params.mean_loss_and_grad(batch)
             params = params.apply_update(grad, eta)
     return params
 
@@ -129,7 +130,7 @@ def combine_update_reference(g_retain_mean: np.ndarray, g_unlearn: np.ndarray,
     return alpha * g_retain_mean - (1.0 - alpha) * g_unlearn
 
 
-def step_reference(model, batch_u: Batch, batch_r: Batch, cfg):
+def step_reference(model, batch_u: Dataset, batch_r: Dataset, cfg):
     """Reference for ``unlearn.orthograd_step``: the two steps it replaced, the projected one
     for the orthograd methods and ``baseline_step`` for the rest.  Returns the updated model
     and, for a projection, ``(basis rank, ||g_u||, g_u_perp)``."""
@@ -165,7 +166,7 @@ def merge_reference(base: ParamVector, model) -> ParamVector:
     return merged
 
 
-def adapter_mean_grad_reference(model, batch: Batch) -> np.ndarray:
+def adapter_mean_grad_reference(model, batch: Dataset) -> np.ndarray:
     """Reference for the adapter-space mean gradient: the hand-derived chain rule
     that ``AdaptedModel.mean_loss_and_grad`` used before the shared factor route.
 
@@ -254,11 +255,11 @@ def check_factors_against_dense(grads, dense: np.ndarray, mean_grad: np.ndarray,
 
 def sample_loss(params: ParamVector, x: np.ndarray, y: int) -> float:
     """Cross-entropy of a single sample."""
-    loss, _ = params.mean_loss_and_grad(Batch(x[None, :], np.array([y])))
+    loss, _ = params.mean_loss_and_grad(Dataset(x[None, :], [y], params.spec.n_classes))
     return loss
 
 
-def loss_change_ratios(params: ParamVector, batch: Batch, direction: np.ndarray,
+def loss_change_ratios(params: ParamVector, batch: Dataset, direction: np.ndarray,
                        eps: float = 1e-3) -> np.ndarray:
     """Per-sample |loss(theta + eps v) - loss(theta)| / same at eps/2.
 
@@ -266,8 +267,8 @@ def loss_change_ratios(params: ParamVector, batch: Batch, direction: np.ndarray,
     (the first-order term vanished); near 2 means first order dominates.
     """
     v = direction / np.linalg.norm(direction)
-    ratios = np.empty(batch.size)
-    for i in range(batch.size):
+    ratios = np.empty(len(batch))
+    for i in range(len(batch)):
         x, y = batch.inputs[i], int(batch.labels[i])
         base = sample_loss(params, x, y)
         d_full = sample_loss(ParamVector(params.flat + eps * v, params.spec), x, y) - base

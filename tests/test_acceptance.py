@@ -23,12 +23,11 @@ from helpers import (
 )
 from orthograd import linalg
 from orthograd.cli import main
-from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
+from orthograd.data import Dataset, gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import uis
 from orthograd.linalg import default_drop_tol, project_out_span
 from orthograd.lora import attach_lora
 from orthograd.net import (
-    Batch,
     NetworkSpec,
     ParamVector,
     PerSampleGrads,
@@ -48,10 +47,10 @@ RETAIN_SIZES = (100, 500, 2000)
 SEEDS = (0, 1, 2)
 
 
-def random_batch(spec: NetworkSpec, k: int, seed: int) -> Batch:
+def random_batch(spec: NetworkSpec, k: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
-    return Batch(rng.normal(size=(k, spec.layer_sizes[0])),
-                 rng.integers(0, spec.layer_sizes[-1], size=k))
+    return Dataset(rng.normal(size=(k, spec.in_dim)),
+                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +181,8 @@ def test_04_mean_projection_leaks_per_sample_does_not():
     rng = np.random.default_rng(10)
     params = init_params(spec, 10)
     x = rng.normal(size=6)
-    b_r = Batch(np.vstack([x, x]), np.array([0, 1]))
-    b_u = Batch(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
+    b_r = Dataset(np.vstack([x, x]), np.array([0, 1]), 3)
+    b_u = Dataset(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4), 3)
 
     cols = params.per_sample_factors(b_r).dense()
     assert cosine(cols[:, 0], cols[:, 1]) < 0.0
@@ -281,7 +280,7 @@ def test_07_adapter_attach_and_merge_fidelity():
     # push the adapter away from zero, then merge and compare logits
     rng = np.random.default_rng(45)
     for _ in range(5):
-        batch = Batch(rng.normal(size=(8, 16)), rng.integers(0, 10, size=8))
+        batch = Dataset(rng.normal(size=(8, 16)), rng.integers(0, 10, size=8), 10)
         _, g = model.mean_loss_and_grad(batch)
         model = model.apply_update(g, 0.05)
     merged = model.merged()
@@ -375,8 +374,7 @@ def test_12_factored_steps_orthogonal_to_dense_retain_columns(world):
         for _ in range(steps):
             iu = rng.choice(len(splits.unlearn), 32, replace=False)
             ir = rng.choice(len(splits.retain), k_r, replace=False)
-            b_u = Batch(splits.unlearn.inputs[iu], splits.unlearn.labels[iu])
-            b_r = Batch(splits.retain.inputs[ir], splits.retain.labels[ir])
+            b_u, b_r = splits.unlearn.subset(iu), splits.retain.subset(ir)
             cols = model.per_sample_factors(b_r).dense()
             stepped, diag = orthograd_step(model, b_u, b_r, cfg)
             perp = (0.9 * cols.mean(axis=1) - (model.coords - stepped.coords) / eta) / 0.1
@@ -422,8 +420,7 @@ def test_13_kernel_keeps_reference_columns_on_desk_grams(world, monkeypatch):
         for _ in range(12):
             iu = rng.choice(len(splits.unlearn), 32, replace=False)
             ir = rng.choice(len(splits.retain), k_r, replace=False)
-            b_u = Batch(splits.unlearn.inputs[iu], splits.unlearn.labels[iu])
-            b_r = Batch(splits.retain.inputs[ir], splits.retain.labels[ir])
+            b_u, b_r = splits.unlearn.subset(iu), splits.retain.subset(ir)
             model, diag = orthograd_step(model, b_u, b_r, cfg)
             gram, tol, dim, w = seen[-1]
             _, kept_ref = cholesky_keep_reference(gram, tol, dim)

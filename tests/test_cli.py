@@ -13,7 +13,8 @@ from helpers import edit_metadata, save_csv_dataset
 from orthograd import net
 from orthograd.cli import main
 from orthograd.config import (
-    ConfigError, ExperimentConfig, format_sections, load_experiment_config, parse_sections_text,
+    _SECTION_KEYS, ConfigError, ExperimentConfig, _unlearn_keys, format_sections,
+    load_experiment_config, parse_sections_text,
 )
 from orthograd.data import gen_gaussian_blobs, partition_train_test
 from orthograd.evaluation import parse_records
@@ -227,26 +228,33 @@ def test_each_method_runs_at_its_own_configured_seed(workdir):
                      "orthograd_per_sample": 2}
 
 
-# one malformed value of each type in each section that has a key of that type:
-# (section, key, value, what the key expects)
+# one malformed value of each type in each section that has a key of that type, and a
+# non-finite value for every float key: (section, key, value, what the key expects)
 MALFORMED_VALUES = [
     ("dataset", "classes", "three", "an integer"),
-    ("dataset", "spread", "wide", "a number"),
+    ("dataset", "spread", "wide", "a finite number"),
     ("network", "layer_sizes", "5,a,3", "comma-separated integers"),
     ("pretrain", "epochs", "2.5", "an integer"),
-    ("pretrain", "eta", "fast", "a number"),
+    ("pretrain", "eta", "fast", "a finite number"),
     ("splits", "retain_size", "forty", "an integer"),
-    ("splits", "fraction", "1/10", "a number"),
+    ("splits", "fraction", "1/10", "a finite number"),
     ("unlearn", "max_epochs", "3.0", "an integer"),
-    ("unlearn", "alpha", "0,9", "a number"),
+    ("unlearn", "alpha", "0,9", "a finite number"),
     ("unlearn", "use_lora", "yes", "'true' or 'false'"),
     ("unlearn.neggrad", "seed", "two", "an integer"),
-    ("unlearn.neggrad", "eta", "abc", "a number"),
+    ("unlearn.neggrad", "eta", "abc", "a finite number"),
     ("unlearn.neggrad", "use_lora", "True", "'true' or 'false'"),
     ("unlearn.finetune", "lora_rank", "two", "an integer"),
     ("dataset", "seed", "-3", "a non-negative integer"),
     ("pretrain", "seed", "-1", "a non-negative integer"),
     ("splits", "seed", "-1", "a non-negative integer"),
+    ("dataset", "spread", "inf", "a finite number"),
+    ("pretrain", "eta", "inf", "a finite number"),
+    ("splits", "fraction", "nan", "a finite number"),
+    ("unlearn", "alpha", "nan", "a finite number"),
+    ("unlearn", "eta", "1e999", "a finite number"),   # overflows to inf
+    ("unlearn", "stop_threshold", "nan", "a finite number"),
+    ("unlearn.orthograd_per_sample", "lora_scale", "-inf", "a finite number"),
 ]
 
 
@@ -271,27 +279,46 @@ def test_malformed_unlearn_value_is_usage_error(workdir, capsys):
                     if p.is_file()} == written
 
 
+def _float_keys() -> set[tuple[str, str]]:
+    """Every (section, key) of TINY_CONFIG whose value is a float, by the config's types."""
+    field_types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+
+    def key_type(section, key):
+        if section in _SECTION_KEYS:
+            return field_types[_SECTION_KEYS[section][key]]
+        return _unlearn_keys()[key]   # [unlearn] and [unlearn.<method>]
+
+    return {(section, key) for section, table in parse_sections_text(TINY_CONFIG).items()
+            for key in table if key_type(section, key) == "float"}
+
+
 def _config_mutants():
-    """TINY_CONFIG with one change each: a key left out or set to -1, 0 or a word, an
-    unknown key in a section, or an unknown [unlearn.<method>] section."""
+    """TINY_CONFIG with one change each, and whether it must be rejected: a key left out or
+    set to -1, 0 or a word, a float key set to inf or nan (rejected), an unknown key in a
+    section, or an unknown [unlearn.<method>] section (rejected)."""
+    float_keys = _float_keys()
+    assert len(float_keys) == 6   # spread, both etas, fraction, alpha, lora_scale
     for section, table in parse_sections_text(TINY_CONFIG).items():
         for key in [*table, "bogus"]:
-            for value in ([None, "-1", "0", "two"] if key in table else ["1"]):
+            values = [None, "-1", "0", "two"] if key in table else ["1"]
+            non_finite = ["inf", "nan"] if (section, key) in float_keys else []
+            for value in values + non_finite:
                 sections = parse_sections_text(TINY_CONFIG)
                 if value is None:
                     del sections[section][key]
                 else:
                     sections[section][key] = value
-                yield sections
-    yield {**parse_sections_text(TINY_CONFIG), "unlearn.warp": {"eta": "1"}}
+                yield sections, value in non_finite
+    yield {**parse_sections_text(TINY_CONFIG), "unlearn.warp": {"eta": "1"}}, True
 
 
 def test_config_mutants_exit_0_or_usage_error_before_any_write(workdir, capsys):
-    # each command runs, or exits 2 naming the config before it writes; none exits 1.
+    # each command runs, or exits 2 naming the config before it writes; none exits 1,
+    # and a non-finite float always exits 2.
     # Each mutant starts in a copy of one pretrained directory, so unlearn has a checkpoint
     base, _ = workdir
     assert main(["pretrain", str(base / "exp.cfg")]) == 0
-    for i, sections in enumerate(_config_mutants()):
+    for i, (sections, rejected) in enumerate(_config_mutants()):
         shutil.copytree(base / "out", base / f"m{i}" / "out")
         cfg_path = base / f"m{i}" / "exp.cfg"
         cfg_path.write_text(format_sections(sections) + "\n", encoding="utf-8")
@@ -300,7 +327,7 @@ def test_config_mutants_exit_0_or_usage_error_before_any_write(workdir, capsys):
             capsys.readouterr()
             rc = main(argv)
             err = capsys.readouterr().err
-            assert rc in (0, 2), (argv[0], sections, err)
+            assert rc in ((2,) if rejected else (0, 2)), (argv[0], sections, err)
             if rc == 2:
                 assert err.startswith(f"orthograd: {cfg_path}: "), (argv[0], sections, err)
                 assert {p: p.read_bytes() for p in cfg_path.parent.rglob("*")
@@ -329,6 +356,16 @@ def test_out_of_range_dataset_or_pretrain_value_is_usage_error(workdir, capsys, 
     assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 2
     assert capsys.readouterr().err.startswith(f"orthograd: {cfg_path}: {named}")
     assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
+
+
+def test_pretrain_that_diverges_is_usage_error_before_any_write(workdir, capsys):
+    # eta = 1e10 is in range, but training at it ends with every parameter NaN
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace("eta = 0.1", "eta = 1e10"), encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (f"orthograd: {cfg_path}: pretrain: training diverged to "
+                                       f"non-finite parameters at eta = 10000000000.0\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method, table, named", [
@@ -553,6 +590,21 @@ def test_malformed_checkpoint_value_is_runtime_error_naming_the_file(workdir, ca
     assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 1
     assert capsys.readouterr().err == f"orthograd: {ckpt}: {wording}\n"
     assert not (tmp_path / "out" / "runs").exists()
+
+
+def test_non_finite_checkpoint_value_is_runtime_error_before_any_write(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    ckpt = tmp_path / "out" / "pretrained.ckpt"
+    blob = ckpt.read_bytes()   # 111 values; the first one becomes inf
+    sep = blob.index(b"\n\n") + 2
+    ckpt.write_bytes(blob[:sep] + np.array([np.inf], dtype="<f8").tobytes() + blob[sep + 8:])
+    written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 1
+    assert capsys.readouterr().err == f"orthograd: {ckpt}: payload holds non-finite values\n"
+    assert not (tmp_path / "out" / "runs").exists()
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
 
 
 def test_pretrain_unlearn_compare_workflow(workdir, capsys):

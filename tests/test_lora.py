@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import adapter_mean_grad_reference, check_factors_against_dense, merge_reference
+from orthograd.data import Dataset
 from orthograd.lora import AdaptedModel, LoraAdapterSet, attach_lora
-from orthograd.net import Batch, NetworkSpec, ParamVector, init_params
+from orthograd.net import NetworkSpec, ParamVector, init_params
 
 
 def make_base(sizes=(4, 8, 3), activation="tanh", seed=0):
@@ -16,8 +17,8 @@ def make_base(sizes=(4, 8, 3), activation="tanh", seed=0):
 
 def random_batch(spec, k, seed):
     rng = np.random.default_rng(seed)
-    return Batch(rng.normal(size=(k, spec.in_dim)),
-                 rng.integers(0, spec.n_classes, size=k))
+    return Dataset(rng.normal(size=(k, spec.in_dim)),
+                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 def test_adapter_dimension_arithmetic():
@@ -165,9 +166,8 @@ def test_per_sample_adapter_factors_act_as_the_dense_matrix():
                                            0.05)
                 batch = random_batch(base.spec, 10, 33)
                 dense = model.per_sample_factors(batch).dense()
-                for i in range(batch.size):   # each column is that sample's own gradient
-                    _, g = model.mean_loss_and_grad(Batch(batch.inputs[i:i + 1],
-                                                          batch.labels[i:i + 1]))
+                for i in range(len(batch)):   # each column is that sample's own gradient
+                    _, g = model.mean_loss_and_grad(batch.subset([i]))
                     assert np.abs(dense[:, i] - g).max() <= 1e-12 * max(1.0, np.abs(g).max())
                 zero_columns += int(np.count_nonzero(~dense.any(axis=0)))
                 _, mean_grad = model.mean_loss_and_grad(batch)

@@ -10,15 +10,15 @@ from helpers import (
 )
 from orthograd import net
 from orthograd.config import ConfigError
-from orthograd.data import Dataset
+from orthograd.data import Dataset, gen_gaussian_blobs, partition_train_test
 from orthograd.lora import attach_lora
 from orthograd.net import (
-    Batch, NetworkSpec, ParamVector, evaluate_accuracy, init_params, load_checkpoint,
+    NetworkSpec, ParamVector, evaluate_accuracy, init_params, load_checkpoint,
     pretrain, save_checkpoint, _chunk_rows,
 )
 
 
-def finite_difference_grad(params: ParamVector, batch: Batch, eps: float = 1e-5) -> np.ndarray:
+def finite_difference_grad(params: ParamVector, batch: Dataset, eps: float = 1e-5) -> np.ndarray:
     """Independent oracle: central differences on the mean loss, coordinate-wise."""
     grad = np.empty(params.dim)
     base = params.flat
@@ -32,10 +32,10 @@ def finite_difference_grad(params: ParamVector, batch: Batch, eps: float = 1e-5)
     return grad
 
 
-def random_batch(spec: NetworkSpec, k: int, seed: int) -> Batch:
+def random_batch(spec: NetworkSpec, k: int, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
-    return Batch(rng.normal(size=(k, spec.in_dim)),
-                 rng.integers(0, spec.n_classes, size=k))
+    return Dataset(rng.normal(size=(k, spec.in_dim)),
+                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 def test_param_dim_arithmetic():
@@ -116,9 +116,8 @@ def test_per_sample_column_is_single_sample_gradient():
     params = init_params(spec, 9)
     batch = random_batch(spec, 5, 77)
     cols = params.per_sample_factors(batch).dense()
-    for i in range(batch.size):
-        single = Batch(batch.inputs[i:i + 1], batch.labels[i:i + 1])
-        _, g = params.mean_loss_and_grad(single)
+    for i in range(len(batch)):
+        _, g = params.mean_loss_and_grad(batch.subset([i]))
         assert np.abs(cols[:, i] - g).max() <= 1e-12
 
 
@@ -153,8 +152,7 @@ def test_loss_invariant_under_batch_duplication():
     spec = NetworkSpec((4, 6, 3), "tanh")
     params = init_params(spec, 21)
     batch = random_batch(spec, 9, 22)
-    doubled = Batch(np.vstack([batch.inputs, batch.inputs]),
-                    np.concatenate([batch.labels, batch.labels]))
+    doubled = batch.subset(np.tile(np.arange(len(batch)), 2))
     l1, g1 = params.mean_loss_and_grad(batch)
     l2, g2 = params.mean_loss_and_grad(doubled)
     assert abs(l1 - l2) <= 1e-12 * max(1.0, abs(l1))
@@ -165,7 +163,7 @@ def test_softmax_stability_extreme_logits():
     spec = NetworkSpec((2, 2), "relu")
     flat = np.array([1000.0, -1000.0, 0.0, 0.0, 0.0, 0.0])
     params = ParamVector(flat, spec)
-    batch = Batch(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]))
+    batch = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0, 1]), 2)
     loss, grad = params.mean_loss_and_grad(batch)
     assert np.isfinite(loss)
     assert np.all(np.isfinite(grad))
@@ -209,20 +207,25 @@ def test_apply_update_is_descent_step():
 
 
 def test_batch_validation_errors():
-    # every public gradient entry point checks its batch; the engine pass does not
+    # every public gradient entry point checks its batch against the network (a Dataset
+    # checks its own label shape and range); the engine pass does not
     spec = NetworkSpec((3, 4, 2), "relu")
     params = init_params(spec, 0)
     adapted = attach_lora(params, rank=1, scale=2.0, seed=1)
+    bad = {
+        "batch has no rows": Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2),
+        "batch inputs have 5 features, network expects 3":
+            Dataset(np.zeros((2, 5)), np.array([0, 1]), 2),
+        r"batch labels must lie in \[0, 2\), got range \[0, 2\]":   # a 3-class dataset
+            Dataset(np.zeros((2, 3)), np.array([0, 2]), 3),
+        "batch inputs contain non-finite values":
+            Dataset(np.full((2, 3), np.nan), np.array([0, 1]), 2),
+    }
     for grad_fn in (params.mean_loss_and_grad, params.per_sample_factors,
                     adapted.mean_loss_and_grad, adapted.per_sample_factors):
-        with pytest.raises(ValueError):
-            grad_fn(Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
-        with pytest.raises(ValueError):
-            grad_fn(Batch(np.zeros((2, 5)), np.array([0, 1])))
-        with pytest.raises(ValueError):
-            grad_fn(Batch(np.zeros((2, 3)), np.array([0, 2])))
-        with pytest.raises(ValueError):
-            grad_fn(Batch(np.full((2, 3), np.nan), np.array([0, 1])))
+        for message, batch in bad.items():
+            with pytest.raises(ValueError, match=message):
+                grad_fn(batch)
 
 
 class _ArrayData:
@@ -289,6 +292,22 @@ def test_pretrain_matches_reference_loop_bitwise(activation, monkeypatch):
                 assert got.flat is not init.flat
 
 
+def test_pretrain_that_diverges_is_an_error(monkeypatch):
+    # a relu net at eta = 1e10 ends with every parameter NaN; the check runs once, after
+    # the loop, so every batch still takes its step
+    train, _ = partition_train_test(gen_gaussian_blobs(3, 5, 52, spread=1.0, seed=7), 40)
+    spec = NetworkSpec((5, 12, 3), "relu")
+    passes = []
+    engine_pass = net._engine_pass
+    monkeypatch.setattr(net, "_engine_pass", lambda *args: passes.append(1) or engine_pass(*args))
+    with pytest.raises(ValueError, match=r"^training diverged to non-finite parameters at "
+                                         r"eta = 10000000000\.0$"):
+        pretrain(spec, train, epochs=25, batch_size=16, eta=1e10, seed=0)
+    assert len(passes) == 25 * 8   # 120 rows in batches of 16
+    assert np.all(np.isfinite(pretrain(spec, train, epochs=25, batch_size=16, eta=0.1,
+                                       seed=0).flat))
+
+
 @pytest.mark.parametrize("case", ["nan_in_late_row", "label_out_of_range", "wrong_feature_count"])
 def test_pretrain_checks_every_row_before_any_update(case, monkeypatch):
     spec = NetworkSpec((4, 6, 3), "relu")
@@ -336,6 +355,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
     path.write_bytes(b"NOT-A-CKPT v9\n" + blob.split(b"\n", 1)[1])
     with pytest.raises(ValueError):
         load_checkpoint(path)
+    for bad in (np.inf, -np.inf, np.nan):   # the last value, as a float64 of the right length
+        path.write_bytes(blob[:-8] + np.array([bad], dtype="<f8").tobytes())
+        with pytest.raises(ValueError, match=r"model.ckpt: payload holds non-finite values$"):
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize("key", ["layer_sizes", "activation", "seed", "d"])

@@ -9,12 +9,12 @@ from helpers import (
     CyclicSamplerReference, combine_update_reference, cosine, gram_schmidt_basis,
     loss_change_ratios, project_off, step_reference,
 )
-from orthograd.data import gen_gaussian_blobs, make_unlearn_split, partition_train_test
+from orthograd.data import Dataset, gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
 from orthograd.lora import AdaptedModel, attach_lora
 from orthograd.net import (
-    Batch, Model, NetworkSpec, PerSampleGrads, init_params,
+    Model, NetworkSpec, PerSampleGrads, init_params,
 )
 from orthograd.unlearn import (
     MethodKind, StoppingRule, UnlearnConfig, _retain_batches, orthograd_step,
@@ -30,8 +30,8 @@ def make_cfg(method=MethodKind.ORTHOGRAD_PER_SAMPLE, stopping=NEVER, **kw):
 
 def random_batch(spec, k, seed):
     rng = np.random.default_rng(seed)
-    return Batch(rng.normal(size=(k, spec.in_dim)),
-                 rng.integers(0, spec.n_classes, size=k))
+    return Dataset(rng.normal(size=(k, spec.in_dim)),
+                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +128,8 @@ def test_mean_variant_leaks_on_conflicting_retain_batch():
     rng = np.random.default_rng(seed)
     params = init_params(spec, seed)
     x = rng.normal(size=6)
-    b_r = Batch(np.vstack([x, x]), np.array([0, 1]))
-    b_u = Batch(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4))
+    b_r = Dataset(np.vstack([x, x]), np.array([0, 1]), 3)
+    b_u = Dataset(rng.normal(size=(4, 6)), rng.integers(0, 3, size=4), 3)
 
     cols = params.per_sample_factors(b_r).dense()
     assert cosine(cols[:, 0], cols[:, 1]) < 0.0   # genuinely conflicting
@@ -223,7 +223,7 @@ def test_duplicate_retain_samples_count_once():
     spec = NetworkSpec((8, 24, 5), "tanh")
     distinct = random_batch(spec, 5, 900)
     idx = np.array([0, 1, 0, 2, 3, 1, 4, 0, 2])
-    b_r = Batch(distinct.inputs[idx], distinct.labels[idx])
+    b_r = distinct.subset(idx)
     b_u = random_batch(spec, 6, 901)
     for model in both_spaces(spec, 9):
         perp, diag = projected_step(model, b_u, b_r)
@@ -249,7 +249,7 @@ def test_all_zero_retain_batch_leaves_unlearn_gradient_untouched():
     params = params.apply_update(-999.0 * params.flat, 1.0)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(8, spec.in_dim))
-    b_r = Batch(x, np.argmax(params.forward(x), axis=1))
+    b_r = Dataset(x, np.argmax(params.forward(x), axis=1), spec.n_classes)
     b_u = random_batch(spec, 5, 13)
     model = attach_lora(params, rank=2, scale=8.0, seed=14)
     model = model.apply_update(rng.normal(size=model.dim), 1e-3)
