@@ -106,10 +106,11 @@ def cmd_unlearn(args) -> int:
 
     runs_dir = cfg.resolve(cfg.runs_dir)
     runs_dir.mkdir(parents=True, exist_ok=True)
-    records = []
+    records = []   # each run writes its checkpoint, trace and results row as it ends
     for splits, a_p_test, ucfg in runs:
         method, seed, size = ucfg.method, ucfg.seed, splits.n_retain
-        result = run_unlearning(pretrained, splits, ucfg)
+        with usage_errors(f"{cfg.source}: {method.value} seed={seed}"):   # e.g. a diverging run
+            result = run_unlearning(pretrained, splits, ucfg)
         final = result.trace[-1]
         records.append(RunRecord(
             method=method.value, seed=seed, A_u=final.A_u, A_r=final.A_r, A_test=final.A_test,
@@ -124,8 +125,7 @@ def cmd_unlearn(args) -> int:
             for epoch, r in enumerate(result.trace)
         ]
         write_atomic(runs_dir / f"trace-{stem}.txt", ("\n".join(trace_lines) + "\n").encode("utf-8"))
-
-    results_path = _update_results(cfg, records)
+        results_path = _update_results(cfg, records[-1:])
 
     for rec in sorted(records, key=RunRecord.sort_key):
         early = "stopped" if rec.stopped_early else "epoch cap"

@@ -9,7 +9,7 @@ never adapted.
 
 Adapter parameters live in their own flat vector (dimension
 ``sum_l rank * (n_in + n_out)``).  ``AdaptedModel`` is a ``net.Model``: it
-supplies the adapted weights and its one chain-rule map to factor blocks,
+supplies the adapted layer blocks and its one chain-rule map to factor blocks,
 and inherits every gradient operation, so the unlearning steps treat the
 adapter vector exactly like the full-model parameter vector.
 """
@@ -42,8 +42,8 @@ class LoraAdapterSet:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not (self.scale > 0):
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         slots = []
         off = 0
         for l, (n_in, n_out) in enumerate(zip(self.spec.layer_sizes, self.spec.layer_sizes[1:])):
@@ -70,7 +70,7 @@ class AdaptedModel(Model):
 
     Differentiates with respect to the adapter coordinates only.
     ``apply_update`` returns a new model; the base parameters are shared,
-    never copied or mutated.  The effective weights are built once, on first
+    never copied or mutated.  The effective layer blocks are built once, on first
     use, and the forward and gradient passes and ``merged`` read that one copy.
     """
 
@@ -106,12 +106,16 @@ class AdaptedModel(Model):
         return self.adapters.multiplier * (self.b_matrix(layer) @ self.a_matrix(layer))
 
     @cached_property
-    def effective_weights(self) -> tuple[np.ndarray, ...]:
-        """Per layer ``W + (scale/rank) (B A)^T``; shared by every use, do not modify."""
-        return tuple(w + self.weight_delta(l).T for l, w in enumerate(self.base.weight_list()))
+    def effective_layers(self) -> tuple[np.ndarray, ...]:
+        """Per layer the base block with ``(scale/rank) (B A)^T`` added to its weight rows;
+        shared by every use, do not modify."""
+        layers = tuple(w.copy() for w in self.base._layers())
+        for l, w in enumerate(layers):
+            w[:-1] += self.weight_delta(l).T
+        return layers
 
     def _layers(self):
-        return self.effective_weights, self.base.bias_list()
+        return self.effective_layers
 
     def _blocks(self, acts, deltas):
         # per layer, with m the multiplier: the A block (m delta_i B) (x) a_i
@@ -127,11 +131,8 @@ class AdaptedModel(Model):
         return AdaptedModel(self.base, self.adapters, theta)
 
     def merged(self) -> ParamVector:
-        """The base vector with each weight slot holding its effective weight."""
-        merged = ParamVector(self.base.flat.copy(), self.spec)
-        for l, w in enumerate(self.effective_weights):
-            merged.weights(l)[...] = w
-        return merged
+        """The effective layer blocks, concatenated into a full parameter vector."""
+        return ParamVector(np.concatenate([w.ravel() for w in self.effective_layers]), self.spec)
 
 
 def attach_lora(base: ParamVector, rank: int, scale: float, seed: int = 0) -> AdaptedModel:

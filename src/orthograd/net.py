@@ -1,13 +1,13 @@
 """Feed-forward softmax classifier with exact mean and per-sample gradients.
 
 Parameters live in a single flat float64 vector so the unlearning code can
-treat the model as a point in R^d.  Weight matrices are stored input-major,
-shape ``(n_in, n_out)``, followed by the bias vector for the same layer;
+treat the model as a point in R^d.  Each layer is one row-major
+``(n_in + 1, n_out)`` block: its input-major weight rows, then its bias row;
 layers are laid out in network order.
 
 ``Model`` holds the gradient operations of every parameter space once:
 forward, mean loss and gradient, factored per-sample gradients, update and
-merge.  A space supplies its coordinates, the weights its forward pass runs,
+merge.  A space supplies its coordinates, the layer blocks its forward pass runs,
 one chain-rule map from the engine pass to factor blocks, and a copy of
 itself at new coordinates; ``ParamVector`` is the full space and
 ``lora.AdaptedModel`` the adapter space.  Per-sample gradients come out
@@ -65,10 +65,8 @@ class NetworkSpec:
         slots = []
         off = 0
         for n_in, n_out in zip(sizes, sizes[1:]):
-            w_off = off
-            off += n_in * n_out
-            slots.append((w_off, (n_in, n_out), off, (n_out,)))
-            off += n_out
+            slots.append((off, (n_in + 1, n_out)))
+            off += (n_in + 1) * n_out
         object.__setattr__(self, "_layout", tuple(slots))   # not fields: eq/hash/repr skip them
         object.__setattr__(self, "param_dim", off)
 
@@ -84,8 +82,8 @@ class NetworkSpec:
     def n_classes(self) -> int:
         return self.layer_sizes[-1]
 
-    def layout(self) -> tuple[tuple[int, tuple[int, int], int, tuple[int]], ...]:
-        """Per layer: (weight offset, weight shape, bias offset, bias shape)."""
+    def layout(self) -> tuple[tuple[int, tuple[int, int]], ...]:
+        """Per layer: (offset, block shape (n_in + 1, n_out)), the weight rows then the bias row."""
         return self._layout
 
 
@@ -93,7 +91,7 @@ class Model:
     """Gradient operations shared by every parameter space, written once.
 
     A model supplies ``spec`` and four things: ``coords``, the vector its
-    gradients live in; ``_layers()``, the weights and biases its forward pass
+    gradients live in; ``_layers()``, the layer blocks its forward pass
     runs; ``_blocks(acts, deltas)``, its one chain-rule map from the engine
     pass to ``PerSampleGrads`` blocks over ``coords``; and ``_at(coords)``, a
     copy of itself at new coordinates.
@@ -105,11 +103,11 @@ class Model:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Logits for a batch of inputs, shape (k, n_classes)."""
-        return _logits(*self._layers(), self.spec, inputs)
+        return _logits(self._layers(), self.spec, inputs)
 
     def _factors(self, batch: Dataset, per_sample: bool):
         """(logits, factored gradients) of a checked batch; see ``_engine_pass`` for the scale."""
-        logits, acts, deltas = _engine_pass(*self._layers(), self.spec, batch, per_sample)
+        logits, acts, deltas = _engine_pass(self._layers(), self.spec, batch, per_sample)
         return logits, PerSampleGrads(self.dim, self._blocks(acts, deltas))
 
     def mean_loss_and_grad(self, batch: Dataset) -> tuple[float, np.ndarray]:
@@ -140,8 +138,8 @@ class Model:
 class ParamVector(Model):
     """Flat parameter vector bound to its architecture.
 
-    ``weights(l)`` / ``biases(l)`` return views into ``flat``; treat the
-    vector as immutable and produce updates through ``apply_update``.
+    ``layer(l)`` and its rows ``weights(l)`` / ``biases(l)`` are views into ``flat``;
+    treat the vector as immutable and produce updates through ``apply_update``.
     """
 
     flat: np.ndarray
@@ -158,29 +156,24 @@ class ParamVector(Model):
     def coords(self) -> np.ndarray:
         return self.flat
 
-    def weights(self, layer: int) -> np.ndarray:
-        w_off, w_shape, _, _ = self.spec.layout()[layer]
-        return self.flat[w_off:w_off + w_shape[0] * w_shape[1]].reshape(w_shape)
+    def layer(self, l: int) -> np.ndarray:
+        off, shape = self.spec.layout()[l]
+        return self.flat[off:off + shape[0] * shape[1]].reshape(shape)
 
-    def biases(self, layer: int) -> np.ndarray:
-        _, _, b_off, b_shape = self.spec.layout()[layer]
-        return self.flat[b_off:b_off + b_shape[0]]
+    def weights(self, l: int) -> np.ndarray:
+        return self.layer(l)[:-1]
 
-    def weight_list(self) -> list[np.ndarray]:
-        return [self.weights(l) for l in range(self.spec.n_layers)]
-
-    def bias_list(self) -> list[np.ndarray]:
-        return [self.biases(l) for l in range(self.spec.n_layers)]
+    def biases(self, l: int) -> np.ndarray:
+        return self.layer(l)[-1]
 
     def _layers(self):
-        return self.weight_list(), self.bias_list()
+        return [self.layer(l) for l in range(self.spec.n_layers)]
 
     def _blocks(self, acts, deltas):
-        # per layer one (n_in + 1) x n_out block [a_i, 1] (x) delta_i: the weight
-        # rows, then the bias row, as the flat layout stores them
+        # per layer block, sample i's gradient is [a_i, 1] (x) delta_i
         ones = np.ones((deltas[0].shape[0], 1))
-        return [(w_off, np.concatenate((acts[l], ones), axis=1), deltas[l])
-                for l, (w_off, *_) in enumerate(self.spec.layout())]
+        return [(off, np.concatenate((acts[l], ones), axis=1), deltas[l])
+                for l, (off, _) in enumerate(self.spec.layout())]
 
     def _at(self, flat: np.ndarray) -> "ParamVector":
         return ParamVector(flat, self.spec)
@@ -259,7 +252,7 @@ def _check_batch(batch: Dataset, spec: NetworkSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared forward/backward engine (also used with LoRA effective weights)
+# shared forward/backward engine (also used with LoRA effective layers)
 
 
 def _activate(name: str, z: np.ndarray) -> None:
@@ -270,19 +263,19 @@ def _activate(name: str, z: np.ndarray) -> None:
         np.tanh(z, out=z)
 
 
-def _forward_layers(weights, biases, activation, x):
-    """Forward pass; returns (logits, activations).
+def _forward_layers(layers, activation, x):
+    """Forward pass over ``(n_in + 1, n_out)`` layer blocks; returns (logits, activations).
 
     ``acts[0]`` is the input; ``acts[l+1]`` is layer l's output.  The final
     layer is linear (logits), hidden layers apply the activation.  Each
-    layer allocates one array: the bias and the activation apply in place.
+    layer allocates one array: the bias row and the activation apply in place.
     """
     a = np.asarray(x, dtype=np.float64)
     acts = [a]
-    last = len(weights) - 1
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        a = a @ w
-        a += b
+    last = len(layers) - 1
+    for l, block in enumerate(layers):
+        a = a @ block[:-1]
+        a += block[-1]
         if l != last:
             _activate(activation, a)
         acts.append(a)
@@ -300,7 +293,7 @@ def _chunk_rows(spec: NetworkSpec) -> int:
     return max(1, _CHUNK_BYTES // (8 * max(spec.layer_sizes)))
 
 
-def _logits(weights, biases, spec: NetworkSpec, inputs) -> np.ndarray:
+def _logits(layers, spec: NetworkSpec, inputs) -> np.ndarray:
     """Logits of every row of ``inputs``, computed in row chunks."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != spec.in_dim:
@@ -308,8 +301,7 @@ def _logits(weights, biases, spec: NetworkSpec, inputs) -> np.ndarray:
     out = np.empty((x.shape[0], spec.n_classes))
     rows = _chunk_rows(spec)
     for start in range(0, x.shape[0], rows):
-        out[start:start + rows] = _forward_layers(weights, biases, spec.activation,
-                                                  x[start:start + rows])[0]
+        out[start:start + rows] = _forward_layers(layers, spec.activation, x[start:start + rows])[0]
     return out
 
 
@@ -329,26 +321,26 @@ def _cross_entropy_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return -logp[np.arange(logits.shape[0]), labels]
 
 
-def _engine_pass(weights, biases, spec: NetworkSpec, batch: Dataset, per_sample: bool):
+def _engine_pass(layers, spec: NetworkSpec, batch: Dataset, per_sample: bool):
     """Forward and backward pass over a checked batch; returns (logits, acts, deltas).
 
     ``deltas[l]`` is the loss gradient at layer l's pre-activation, one row
     per sample: each sample's own gradient when ``per_sample``, otherwise
     divided by the batch size so that row sums give the mean gradient.
     """
-    logits, acts = _forward_layers(weights, biases, spec.activation, batch.inputs)
+    logits, acts = _forward_layers(layers, spec.activation, batch.inputs)
     k = len(batch)
     delta = _softmax(logits)
     delta[np.arange(k), batch.labels] -= 1.0
     if not per_sample:
         delta /= k
-    deltas = [None] * len(weights)
-    for l in range(len(weights) - 1, -1, -1):
+    deltas = [None] * len(layers)
+    for l in range(len(layers) - 1, -1, -1):
         deltas[l] = delta
         if l > 0:
             # the activation's derivative, from its stored output: relu's output is > 0
             # exactly where its input is, and the bool mask multiplies as 1.0 or 0.0
-            delta = delta @ weights[l].T
+            delta = delta @ layers[l][:-1].T
             if spec.activation == "relu":
                 delta *= acts[l] > 0.0
             else:
@@ -367,14 +359,12 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
     for tanh; biases start at zero.
     """
     rng = np.random.default_rng(seed)
-    flat = np.zeros(spec.param_dim)
+    params = ParamVector(np.zeros(spec.param_dim), spec)
     gain = 2.0 if spec.activation == "relu" else 1.0
-    for w_off, w_shape, _, _ in spec.layout():
-        n_in = w_shape[0]
-        std = np.sqrt(gain / n_in)
-        block = rng.normal(0.0, std, size=w_shape)
-        flat[w_off:w_off + n_in * w_shape[1]] = block.reshape(-1)
-    return ParamVector(flat, spec)
+    for l in range(spec.n_layers):
+        w = params.weights(l)
+        w[...] = rng.normal(0.0, np.sqrt(gain / w.shape[0]), size=w.shape)
+    return params
 
 
 def evaluate_accuracy(params: Model, data) -> float:
@@ -393,8 +383,8 @@ def check_schedule(epochs: int, batch_size: int, eta: float) -> None:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not eta > 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not 0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,

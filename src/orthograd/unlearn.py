@@ -77,6 +77,9 @@ class StoppingRule:
                              f"got {self.mode!r}")
         if self.threshold is None:
             object.__setattr__(self, "threshold", self._DEFAULT_THRESHOLDS[self.mode])
+        for name in ("target", "threshold"):
+            if not -np.inf < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     @classmethod
     def random_forget(cls, target: float, threshold: float | None = None) -> "StoppingRule":
@@ -105,8 +108,8 @@ class UnlearnConfig:
         # each message starts with the field's name, so a config error names its key
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         for name in ("unlearn_batch", "retain_batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -222,7 +225,8 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
     model and stops once the rule is met, so a start that already meets it
     comes back unchanged.  Separate seed streams drive the unlearn order,
     the retain stream and the adapter init, so runs are bit-reproducible and
-    methods that ignore the retain set are unaffected by its size.
+    methods that ignore the retain set are unaffected by its size.  A run
+    that overflows, as a too large ``eta`` can, is a ValueError naming the epoch.
     """
     if len(splits.unlearn) == 0 or len(splits.retain) == 0:
         raise ValueError("unlearn and retain sets must be non-empty")
@@ -240,15 +244,19 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
     n_u = len(splits.unlearn)
 
     trace = []
-    for epoch in range(cfg.max_epochs + 1):
-        order = order_rng.permutation(n_u) if epoch else []   # epoch 0 takes no steps
-        for start in range(0, len(order), cfg.unlearn_batch):
-            batch_u = splits.unlearn.subset(order[start:start + cfg.unlearn_batch])
-            batch_r = splits.retain.subset(next(retain_batches))
-            model, _ = orthograd_step(model, batch_u, batch_r, cfg)
-        trace.append(evaluate_splits(model, splits))
-        stopped = stopping_check(trace[-1], cfg.stopping)
-        if stopped:
-            break
+    try:
+        with np.errstate(over="raise", invalid="raise"):   # no per-step scan for inf or nan
+            for epoch in range(cfg.max_epochs + 1):
+                order = order_rng.permutation(n_u) if epoch else []   # epoch 0 takes no steps
+                for start in range(0, len(order), cfg.unlearn_batch):
+                    batch_u = splits.unlearn.subset(order[start:start + cfg.unlearn_batch])
+                    batch_r = splits.retain.subset(next(retain_batches))
+                    model, _ = orthograd_step(model, batch_u, batch_r, cfg)
+                trace.append(evaluate_splits(model, splits))
+                stopped = stopping_check(trace[-1], cfg.stopping)
+                if stopped:
+                    break
+    except FloatingPointError:
+        raise ValueError(f"unlearning diverged to non-finite values at epoch {epoch}") from None
 
     return UnlearnResult(params=model.merged(), trace=tuple(trace), stopped_early=stopped)

@@ -173,8 +173,8 @@ def adapter_mean_grad_reference(model, batch: Dataset) -> np.ndarray:
     Per layer, with ``gw = a^T delta`` the layer's mean weight gradient
     (input-major) and m the multiplier: ``dA = m (gw B)^T`` and ``dB = m gw^T A^T``.
     """
-    _, acts, deltas = net._engine_pass(model.effective_weights, model.base.bias_list(),
-                                       model.spec, batch, per_sample=False)
+    _, acts, deltas = net._engine_pass(model.effective_layers, model.spec, batch,
+                                       per_sample=False)
     mult = model.adapters.multiplier
     grad = np.empty(model.dim)
     for l, (a_off, _, b_off, _) in enumerate(model.adapters.layout()):
@@ -186,12 +186,13 @@ def adapter_mean_grad_reference(model, batch: Dataset) -> np.ndarray:
     return grad
 
 
-def forward_reference(weights, biases, activation: str, x: np.ndarray) -> np.ndarray:
-    """Logits of the whole batch in one unchunked pass, a fresh array per operation."""
+def forward_reference(layers, activation: str, x: np.ndarray) -> np.ndarray:
+    """Logits of the whole batch in one unchunked pass over the ``(n_in + 1, n_out)`` layer
+    blocks, a fresh array per operation."""
     a = np.asarray(x, dtype=np.float64)
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        a = a @ w + b
-        if l < len(weights) - 1:
+    for l, block in enumerate(layers):
+        a = a @ block[:-1] + block[-1]
+        if l < len(layers) - 1:
             a = np.maximum(a, 0.0) if activation == "relu" else np.tanh(a)
     return a
 

@@ -339,7 +339,7 @@ def test_config_mutants_exit_0_or_usage_error_before_any_write(workdir, capsys):
     ("spread = 1.0", "spread = 0", "dataset: spread must be positive, got 0.0"),
     ("epochs = 25", "epochs = -1", "pretrain: epochs must be >= 0, got -1"),
     ("batch_size = 16", "batch_size = 0", "pretrain: batch_size must be >= 1, got 0"),
-    ("eta = 0.1", "eta = -1", "pretrain: eta must be positive, got -1.0"),
+    ("eta = 0.1", "eta = -1", "pretrain: eta must be positive and finite, got -1.0"),
 ], ids=["test_per_class", "spread", "epochs", "batch_size", "eta"])
 def test_out_of_range_dataset_or_pretrain_value_is_usage_error(workdir, capsys, old, new, named):
     tmp_path, cfg_path = workdir
@@ -366,6 +366,26 @@ def test_pretrain_that_diverges_is_usage_error_before_any_write(workdir, capsys)
     assert capsys.readouterr().err == (f"orthograd: {cfg_path}: pretrain: training diverged to "
                                        f"non-finite parameters at eta = 10000000000.0\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_diverging_unlearn_run_is_usage_error_keeping_the_runs_before_it(workdir, capsys):
+    # class mode; orthograd_mean, the second run of --method all, diverges at eta = 1e200.
+    # The first run keeps its checkpoint, trace and results row; the failed run writes none
+    # of its own files, and no later run starts
+    tmp_path, cfg_path = workdir
+    text = TINY_CONFIG.replace("mode = random\nfraction = 0.1", "mode = class\nclass_label = 1")
+    cfg_path.write_text(text.replace("[unlearn.orthograd_per_sample]",
+                                     "[unlearn.orthograd_mean]\neta = 1e200\n\n"
+                                     "[unlearn.orthograd_per_sample]"), encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "all"]) == 2
+    assert capsys.readouterr().err == (f"orthograd: {cfg_path}: orthograd_mean seed=2: "
+                                       "unlearning diverged to non-finite values at epoch 1\n")
+    assert sorted(p.name for p in (tmp_path / "out" / "runs").iterdir()) == [
+        "trace-orthograd_per_sample-nr40-s2.txt", "unlearned-orthograd_per_sample-nr40-s2.ckpt"]
+    records = parse_records(tmp_path / "out" / "results.txt")
+    assert [(r.method, r.seed) for r in records] == [("original", 0), ("orthograd_per_sample", 2)]
 
 
 @pytest.mark.parametrize("method, table, named", [

@@ -203,15 +203,17 @@ def test_attach_deterministic_in_seed():
     assert not np.array_equal(a.theta, c.theta)
 
 
-def test_reused_effective_weights_equal_recomputed_bitwise():
-    # the adapted weights are built once per model; every read, and every
+def test_reused_effective_layers_equal_recomputed_bitwise():
+    # the adapted layer blocks are built once per model; every read, and every
     # updated model, must see exactly what a fresh computation gives
     base = make_base((6, 12, 5, 3), "relu", seed=12)
     model = attach_lora(base, rank=2, scale=8.0, seed=13)
     rng = np.random.default_rng(14)
     for _ in range(3):
         model = model.apply_update(rng.normal(size=model.dim), 0.05)
-        fresh = [w + model.weight_delta(l).T for l, w in enumerate(base.weight_list())]
-        reused = model.effective_weights
-        assert reused is model.effective_weights
+        fresh = [np.vstack((base.weights(l) + model.weight_delta(l).T, base.biases(l)))
+                 for l in range(base.spec.n_layers)]
+        reused = model.effective_layers
+        assert reused is model.effective_layers
+        assert len(reused) == len(fresh)
         assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))

@@ -44,17 +44,20 @@ def test_param_dim_arithmetic():
     spec = NetworkSpec((5, 7, 6, 3))
     offsets = [slot[0] for slot in spec.layout()]
     assert offsets == sorted(offsets)
-    total = sum(w[0] * w[1] + b[0] for _, w, _, b in spec.layout())
+    total = sum(shape[0] * shape[1] for _, shape in spec.layout())
     assert total == spec.param_dim
-    # each layer's weight then bias, contiguous from 0; param_dim is where they end and
-    # equals the closed formula
+    # each layer's (n_in + 1, n_out) block, weight rows then bias row, contiguous from 0;
+    # param_dim is where they end and equals the closed formula
     for sizes in [(3, 4, 2), (1, 1), (5, 7, 6, 3), (20, 128, 128, 10)]:
         spec = NetworkSpec(sizes)
+        params = ParamVector(np.arange(spec.param_dim, dtype=np.float64), spec)
         off = 0
-        for (w_off, w_shape, b_off, b_shape), n_in, n_out in zip(spec.layout(), sizes[:-1],
-                                                                 sizes[1:], strict=True):
-            assert (w_off, w_shape, b_off, b_shape) == (off, (n_in, n_out), off + n_in * n_out,
-                                                        (n_out,))
+        for l, ((b_off, b_shape), n_in, n_out) in enumerate(zip(spec.layout(), sizes[:-1],
+                                                                sizes[1:], strict=True)):
+            assert (b_off, b_shape) == (off, (n_in + 1, n_out))
+            assert params.weights(l).ravel().tolist() == list(range(off, off + n_in * n_out))
+            assert params.biases(l).tolist() == list(range(off + n_in * n_out,
+                                                           off + (n_in + 1) * n_out))
             off += n_in * n_out + n_out
         assert off == spec.param_dim == sum(a * b + b for a, b in zip(sizes, sizes[1:]))
 
@@ -428,10 +431,10 @@ def test_chunked_logits_match_one_unchunked_pass(activation):
     for n in (1, c - 1, c, c + 1, 3 * c + 7):
         x = rng.normal(size=(n, spec.in_dim))
         y = rng.integers(0, spec.n_classes, size=n)
-        for weights, got, params in (
-                (base.weight_list(), base.forward(x), base),
-                (adapted.effective_weights, adapted.forward(x), adapted.merged())):
-            want = forward_reference(weights, base.bias_list(), activation, x)
+        for layers, got, params in (
+                ([base.layer(l) for l in range(spec.n_layers)], base.forward(x), base),
+                (adapted.effective_layers, adapted.forward(x), adapted.merged())):
+            want = forward_reference(layers, activation, x)
             assert got.shape == want.shape == (n, spec.n_classes)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             want_acc = 100.0 * np.count_nonzero(np.argmax(want, axis=1) == y) / n

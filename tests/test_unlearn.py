@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from helpers import (
 from orthograd.data import Dataset, gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
-from orthograd.lora import AdaptedModel, attach_lora
+from orthograd.lora import AdaptedModel, LoraAdapterSet, attach_lora
 from orthograd.net import (
-    Model, NetworkSpec, PerSampleGrads, init_params,
+    Model, NetworkSpec, PerSampleGrads, check_schedule, init_params,
 )
 from orthograd.unlearn import (
     MethodKind, StoppingRule, UnlearnConfig, _retain_batches, orthograd_step,
@@ -526,6 +528,35 @@ def test_config_validation():
     for field, bad in (("unlearn_batch", 0), ("retain_batch", 0), ("max_epochs", -1)):
         with pytest.raises(ValueError, match=f"^{field} "):
             make_cfg(**{field: bad})
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: make_cfg(eta=np.inf), "eta"),
+    (lambda: LoraAdapterSet(NetworkSpec((4, 8, 3)), rank=2, scale=np.inf), "scale"),
+    (lambda: check_schedule(epochs=1, batch_size=1, eta=np.inf), "eta"),
+    (lambda: StoppingRule.random_forget(target=np.nan), "target"),
+    (lambda: StoppingRule.class_forget(threshold=np.nan), "threshold"),
+], ids=["UnlearnConfig-eta", "LoraAdapterSet-scale", "check_schedule-eta",
+        "random_forget-target", "class_forget-threshold"])
+def test_non_finite_setting_is_rejected_naming_its_field(build, name):
+    # a NaN threshold would never stop a run; an infinite rate or scale diverges at once
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        build()
+
+
+@pytest.mark.parametrize("use_lora", [False, True], ids=["full", "lora"])
+@pytest.mark.parametrize("method", list(MethodKind), ids=[m.value for m in MethodKind])
+def test_diverging_run_is_one_value_error_in_every_method(method, use_lora):
+    # a step at eta = 1e200 overflows; every method stops there with one error, and
+    # NumPy warns of nothing (a warning is an error here)
+    params, splits = small_world()
+    cfg = make_cfg(method=method, max_epochs=3, eta=1e200, use_lora=use_lora,
+                   lora_rank=2, lora_scale=8.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"^unlearning diverged to non-finite values at epoch 1$"):
+            run_unlearning(params, splits, cfg)
 
 
 def test_run_unlearning_never_computes_the_unread_cosine(monkeypatch):
