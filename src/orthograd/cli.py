@@ -1,6 +1,7 @@
 """Command-line entry points: pretrain, unlearn, compare.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration failure.
+Exit codes: 0 success, 1 runtime failure, 2 usage or configuration failure.  ``pretrain``
+and ``unlearn`` read the results file once, before any work, and rewrite it as each run ends.
 """
 
 from __future__ import annotations
@@ -23,17 +24,10 @@ def _architecture(spec: net.NetworkSpec) -> str:
     return f"{'-'.join(str(s) for s in spec.layer_sizes)} ({spec.activation})"
 
 
-def _update_results(cfg, records):
-    """Upsert ``records`` into the config's results file; returns the file's path."""
-    path = cfg.resolve(cfg.results_path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    existing = parse_records(path) if path.exists() else []
-    emit_records(upsert_records(existing, records), path)
-    return path
-
-
 def cmd_pretrain(args) -> int:
     cfg = load_experiment_config(args.config)
+    results_path = cfg.resolve(cfg.results_path)
+    results = parse_records(results_path) if results_path.exists() else []
     spec = cfg.network_spec()
     train, test = cfg.datasets()
     splits = cfg.splits(train, test)   # a bad split setting fails before any training
@@ -49,10 +43,11 @@ def cmd_pretrain(args) -> int:
     report = evaluate_splits(params, splits)
     train_acc = net.evaluate_accuracy(params, train)
 
-    _update_results(cfg, [RunRecord(
+    results_path.parent.mkdir(parents=True, exist_ok=True)
+    emit_records(upsert_records(results, [RunRecord(
         method="original", seed=cfg.pretrain_seed, A_u=report.A_u, A_r=report.A_r,
         A_test=report.A_test, uis=0.0, stop_epoch=0, stopped_early=False,
-        n_retain=splits.n_retain)])
+        n_retain=splits.n_retain)]), results_path)
 
     print(f"pretrained {_architecture(spec)} for {cfg.pretrain_epochs} epochs")
     print(f"train accuracy {train_acc:.2f}  test accuracy {report.A_test:.2f}")
@@ -77,11 +72,16 @@ def _parse_int_csv(raw: str, what: str) -> list[int]:
         raise ConfigError(f"{what} expects comma-separated integers, got {raw!r}") from None
     if not values:
         raise ConfigError(f"{what} must list at least one value")
+    for i, value in enumerate(values):   # a repeat would run twice but keep one results row
+        if value in values[:i]:
+            raise ConfigError(f"{what} repeats {value}")
     return values
 
 
 def cmd_unlearn(args) -> int:
     cfg = load_experiment_config(args.config)
+    results_path = cfg.resolve(cfg.results_path)
+    results = parse_records(results_path) if results_path.exists() else []
     ckpt_path = cfg.resolve(cfg.checkpoint_path)
     if not ckpt_path.exists():
         raise ConfigError(f"checkpoint not found: {ckpt_path} (run 'orthograd pretrain' first)")
@@ -106,6 +106,7 @@ def cmd_unlearn(args) -> int:
 
     runs_dir = cfg.resolve(cfg.runs_dir)
     runs_dir.mkdir(parents=True, exist_ok=True)
+    results_path.parent.mkdir(parents=True, exist_ok=True)
     records = []   # each run writes its checkpoint, trace and results row as it ends
     for splits, a_p_test, ucfg in runs:
         method, seed, size = ucfg.method, ucfg.seed, splits.n_retain
@@ -125,7 +126,8 @@ def cmd_unlearn(args) -> int:
             for epoch, r in enumerate(result.trace)
         ]
         write_atomic(runs_dir / f"trace-{stem}.txt", ("\n".join(trace_lines) + "\n").encode("utf-8"))
-        results_path = _update_results(cfg, records[-1:])
+        results = upsert_records(results, records[-1:])
+        emit_records(results, results_path)
 
     for rec in sorted(records, key=RunRecord.sort_key):
         early = "stopped" if rec.stopped_early else "epoch cap"

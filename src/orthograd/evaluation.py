@@ -17,6 +17,7 @@ numbers and a fixed key order, so identical runs emit identical bytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -89,7 +90,6 @@ class RunRecord:
 _FIELD_FORMAT = {"str": str, "int": str, "float": "{:.6g}".format,
                  "bool": lambda v: "true" if v else "false"}
 _RECORD_TEXT = {f.name: (_FIELD_FORMAT[f.type], _VALUE_TYPES[f.type][0]) for f in fields(RunRecord)}
-RECORD_FIELDS = tuple(_RECORD_TEXT)
 
 
 def format_record(rec: RunRecord) -> str:
@@ -104,7 +104,7 @@ def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> 
         if not sep:
             raise ValueError(f"{where}: expected key=value tokens, got {token!r}")
         entries[key] = value
-    missing = [k for k in RECORD_FIELDS if k not in entries]
+    missing = [k for k in _RECORD_TEXT if k not in entries]
     if missing:
         raise ValueError(f"{where}: record missing fields {missing}")
     try:
@@ -114,8 +114,6 @@ def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> 
 
 
 def parse_records(path) -> list[RunRecord]:
-    from pathlib import Path
-
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"results file not found: {p}")

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, format_sections, parse_sections_text, write_atomic
+from .config import ConfigError, _convert, format_sections, parse_sections_text, write_atomic
 from .data import Dataset
 
 __all__ = [
@@ -419,28 +419,6 @@ def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
 # checkpoint format: text metadata block, blank line, raw float64 payload
 
 
-def _encode_checkpoint(sections, payload: np.ndarray) -> bytes:
-    # metadata must stay free of blank lines: the first blank line is the
-    # metadata/payload boundary
-    text = CHECKPOINT_HEADER + "\n" + format_sections(sections)
-    return text.encode("utf-8") + b"\n\n" + payload.astype("<f8").tobytes()
-
-
-def _decode_checkpoint(blob: bytes, path) -> tuple[dict, np.ndarray]:
-    sep = blob.find(b"\n\n")
-    if sep < 0:
-        raise ValueError("malformed checkpoint (no metadata/payload separator)")
-    header, _, text = blob[:sep].decode("utf-8").partition("\n")
-    if header != CHECKPOINT_HEADER:
-        raise ValueError(f"expected header {CHECKPOINT_HEADER!r}, got {header!r}")
-    # the header line parses as a blank line, so a syntax error names the file's own line
-    sections = parse_sections_text("\n" + text, source=str(path))
-    raw = blob[sep + 2:]
-    if len(raw) % 8:
-        raise ValueError(f"payload of {len(raw)} bytes is not a whole number of float64 values")
-    return sections, np.frombuffer(raw, dtype="<f8")
-
-
 def save_checkpoint(path, params: ParamVector, seed: int) -> None:
     """Write a model checkpoint atomically; round-trips bit-exactly via load_checkpoint."""
     meta = {
@@ -449,33 +427,47 @@ def save_checkpoint(path, params: ParamVector, seed: int) -> None:
         "seed": str(int(seed)),
         "d": str(params.dim),
     }
-    write_atomic(path, _encode_checkpoint({"model": meta}, params.flat))
+    # metadata must stay free of blank lines: the first blank line is the
+    # metadata/payload boundary
+    text = CHECKPOINT_HEADER + "\n" + format_sections({"model": meta})
+    write_atomic(path, text.encode("utf-8") + b"\n\n" + params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path) -> tuple[ParamVector, dict]:
     """Read a model checkpoint; returns (params, metadata dict).  A malformed file, or one
-    whose payload holds a non-finite value, is a ValueError naming it; a metadata syntax
-    error, a ConfigError, already names the file and the line."""
+    whose payload holds a non-finite value, is a ValueError that names the file, and the
+    line of a metadata syntax error or the key of a malformed value."""
     blob = Path(path).read_bytes()
     try:
-        sections, payload = _decode_checkpoint(blob, path)
+        sep = blob.find(b"\n\n")
+        if sep < 0:
+            raise ValueError("malformed checkpoint (no metadata/payload separator)")
+        header, _, text = blob[:sep].decode("utf-8").partition("\n")
+        if header != CHECKPOINT_HEADER:
+            raise ValueError(f"expected header {CHECKPOINT_HEADER!r}, got {header!r}")
+        # the header line parses as a blank line, so a syntax error names the file's own line
+        sections = parse_sections_text("\n" + text, source=str(path))
+        raw = blob[sep + 2:]
+        if len(raw) % 8:
+            raise ValueError(f"payload of {len(raw)} bytes is not a whole number of float64 values")
+        payload = np.frombuffer(raw, dtype="<f8")
         if "model" not in sections:
             raise ValueError("checkpoint missing [model] metadata")
         meta = sections["model"]
         missing = [key for key in ("layer_sizes", "activation", "seed", "d") if key not in meta]
         if missing:
             raise ValueError(f"checkpoint [model] metadata missing {', '.join(missing)}")
-        spec = NetworkSpec(tuple(int(s) for s in meta["layer_sizes"].split(",")),
-                           meta["activation"])
-        seed, d = int(meta["seed"]), int(meta["d"])
+        sizes = _convert(meta["layer_sizes"], "tuple[int, ...]", "layer_sizes", str(path))
+        spec = NetworkSpec(sizes, meta["activation"])
+        seed, d = (_convert(meta[key], "int", key, str(path)) for key in ("seed", "d"))
         if d != spec.param_dim:
             raise ValueError(f"metadata d={d} does not match architecture ({spec.param_dim})")
         if payload.shape[0] != d:
             raise ValueError(f"payload has {payload.shape[0]} values, expected {d}")
         if not np.all(np.isfinite(payload)):
             raise ValueError("payload holds non-finite values")
-    except ConfigError:
-        raise
+    except ConfigError as exc:   # the parser's errors already name the file, and the line or key
+        raise ValueError(str(exc)) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return ParamVector(payload.copy(), spec), {"seed": seed, "d": d}

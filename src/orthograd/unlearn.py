@@ -31,7 +31,7 @@ import numpy as np
 from . import net
 from .data import Dataset, Splits
 from .evaluation import AccuracyReport, evaluate_splits
-from .linalg import project_out_span
+from .linalg import _cholesky_keep, default_drop_tol, project_out_span
 from .lora import attach_lora
 
 __all__ = [
@@ -124,10 +124,9 @@ class StepDiagnostics:
 
     ``basis_rank`` is the number of retain gradient columns the kernel kept,
     at most min(k, d); see ``linalg.project_out_span``.  ``max_abs_cos`` is
-    taken against every per-sample retain gradient (a zero column counts as
-    0), also the columns the kernel dropped as dependent, whose direction is
-    roundoff; so it can read far above roundoff (up to 0.49 on the random-lora
-    benchmark) and is not a bound on the projection's orthogonality.  It is
+    taken against the per-sample retain gradients the per-sample projection
+    keeps, whatever the method; a column it drops as dependent has a
+    roundoff direction, which no projection can be orthogonal to.  It is
     computed on first read from the step's gradients, which eq, hash and
     repr skip; a caller that never reads it never pays for it.
     """
@@ -140,11 +139,13 @@ class StepDiagnostics:
 
     @cached_property
     def max_abs_cos(self) -> float:
-        # |cos| against every retain gradient from one G^T matvec
-        denom = np.sqrt(self.grads.sq_norms()) * self.g_u_perp_norm
-        cos = np.divide(self.grads.rmatvec(self.g_u_perp), denom, out=np.zeros_like(denom),
-                        where=denom > 0.0)
-        return float(np.max(np.abs(cos)))
+        # |cos| from one G^T matvec, over the columns the per-sample projection keeps: the
+        # nonzero rows of the W its kernel returns, refactored here as project_out_span does
+        grads, dim = self.grads, self.grads.dim
+        denom = np.sqrt(grads.sq_norms()) * self.g_u_perp_norm
+        kept = _cholesky_keep(grads.gram(), default_drop_tol(dim), dim).any(axis=1) & (denom > 0.0)
+        cos = grads.rmatvec(self.g_u_perp)[kept] / denom[kept]
+        return float(np.max(np.abs(cos), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import edit_metadata, save_csv_dataset
-from orthograd import net
+from orthograd import cli, net
 from orthograd.cli import main
 from orthograd.config import (
     _SECTION_KEYS, ConfigError, ExperimentConfig, _unlearn_keys, format_sections,
@@ -483,6 +483,21 @@ def test_retain_size_zero_from_the_flag_is_usage_error(workdir, capsys):
     assert not (tmp_path / "out" / "runs").exists()
 
 
+@pytest.mark.parametrize("flag, value, repeated", [("--seed-list", "1,1,", 1),
+                                                  ("--retain-sizes", "40,20,40", 40)])
+def test_repeated_flag_value_is_usage_error_before_any_run(workdir, capsys, flag, value,
+                                                           repeated):
+    # a repeated run would print twice but keep one results row
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    results = (tmp_path / "out" / "results.txt").read_bytes()
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad", flag, value]) == 2
+    assert capsys.readouterr().err == f"orthograd: {flag} repeats {repeated}\n"
+    assert not (tmp_path / "out" / "runs").exists()
+    assert (tmp_path / "out" / "results.txt").read_bytes() == results
+
+
 @pytest.mark.parametrize("results", ["out/pretrained.ckpt", "out/../out/./pretrained.ckpt"])
 def test_checkpoint_and_results_in_one_file_is_usage_error(workdir, capsys, results):
     # pretrain would write the checkpoint and then read it back as a results file
@@ -589,10 +604,10 @@ def test_checkpoint_missing_a_metadata_key_is_runtime_error(workdir, capsys):
 
 @pytest.mark.parametrize("old, new, wording", [
     (b"layer_sizes = 5,12,3", b"layer_sizes = 5,x,3",
-     "invalid literal for int() with base 10: 'x'"),
+     "key 'layer_sizes' expects comma-separated integers, got '5,x,3'"),
     (b"layer_sizes = 5,12,3", b"layer_sizes = 5,0,3",
      "layer sizes must be positive, got (5, 0, 3)"),
-    (b"seed = 0", b"seed = zz", "invalid literal for int() with base 10: 'zz'"),
+    (b"seed = 0", b"seed = zz", "key 'seed' expects an integer, got 'zz'"),
     (b"activation = relu", b"activation = gelu",
      "activation must be one of ('relu', 'tanh'), got 'gelu'"),
     (None, None, "payload of 885 bytes is not a whole number of float64 values"),
@@ -609,6 +624,23 @@ def test_malformed_checkpoint_value_is_runtime_error_naming_the_file(workdir, ca
         edit_metadata(ckpt, old, new)
     assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 1
     assert capsys.readouterr().err == f"orthograd: {ckpt}: {wording}\n"
+    assert not (tmp_path / "out" / "runs").exists()
+
+
+@pytest.mark.parametrize("old, new, where", [
+    (b"seed = 0", b"seed 0", ":5: expected 'key = value' or '[section]', got 'seed 0'"),
+    (b"[model]", b"[model]\n[model]", ":3: duplicate section [model]"),
+], ids=["syntax", "duplicate-section"])
+def test_checkpoint_metadata_syntax_error_is_runtime_error_naming_the_line(workdir, capsys, old,
+                                                                            new, where):
+    # a corrupt checkpoint, not a config fault: exit 1, naming the file's own line once
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    capsys.readouterr()
+    ckpt = tmp_path / "out" / "pretrained.ckpt"
+    edit_metadata(ckpt, old, new)
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 1
+    assert capsys.readouterr().err == f"orthograd: {ckpt}{where}\n"
     assert not (tmp_path / "out" / "runs").exists()
 
 
@@ -732,3 +764,46 @@ def test_compare_on_malformed_results_is_usage_error(tmp_path, capsys):
     bad.write_text("methodx\n", encoding="utf-8")
     assert main(["compare", str(bad)]) == 2
     assert main(["compare", str(tmp_path / "none.txt")]) == 2
+
+
+def test_malformed_results_file_fails_pretrain_before_any_training(workdir, capsys,
+                                                                  monkeypatch):
+    tmp_path, cfg_path = workdir
+    results = tmp_path / "out" / "results.txt"
+    results.parent.mkdir()
+    results.write_text("# results\nnot-a-record\n", encoding="utf-8")
+    monkeypatch.setattr(net, "pretrain", lambda *a, **kw: pytest.fail("pretrained"))
+    assert main(["pretrain", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"orthograd: {results}:2: expected key=value tokens, got 'not-a-record'\n")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["results.txt"]
+
+
+def test_malformed_results_file_fails_unlearn_before_any_run(workdir, capsys):
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    results = tmp_path / "out" / "results.txt"
+    results.write_text(results.read_text(encoding="utf-8") + "method=neggrad seed=0\n",
+                       encoding="utf-8")
+    before = results.read_bytes()
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "all", "--seed-list", "0,1"]) == 1
+    assert capsys.readouterr().err.startswith(f"orthograd: {results}:2: record missing fields")
+    assert not (tmp_path / "out" / "runs").exists()
+    assert results.read_bytes() == before
+
+
+def test_unlearn_reads_the_results_file_once(workdir, monkeypatch):
+    # ten runs, one read: each run's row is merged into the records read at the start
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    calls = []
+
+    def counting(path):
+        calls.append(path)
+        return parse_records(path)
+
+    monkeypatch.setattr(cli, "parse_records", counting)
+    assert main(["unlearn", str(cfg_path), "--method", "all", "--seed-list", "0,1"]) == 0
+    assert calls == [tmp_path / "out" / "results.txt"]
+    assert len(parse_records(calls[0])) == 11

@@ -9,7 +9,6 @@ from helpers import (
     check_factors_against_dense, edit_metadata, forward_reference, pretrain_reference,
 )
 from orthograd import net
-from orthograd.config import ConfigError
 from orthograd.data import Dataset, gen_gaussian_blobs, partition_train_test
 from orthograd.lora import attach_lora
 from orthograd.net import (
@@ -379,14 +378,15 @@ def test_checkpoint_missing_metadata_key_names_file_and_key(tmp_path, key):
 
 
 def test_checkpoint_metadata_syntax_error_names_the_file_once(tmp_path):
-    # the metadata parser's ConfigError already starts with the file and line, and
-    # passes through the loader's prefix unchanged; the line is the file's own, header
-    # line included
+    # the metadata parser's message already starts with the file and line; it comes back
+    # as a plain ValueError, a corrupt file like any other, without the loader's prefix.
+    # The line is the file's own, header line included
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, init_params(NetworkSpec((3, 2), "relu"), 1), seed=1)
     edit_metadata(path, b"seed = 1", b"seed 1")   # line 5
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(ValueError) as err:
         load_checkpoint(path)
+    assert type(err.value) is ValueError
     assert str(err.value) == f"{path}:5: expected 'key = value' or '[section]', got 'seed 1'"
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import (
-    CyclicSamplerReference, combine_update_reference, cosine, gram_schmidt_basis,
-    loss_change_ratios, project_off, step_reference,
+    CyclicSamplerReference, cholesky_keep_reference, combine_update_reference, cosine,
+    gram_schmidt_basis, loss_change_ratios, project_off, step_reference,
 )
 from orthograd.data import Dataset, gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import evaluate_splits
@@ -19,7 +19,7 @@ from orthograd.net import (
     Model, NetworkSpec, PerSampleGrads, check_schedule, init_params,
 )
 from orthograd.unlearn import (
-    MethodKind, StoppingRule, UnlearnConfig, _retain_batches, orthograd_step,
+    MethodKind, StepDiagnostics, StoppingRule, UnlearnConfig, _retain_batches, orthograd_step,
     run_unlearning, stopping_check,
 )
 
@@ -99,8 +99,9 @@ def test_per_sample_projection_orthogonal_to_every_retain_gradient():
 
 
 def test_max_abs_cos_matches_per_column_cosine_loop():
-    # scaled-up weights saturate the softmax on some samples, whose
-    # per-sample gradients are then exactly zero and count as cosine 0
+    # the loop runs over the columns the reference keeps; scaled-up weights
+    # saturate the softmax on some samples, whose per-sample gradients are then
+    # exactly zero, and dropped
     spec = NetworkSpec((6, 16, 4), "relu")
     zero_columns_seen = 0
     for seed in range(6):
@@ -117,9 +118,29 @@ def test_max_abs_cos_matches_per_column_cosine_loop():
             _, g_u = params.mean_loss_and_grad(b_u)
             span = cols if method is MethodKind.ORTHOGRAD_PER_SAMPLE else cols.mean(axis=1)[:, None]
             perp, _ = project_out_span(g_u, PerSampleGrads.columns(span))
-            loop = max(abs(cosine(perp, cols[:, i])) for i in range(cols.shape[1]))
+            _, kept = cholesky_keep_reference(cols.T @ cols, default_drop_tol(spec.param_dim),
+                                              spec.param_dim)
+            loop = max(abs(cosine(perp, cols[:, i])) for i in kept)
             assert abs(diag.max_abs_cos - loop) <= 1e-12
     assert zero_columns_seen > 0
+
+
+def test_max_abs_cos_skips_a_column_the_projection_drops():
+    # six random columns and one of norm 0.5 * tol: the kernel drops the short one,
+    # whose direction the projection leaves alone, so only the kept six are measured
+    rng = np.random.default_rng(5)
+    d = 50
+    tol = default_drop_tol(d)
+    short = rng.normal(size=d)
+    cols = np.column_stack([rng.normal(size=(d, 6)), 0.5 * tol * short / np.linalg.norm(short)])
+    grads = PerSampleGrads.columns(cols)
+    v = rng.normal(size=d)
+    perp, rank = project_out_span(v, grads)
+    assert rank == 6
+    diag = StepDiagnostics(basis_rank=rank, g_u_norm=float(np.linalg.norm(v)),
+                           g_u_perp_norm=float(np.linalg.norm(perp)), grads=grads, g_u_perp=perp)
+    assert abs(cosine(perp, cols[:, 6])) > 1e-3
+    assert diag.max_abs_cos <= 1e-12
 
 
 def test_mean_variant_leaks_on_conflicting_retain_batch():
