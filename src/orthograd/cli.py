@@ -100,7 +100,7 @@ def cmd_unlearn(args) -> int:
     runs = []   # every run's config is built, and so checked, before the first run writes
     for size in sizes:   # splits and the pretrained reference depend only on the retain size
         splits = cfg.splits(train, test, retain_size=size)
-        a_p_test = evaluate_splits(pretrained, splits).A_test
+        a_p_test = net.evaluate_accuracy(pretrained, splits.test)
         runs += [(splits, a_p_test, cfg.unlearn_config(method, seed, a_p_test))
                  for method in methods for seed in seeds]
 

@@ -15,6 +15,7 @@ import numpy as np
 
 __all__ = [
     "default_drop_tol",
+    "kept_columns",
     "project_out_span",
 ]
 
@@ -113,6 +114,11 @@ def _cholesky_keep(gram: np.ndarray, tol: float, dim: int) -> np.ndarray:
     return out
 
 
+def kept_columns(gram: np.ndarray, dim: int) -> np.ndarray:
+    """Indices of the columns ``project_out_span`` keeps of a G with Gram ``gram`` in R^dim."""
+    return np.flatnonzero(_cholesky_keep(gram, default_drop_tol(dim), dim).any(axis=1))
+
+
 def project_out_span(v: np.ndarray, grads) -> tuple[np.ndarray, int]:
     """``(v_perp, rank)``: ``v`` minus its projection onto the span of a factored G.
 
@@ -128,15 +134,16 @@ def project_out_span(v: np.ndarray, grads) -> tuple[np.ndarray, int]:
     ``v -= G W W^T G^T v`` runs twice ("twice is enough", in k-space).  G is
     never formed.
 
-    Both sweeps read the same W, so each shrinks the part of ``v`` left in
-    the span only by about ``eps * cond(G)^2``, not to roundoff; what is left
-    lies along the weakest singular directions.  The guarantee is the one
-    the paper's first-order invariance needs, ``G^T v_perp ~ 0`` (max |cos|
-    at roundoff), which the tests pin.  A route that reads G only through
-    ``G^T x`` and ``G c`` cannot go below about ``eps / sigma_min(G)`` there,
-    so more sweeps gain little: on spans with singular values over six
-    decades a third took the remainder from 2.0e-10 to 1.4e-11 of ``|v|``,
-    and a fourth did no better.
+    Both sweeps read the same W, so each is only bounded to shrink the part
+    of ``v`` left in the span by ``eps * cond(G)^2``, leaving it along the
+    weakest singular directions.  On planted spans with singular values over
+    six decades two sweeps left 2.0e-10 of ``|v|``, and more gain little: a
+    route that reads G only through ``G^T x`` and ``G c`` cannot go below
+    about ``eps / sigma_min(G)`` (a third left 1.4e-11, a fourth no less).
+    Desk spans, though far past ``eps * cond(G)^2 ~ 1`` (cond(G) up to
+    1.2e10), keep only roundoff: at most 6.1e-16 of ``|v|`` over 1,304
+    projected steps.  The tests pin that, and max |cos| at roundoff, the
+    ``G^T v_perp ~ 0`` the paper's first-order invariance needs.
 
     Parameters
     ----------

@@ -114,7 +114,7 @@ class Model:
         """Mean softmax cross-entropy over the batch and its gradient over ``coords``."""
         _check_batch(batch, self.spec)
         logits, grads = self._factors(batch, per_sample=False)
-        return float(np.mean(_cross_entropy_losses(logits, batch.labels))), grads.sum()
+        return float(np.mean(_cross_entropy_losses(logits, batch.labels))), grads.matvec()
 
     def per_sample_factors(self, batch: Dataset) -> PerSampleGrads:
         """Each sample's own loss gradient over ``coords``, factored; ``mean()`` matches
@@ -202,32 +202,22 @@ class PerSampleGrads:
         """G^T G, (k, k): the sum over blocks of (L L^T) * (R R^T)."""
         return sum((l @ l.T) * (r @ r.T) for _, l, r in self.blocks)
 
-    def sq_norms(self) -> np.ndarray:
-        """The diagonal of ``gram()`` without the rest of it."""
-        return sum(np.einsum("ij,ij->i", l, l) * np.einsum("ij,ij->i", r, r) for _, l, r in self.blocks)
-
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """G^T x, (k,): per block, the row sums of (L X) * R with X that block of x."""
         return sum(np.einsum("ij,ij->i", l @ x[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1), r)
                    for o, l, r in self.blocks)
 
-    def matvec(self, c: np.ndarray) -> np.ndarray:
-        """G c, (d,): per block, (c * L)^T R."""
-        out = np.zeros(self.dim)
+    def matvec(self, c: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """G c, (d,): per block, (c * L)^T R, or L^T R for the sum G 1 when ``c`` is None.
+        Written into ``out`` when given (entries outside every block are then left as they are)."""
+        out = np.zeros(self.dim) if out is None else out
         for o, l, r in self.blocks:
-            np.matmul((c[:, None] * l).T, r, out=out[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1))
+            np.matmul((l if c is None else c[:, None] * l).T, r,
+                      out=out[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1))
         return out
 
     def mean(self) -> np.ndarray:
         return self.matvec(np.full(self.k, 1.0 / self.k))
-
-    def sum(self, out: np.ndarray | None = None) -> np.ndarray:
-        """G 1, (d,): per block L^T R, written into ``out`` when given (entries
-        outside every block are then left as they are)."""
-        out = np.zeros(self.dim) if out is None else out
-        for o, l, r in self.blocks:
-            np.matmul(l.T, r, out=out[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1))
-        return out
 
     def dense(self) -> np.ndarray:
         """The (d, k) matrix itself, for tests and demos."""
@@ -407,7 +397,7 @@ def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
             order = shuffle_rng.permutation(len(rows))
             for start in range(0, len(rows), batch_size):
                 batch = rows.subset(order[start:start + batch_size])
-                params._factors(batch, per_sample=False)[1].sum(out=grad)
+                params._factors(batch, per_sample=False)[1].matvec(out=grad)
                 grad *= eta   # the bits of flat - eta * grad, without a temporary
                 flat -= grad
     if not np.all(np.isfinite(flat)):

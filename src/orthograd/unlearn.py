@@ -31,7 +31,7 @@ import numpy as np
 from . import net
 from .data import Dataset, Splits
 from .evaluation import AccuracyReport, evaluate_splits
-from .linalg import _cholesky_keep, default_drop_tol, project_out_span
+from .linalg import kept_columns, project_out_span
 from .lora import attach_lora
 
 __all__ = [
@@ -139,12 +139,14 @@ class StepDiagnostics:
 
     @cached_property
     def max_abs_cos(self) -> float:
-        # |cos| from one G^T matvec, over the columns the per-sample projection keeps: the
-        # nonzero rows of the W its kernel returns, refactored here as project_out_span does
-        grads, dim = self.grads, self.grads.dim
-        denom = np.sqrt(grads.sq_norms()) * self.g_u_perp_norm
-        kept = _cholesky_keep(grads.gram(), default_drop_tol(dim), dim).any(axis=1) & (denom > 0.0)
-        cos = grads.rmatvec(self.g_u_perp)[kept] / denom[kept]
+        # |cos| from one G^T matvec, over the columns the per-sample projection keeps;
+        # their norms are the diagonal of the Gram that settles which they are
+        if self.g_u_perp_norm == 0.0:
+            return 0.0
+        gram = self.grads.gram()
+        kept = kept_columns(gram, self.grads.dim)
+        denom = np.sqrt(np.diagonal(gram)[kept]) * self.g_u_perp_norm
+        cos = self.grads.rmatvec(self.g_u_perp)[kept] / denom
         return float(np.max(np.abs(cos), initial=0.0))
 
 

@@ -21,7 +21,7 @@ from helpers import (
     cholesky_keep_reference, cosine, gram_schmidt_basis, least_squares_residual,
     loss_change_ratios,
 )
-from orthograd import linalg
+from orthograd import linalg, unlearn
 from orthograd.cli import main
 from orthograd.data import Dataset, gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import uis
@@ -431,6 +431,43 @@ def test_13_kernel_keeps_reference_columns_on_desk_grams(world, monkeypatch):
         assert dropped > 0
         lines.append(f"k={k_r}: kept {kept_total}, dropped {dropped}")
     print("PASS kernel vs reference loop on 36 desk Grams: " + "; ".join(lines))
+
+
+# ---------------------------------------------------------------------------
+# 14: on desk steps the projection leaves only roundoff in the retain span
+
+
+def test_14_projection_leaves_roundoff_in_the_span_on_desk_steps(world, monkeypatch):
+    # both sweeps reuse one W, which bounds the in-span remainder only while
+    # eps * cond(G)^2 << 1; desk spans lie past that, so every projected step of one
+    # epoch in each desk setting is checked against an SVD of its dense kept columns
+    seen = []
+
+    def spy(v, grads):
+        v_perp, rank = project_out_span(v, grads)
+        cols = grads.dense()[:, linalg.kept_columns(grads.gram(), grads.dim)]
+        u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+        seen.append((np.linalg.norm(u.T @ v_perp) / np.linalg.norm(v), sv[0] / sv[-1]))
+        return v_perp, rank
+
+    monkeypatch.setattr(unlearn, "project_out_span", spy)
+    lines = []
+    for mode, lora, eta, alpha, k_r in (("random", True, 0.12, 0.9, 64),
+                                        ("class", False, 0.05, 0.95, 32)):
+        splits = make_unlearn_split(world["train"], world["test"], mode=mode, retain_size=500,
+                                    seed=1, fraction=0.05, class_label=3)
+        cfg = UnlearnConfig(method=MethodKind.ORTHOGRAD_PER_SAMPLE,
+                            stopping=StoppingRule.class_forget(threshold=-1.0), alpha=alpha,
+                            eta=eta, use_lora=lora, lora_rank=8, lora_scale=32.0,
+                            retain_batch=k_r, max_epochs=1)
+        seen.clear()
+        run_unlearning(world["params"], splits, cfg)
+        ratios, conds = np.array(seen).T
+        assert ratios.size == -(-len(splits.unlearn) // cfg.unlearn_batch)
+        assert ratios.max() <= 1e-14
+        lines.append(f"{mode} ({'adapter' if lora else 'full'}): {ratios.size} steps, "
+                     f"max |U^T v_perp|/|v| {ratios.max():.1e}, max cond(G) {conds.max():.1e}")
+    print("PASS in-span remainder at roundoff: " + "; ".join(lines))
 
 
 # ---------------------------------------------------------------------------

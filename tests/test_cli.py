@@ -516,7 +516,8 @@ def test_checkpoint_and_results_in_one_file_is_usage_error(workdir, capsys, resu
 def test_failed_rename_keeps_the_previous_output(workdir, capsys, monkeypatch, prefix):
     # each output is written to a temporary file and renamed over the old one;
     # when the rename fails, the old bytes stay and the temporary file goes.
-    # Overlapping blobs, so that neggrad runs epochs and its rate shows in every output.
+    # Spread only rescales the inputs (the blobs overlap as at 1.0): 3.0 triples them and
+    # so the effective step size, so that neggrad runs epochs and its rate shows in every output.
     tmp_path, cfg_path = workdir
     config = TINY_CONFIG.replace("spread = 1.0", "spread = 3.0")
     cfg_path.write_text(config, encoding="utf-8")
@@ -694,7 +695,8 @@ def test_pretrain_unlearn_compare_workflow(workdir, capsys):
 
 
 def test_trace_has_one_line_per_epoch_run_numbered_from_0(workdir):
-    # overlapping blobs, so that neggrad runs epochs before it stops
+    # spread only rescales the inputs (the blobs overlap as at 1.0): 3.0 triples them and
+    # so the effective step size, so that neggrad runs epochs before it stops
     tmp_path, cfg_path = workdir
     cfg_path.write_text(TINY_CONFIG.replace("spread = 1.0", "spread = 3.0"), encoding="utf-8")
     assert main(["pretrain", str(cfg_path)]) == 0

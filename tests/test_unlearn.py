@@ -11,6 +11,7 @@ from helpers import (
     CyclicSamplerReference, cholesky_keep_reference, combine_update_reference, cosine,
     gram_schmidt_basis, loss_change_ratios, project_off, step_reference,
 )
+from orthograd import unlearn
 from orthograd.data import Dataset, gen_gaussian_blobs, make_unlearn_split, partition_train_test
 from orthograd.evaluation import evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
@@ -581,11 +582,11 @@ def test_diverging_run_is_one_value_error_in_every_method(method, use_lora):
 
 
 def test_run_unlearning_never_computes_the_unread_cosine(monkeypatch):
-    # max |cos| needs the column norms; a run that never reads it must not call them
-    def refuse(self):
-        raise AssertionError("sq_norms called")
+    # max |cos| needs the kept columns; a run that never reads it must not ask for them
+    def refuse(gram, dim):
+        raise AssertionError("kept_columns called")
 
-    monkeypatch.setattr(PerSampleGrads, "sq_norms", refuse)
+    monkeypatch.setattr(unlearn, "kept_columns", refuse)
     full = gen_gaussian_blobs(3, 5, 50, spread=1.0, seed=1)
     train, test = partition_train_test(full, 40)
     splits = make_unlearn_split(train, test, mode="random", retain_size=40, seed=2, fraction=0.1)
@@ -597,7 +598,7 @@ def test_run_unlearning_never_computes_the_unread_cosine(monkeypatch):
             assert run_unlearning(params, splits, cfg).stop_epoch == 2
     _, diag = orthograd_step(params, random_batch(params.spec, 4, 1), random_batch(params.spec, 8, 2),
                              make_cfg())
-    with pytest.raises(AssertionError, match="sq_norms"):
+    with pytest.raises(AssertionError, match="kept_columns"):
         diag.max_abs_cos
 
 
