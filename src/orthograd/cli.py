@@ -12,7 +12,8 @@ import sys
 from . import net
 from .config import ConfigError, load_experiment_config, usage_errors, write_atomic
 from .evaluation import (
-    RunRecord, emit_records, evaluate_splits, parse_records, render_table, upsert_records, uis,
+    RunRecord, emit_records, evaluate_splits, format_record, parse_records, render_table,
+    upsert_records, uis,
 )
 from .unlearn import MethodKind, run_unlearning
 
@@ -121,10 +122,7 @@ def cmd_unlearn(args) -> int:
 
         stem = f"{method.value}-nr{size}-s{seed}"
         net.save_checkpoint(runs_dir / f"unlearned-{stem}.ckpt", result.params, seed=seed)
-        trace_lines = [
-            f"epoch={epoch} A_u={r.A_u:.6g} A_r={r.A_r:.6g} A_test={r.A_test:.6g}"
-            for epoch, r in enumerate(result.trace)
-        ]
+        trace_lines = [f"epoch={epoch} {format_record(r)}" for epoch, r in enumerate(result.trace)]
         write_atomic(runs_dir / f"trace-{stem}.txt", ("\n".join(trace_lines) + "\n").encode("utf-8"))
         results = upsert_records(results, records[-1:])
         emit_records(results, results_path)

@@ -132,21 +132,27 @@ def _finite(value: str) -> float:
 
 Seed = int   # a field annotated Seed holds a random seed, which is never negative
 
-# each value type a key or a results field can have, by its annotation: (parse, what a
-# bad value should have been); a parse rejects a bad value with ValueError or KeyError
+# the one text form of each value type a config key, a record field or checkpoint metadata
+# can have, by its annotation: (parse, write, what a bad value should have been); a parse
+# rejects a bad value with ValueError or KeyError, and reads back what write gives
 _VALUE_TYPES = {
-    "str": (str, None),
-    "int": (int, "an integer"),
-    "float": (_finite, "a finite number"),
-    "bool": ({"true": True, "false": False}.__getitem__, "'true' or 'false'"),
+    "str": (str, str, None),
+    "int": (int, str, "an integer"),
+    "float": (_finite, "{:.6g}".format, "a finite number"),
+    "bool": ({"true": True, "false": False}.__getitem__, lambda v: "true" if v else "false",
+             "'true' or 'false'"),
     "tuple[int, ...]": (lambda v: tuple(int(part) for part in v.split(",")),
-                        "comma-separated integers"),
-    "Seed": (_seed, "a non-negative integer"),
+                        lambda v: ",".join(map(str, v)), "comma-separated integers"),
+    "Seed": (_seed, str, "a non-negative integer"),
 }
 
 
+def _write(value, type_name: str) -> str:
+    return _VALUE_TYPES[type_name][1](value)
+
+
 def _convert(value: str, type_name: str, key: str, source: str):
-    parse, expects = _VALUE_TYPES[type_name]
+    parse, _, expects = _VALUE_TYPES[type_name]
     try:
         return parse(value)
     except (ValueError, KeyError):

@@ -47,10 +47,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.inputs.shape[1]
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.inputs[idx], self.labels[idx], self.n_classes)
@@ -98,14 +94,16 @@ def gen_gaussian_blobs(n_classes: int, dim: int, per_class: int,
         for i in range(n_classes) for j in range(i + 1, n_classes))
     if min_dist <= 0:
         raise ValueError("degenerate class directions (duplicate unit vectors)")
-    means = directions * (4.0 * spread / min_dist)
-
     inputs = np.empty((n_classes * per_class, dim))
     labels = np.empty(n_classes * per_class, dtype=np.int64)
-    for c in range(n_classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        inputs[block] = means[c] + rng.normal(0.0, spread, size=(per_class, dim))
-        labels[block] = c
+    with np.errstate(over="ignore", invalid="ignore"):   # a spread past float64: reported below
+        means = directions * (4.0 * spread / min_dist)
+        for c in range(n_classes):
+            block = slice(c * per_class, (c + 1) * per_class)
+            inputs[block] = means[c] + rng.normal(0.0, spread, size=(per_class, dim))
+            labels[block] = c
+    if not np.all(np.isfinite(inputs)):
+        raise ValueError(f"spread {spread} overflows the float64 range")
     return Dataset(inputs, labels, n_classes)
 
 

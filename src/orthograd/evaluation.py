@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import net
-from .config import _VALUE_TYPES, write_atomic
+from .config import ConfigError, _convert, _write, write_atomic
 from .data import Splits
 
 __all__ = [
@@ -86,14 +86,9 @@ class RunRecord:
         return (self.method, self.n_retain, self.seed)
 
 
-# the text form of each field type; a value is parsed back as a config value of that type
-_FIELD_FORMAT = {"str": str, "int": str, "float": "{:.6g}".format,
-                 "bool": lambda v: "true" if v else "false"}
-_RECORD_TEXT = {f.name: (_FIELD_FORMAT[f.type], _VALUE_TYPES[f.type][0]) for f in fields(RunRecord)}
-
-
-def format_record(rec: RunRecord) -> str:
-    return " ".join(f"{k}={fmt(getattr(rec, k))}" for k, (fmt, _) in _RECORD_TEXT.items())
+def format_record(rec) -> str:
+    """A record dataclass as ``key=value`` tokens in field order, each written by its type."""
+    return " ".join(f"{f.name}={_write(getattr(rec, f.name), f.type)}" for f in fields(rec))
 
 
 def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> RunRecord:
@@ -104,13 +99,14 @@ def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> 
         if not sep:
             raise ValueError(f"{where}: expected key=value tokens, got {token!r}")
         entries[key] = value
-    missing = [k for k in _RECORD_TEXT if k not in entries]
+    missing = [f.name for f in fields(RunRecord) if f.name not in entries]
     if missing:
         raise ValueError(f"{where}: record missing fields {missing}")
     try:
-        return RunRecord(**{k: parse(entries[k]) for k, (_, parse) in _RECORD_TEXT.items()})
-    except (ValueError, KeyError) as exc:
-        raise ValueError(f"{where}: malformed record field ({exc})") from None
+        return RunRecord(**{f.name: _convert(entries[f.name], f.type, f.name, where)
+                            for f in fields(RunRecord)})
+    except ConfigError as exc:   # a results file is data: a bad value is a runtime error
+        raise ValueError(str(exc)) from None
 
 
 def parse_records(path) -> list[RunRecord]:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, _convert, format_sections, parse_sections_text, write_atomic
+from .config import ConfigError, _convert, _write, format_sections, parse_sections_text, write_atomic
 from .data import Dataset
 
 __all__ = [
@@ -43,6 +43,8 @@ __all__ = [
 ACTIVATIONS = ("relu", "tanh")
 
 CHECKPOINT_HEADER = "ORTHOGRAD-CKPT v1"
+# the [model] metadata keys of a checkpoint, in the order written, with their value types
+CHECKPOINT_KEYS = {"layer_sizes": "tuple[int, ...]", "activation": "str", "seed": "int", "d": "int"}
 
 
 @dataclass(frozen=True)
@@ -411,12 +413,9 @@ def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
 
 def save_checkpoint(path, params: ParamVector, seed: int) -> None:
     """Write a model checkpoint atomically; round-trips bit-exactly via load_checkpoint."""
-    meta = {
-        "layer_sizes": ",".join(str(s) for s in params.spec.layer_sizes),
-        "activation": params.spec.activation,
-        "seed": str(int(seed)),
-        "d": str(params.dim),
-    }
+    values = {"layer_sizes": params.spec.layer_sizes, "activation": params.spec.activation,
+              "seed": seed, "d": params.dim}
+    meta = {key: _write(values[key], type_name) for key, type_name in CHECKPOINT_KEYS.items()}
     # metadata must stay free of blank lines: the first blank line is the
     # metadata/payload boundary
     text = CHECKPOINT_HEADER + "\n" + format_sections({"model": meta})
@@ -444,12 +443,13 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
         if "model" not in sections:
             raise ValueError("checkpoint missing [model] metadata")
         meta = sections["model"]
-        missing = [key for key in ("layer_sizes", "activation", "seed", "d") if key not in meta]
+        missing = [key for key in CHECKPOINT_KEYS if key not in meta]
         if missing:
             raise ValueError(f"checkpoint [model] metadata missing {', '.join(missing)}")
-        sizes = _convert(meta["layer_sizes"], "tuple[int, ...]", "layer_sizes", str(path))
-        spec = NetworkSpec(sizes, meta["activation"])
-        seed, d = (_convert(meta[key], "int", key, str(path)) for key in ("seed", "d"))
+        values = {key: _convert(meta[key], type_name, key, str(path))
+                  for key, type_name in CHECKPOINT_KEYS.items()}
+        spec = NetworkSpec(values["layer_sizes"], values["activation"])
+        d = values["d"]
         if d != spec.param_dim:
             raise ValueError(f"metadata d={d} does not match architecture ({spec.param_dim})")
         if payload.shape[0] != d:
@@ -460,4 +460,4 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
         raise ValueError(str(exc)) from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return ParamVector(payload.copy(), spec), {"seed": seed, "d": d}
+    return ParamVector(payload.copy(), spec), {"seed": values["seed"], "d": d}

@@ -337,10 +337,11 @@ def test_config_mutants_exit_0_or_usage_error_before_any_write(workdir, capsys):
 @pytest.mark.parametrize("old, new, named", [
     ("test_per_class = 12", "test_per_class = 0", "dataset: every class needs more than 40"),
     ("spread = 1.0", "spread = 0", "dataset: spread must be positive, got 0.0"),
+    ("spread = 1.0", "spread = 1e308", "dataset: spread 1e+308 overflows"),
     ("epochs = 25", "epochs = -1", "pretrain: epochs must be >= 0, got -1"),
     ("batch_size = 16", "batch_size = 0", "pretrain: batch_size must be >= 1, got 0"),
     ("eta = 0.1", "eta = -1", "pretrain: eta must be positive and finite, got -1.0"),
-], ids=["test_per_class", "spread", "epochs", "batch_size", "eta"])
+], ids=["test_per_class", "spread", "spread_overflow", "epochs", "batch_size", "eta"])
 def test_out_of_range_dataset_or_pretrain_value_is_usage_error(workdir, capsys, old, new, named):
     tmp_path, cfg_path = workdir
     cfg_path.write_text(TINY_CONFIG.replace(old, new), encoding="utf-8")
@@ -707,6 +708,13 @@ def test_trace_has_one_line_per_epoch_run_numbered_from_0(workdir):
     trace = (tmp_path / "out" / "runs" / "trace-neggrad-nr40-s0.txt").read_text(encoding="utf-8")
     assert ([line.split()[0] for line in trace.splitlines()]
             == [f"epoch={e}" for e in range(rec.stop_epoch + 1)])
+    # every line: the three accuracies in a fixed order at %.6g, the last one the row's
+    for line in trace.splitlines():
+        tokens = [token.partition("=") for token in line.split()]
+        assert [(key, sep) for key, sep, _ in tokens] == [
+            ("epoch", "="), ("A_u", "="), ("A_r", "="), ("A_test", "=")]
+        assert all(v == f"{float(v):.6g}" for _, _, v in tokens[1:])
+    assert trace.endswith(f"A_u={rec.A_u:.6g} A_r={rec.A_r:.6g} A_test={rec.A_test:.6g}\n")
 
 
 def test_method_filter_and_unknown_method(workdir, capsys):
@@ -782,17 +790,31 @@ def test_malformed_results_file_fails_pretrain_before_any_training(workdir, caps
 
 
 def test_malformed_results_file_fails_unlearn_before_any_run(workdir, capsys):
+    # a row missing fields, then the pretrain row with one value malformed, which names its key
     tmp_path, cfg_path = workdir
     assert main(["pretrain", str(cfg_path)]) == 0
     results = tmp_path / "out" / "results.txt"
-    results.write_text(results.read_text(encoding="utf-8") + "method=neggrad seed=0\n",
-                       encoding="utf-8")
-    before = results.read_bytes()
-    capsys.readouterr()
-    assert main(["unlearn", str(cfg_path), "--method", "all", "--seed-list", "0,1"]) == 1
-    assert capsys.readouterr().err.startswith(f"orthograd: {results}:2: record missing fields")
-    assert not (tmp_path / "out" / "runs").exists()
-    assert results.read_bytes() == before
+    good = results.read_text(encoding="utf-8")
+
+    def with_value(token):
+        key = token.partition("=")[0]
+        return " ".join(token if t.startswith(f"{key}=") else t for t in good.split())
+
+    for line, message in [
+        ("method=neggrad seed=0", "record missing fields ['A_u', 'A_r', 'A_test', 'uis', "
+                                  "'stop_epoch', 'stopped_early', 'n_retain']"),
+        (with_value("seed=x"), "key 'seed' expects an integer, got 'x'"),
+        (with_value("stopped_early=maybe"),
+         "key 'stopped_early' expects 'true' or 'false', got 'maybe'"),
+        (with_value("A_u=nan"), "key 'A_u' expects a finite number, got 'nan'"),
+    ]:
+        results.write_text(good + line + "\n", encoding="utf-8")
+        before = results.read_bytes()
+        capsys.readouterr()
+        assert main(["unlearn", str(cfg_path), "--method", "all", "--seed-list", "0,1"]) == 1
+        assert capsys.readouterr().err == f"orthograd: {results}:2: {message}\n"
+        assert not (tmp_path / "out" / "runs").exists()
+        assert results.read_bytes() == before
 
 
 def test_unlearn_reads_the_results_file_once(workdir, monkeypatch):
