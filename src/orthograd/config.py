@@ -52,10 +52,7 @@ def parse_sections_text(text: str, source: str = "<config>") -> dict[str, dict[s
     sections: dict[str, dict[str, str]] = {}
     current: dict[str, str] | None = None
     current_name = ""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data.content_lines(text):
         if line.startswith("[") and line.endswith("]"):
             current_name = line[1:-1].strip()
             if not current_name:
@@ -81,13 +78,12 @@ def parse_sections_text(text: str, source: str = "<config>") -> dict[str, dict[s
 
 
 def parse_sections(path) -> dict[str, dict[str, str]]:
-    """Parse a config file; missing files raise ConfigError naming the path."""
-    p = Path(path)
+    """Parse a config file; a file that cannot be read is a ConfigError naming the path."""
     try:
-        text = p.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {p}") from None
-    return parse_sections_text(text, source=str(p))
+        text = data.read_text(path, "config")
+    except (FileNotFoundError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    return parse_sections_text(text, source=str(Path(path)))
 
 
 def write_atomic(path, data: bytes) -> None:

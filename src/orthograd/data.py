@@ -1,4 +1,4 @@
-"""Datasets and unlearn/retain/test splits.
+"""Datasets and unlearn/retain/test splits, and the one reader of text files.
 
 A Dataset is a pair of arrays (float64 features, int64 labels) plus the
 class count.  Splits carve one training set
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -22,6 +23,26 @@ __all__ = [
     "load_csv_dataset",
     "make_unlearn_split",
 ]
+
+
+def read_text(path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``: a FileNotFoundError if it is missing,
+    else a ValueError for any fault (a directory, no permission, not UTF-8); each names it."""
+    p = Path(path)
+    try:
+        return p.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{what} file not found: {p}") from None
+    except (OSError, UnicodeDecodeError) as exc:   # an OSError's own text repeats the path
+        raise ValueError(f"{p}: cannot read {what} file: {getattr(exc, 'strerror', exc)}") from None
+
+
+def content_lines(text: str):
+    """``(line number from 1, stripped line)`` of each line neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 @dataclass(frozen=True)
@@ -123,37 +144,28 @@ def partition_train_test(data: Dataset, train_per_class: int) -> tuple[Dataset, 
 
 def load_csv_dataset(path, n_features: int, n_classes: int) -> Dataset:
     """Load ``f1,...,fn,label`` lines of finite features; errors carry the 1-based line number."""
-    from pathlib import Path
-
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"dataset file not found: {p}")
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    with open(p, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != n_features + 1:
-                raise ValueError(
-                    f"{p}:{lineno}: expected {n_features + 1} fields "
-                    f"({n_features} features + label), got {len(fields)}")
-            try:
-                feats = [float(f) for f in fields[:-1]]
-            except ValueError:
-                raise ValueError(f"{p}:{lineno}: non-numeric feature value") from None
-            if not all(map(math.isfinite, feats)):
-                raise ValueError(f"{p}:{lineno}: non-finite feature value")
-            try:
-                label = int(fields[-1])
-            except ValueError:
-                raise ValueError(f"{p}:{lineno}: label must be an integer, got {fields[-1]!r}") from None
-            if not 0 <= label < n_classes:
-                raise ValueError(f"{p}:{lineno}: label {label} out of range [0, {n_classes})")
-            rows.append(feats)
-            labels.append(label)
+    rows, labels = [], []
+    for lineno, line in content_lines(read_text(p, "dataset")):
+        fields = line.split(",")
+        if len(fields) != n_features + 1:
+            raise ValueError(
+                f"{p}:{lineno}: expected {n_features + 1} fields "
+                f"({n_features} features + label), got {len(fields)}")
+        try:
+            feats = [float(f) for f in fields[:-1]]
+        except ValueError:
+            raise ValueError(f"{p}:{lineno}: non-numeric feature value") from None
+        if not all(map(math.isfinite, feats)):
+            raise ValueError(f"{p}:{lineno}: non-finite feature value")
+        try:
+            label = int(fields[-1])
+        except ValueError:
+            raise ValueError(f"{p}:{lineno}: label must be an integer, got {fields[-1]!r}") from None
+        if not 0 <= label < n_classes:
+            raise ValueError(f"{p}:{lineno}: label {label} out of range [0, {n_classes})")
+        rows.append(feats)
+        labels.append(label)
     if not rows:
         raise ValueError(f"{p}: dataset is empty")
     return Dataset(np.array(rows), np.array(labels, dtype=np.int64), n_classes)

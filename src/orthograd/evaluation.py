@@ -23,7 +23,7 @@ import numpy as np
 
 from . import net
 from .config import ConfigError, _convert, _write, write_atomic
-from .data import Splits
+from .data import Splits, content_lines, read_text
 
 __all__ = [
     "uis",
@@ -98,6 +98,8 @@ def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> 
         key, sep, value = token.partition("=")
         if not sep:
             raise ValueError(f"{where}: expected key=value tokens, got {token!r}")
+        if key in entries:
+            raise ValueError(f"{where}: repeats key {key!r}")
         entries[key] = value
     missing = [f.name for f in fields(RunRecord) if f.name not in entries]
     if missing:
@@ -110,16 +112,8 @@ def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> 
 
 
 def parse_records(path) -> list[RunRecord]:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"results file not found: {p}")
-    records = []
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        records.append(parse_record_line(line, source=str(p), lineno=lineno))
-    return records
+    return [parse_record_line(line, source=str(Path(path)), lineno=lineno)
+            for lineno, line in content_lines(read_text(path, "results"))]
 
 
 def emit_records(records, path) -> None:

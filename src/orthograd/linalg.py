@@ -79,7 +79,7 @@ def _keep_block(s: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.concatenate([head, rest + tail]), t
 
 
-def _cholesky_keep(gram: np.ndarray, tol: float, dim: int) -> np.ndarray:
+def _cholesky_keep(gram: np.ndarray, dim: int) -> np.ndarray:
     """In-order Cholesky of ``gram`` under the drop rule of ``project_out_span``.
 
     Returns the (k, r) inverse W of the kept triangle scattered into the kept
@@ -91,7 +91,7 @@ def _cholesky_keep(gram: np.ndarray, tol: float, dim: int) -> np.ndarray:
     grows by the inverse of the block's triangle.  Past ``dim`` kept
     columns the span is all of R^d, so later columns are not visited.
     """
-    norm2 = np.diag(gram)
+    norm2, tol = np.diag(gram), default_drop_tol(dim)
     floor = np.maximum((tol * np.maximum(np.sqrt(norm2), 1.0)) ** 2, _GRAM_FLOOR * norm2)
     live = np.flatnonzero(norm2 > floor)
     g, floor, n = gram[np.ix_(live, live)], floor[live], live.size
@@ -116,7 +116,7 @@ def _cholesky_keep(gram: np.ndarray, tol: float, dim: int) -> np.ndarray:
 
 def kept_columns(gram: np.ndarray, dim: int) -> np.ndarray:
     """Indices of the columns ``project_out_span`` keeps of a G with Gram ``gram`` in R^dim."""
-    return np.flatnonzero(_cholesky_keep(gram, default_drop_tol(dim), dim).any(axis=1))
+    return np.flatnonzero(_cholesky_keep(gram, dim).any(axis=1))
 
 
 def project_out_span(v: np.ndarray, grads) -> tuple[np.ndarray, int]:
@@ -157,7 +157,7 @@ def project_out_span(v: np.ndarray, grads) -> tuple[np.ndarray, int]:
     gram = grads.gram()
     if not np.all(np.isfinite(gram)):
         raise ValueError("grads contain non-finite entries")
-    w = _cholesky_keep(gram, default_drop_tol(grads.dim), grads.dim)
+    w = _cholesky_keep(gram, grads.dim)
     out = v.copy()
     for _ in range(2):   # rank 0 subtracts exact zeros: v comes back bit for bit
         out -= grads.matvec(w @ (w.T @ grads.rmatvec(out)))

@@ -404,9 +404,9 @@ def test_13_kernel_keeps_reference_columns_on_desk_grams(world, monkeypatch):
     seen = []
     kernel = linalg._cholesky_keep
 
-    def spy(gram, tol, dim):
-        seen.append((gram, tol, dim, kernel(gram, tol, dim)))
-        return seen[-1][3]
+    def spy(gram, dim):
+        seen.append((gram, dim, kernel(gram, dim)))
+        return seen[-1][2]
 
     monkeypatch.setattr(linalg, "_cholesky_keep", spy)
     rng = np.random.default_rng(13)
@@ -422,8 +422,8 @@ def test_13_kernel_keeps_reference_columns_on_desk_grams(world, monkeypatch):
             ir = rng.choice(len(splits.retain), k_r, replace=False)
             b_u, b_r = splits.unlearn.subset(iu), splits.retain.subset(ir)
             model, diag = orthograd_step(model, b_u, b_r, cfg)
-            gram, tol, dim, w = seen[-1]
-            _, kept_ref = cholesky_keep_reference(gram, tol, dim)
+            gram, dim, w = seen[-1]
+            _, kept_ref = cholesky_keep_reference(gram, default_drop_tol(dim), dim)
             assert np.flatnonzero(w.any(axis=1)).tolist() == kept_ref
             assert diag.basis_rank == len(kept_ref)
             kept_total += len(kept_ref)

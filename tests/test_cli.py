@@ -94,6 +94,17 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     rc = main(["pretrain", str(tmp_path / "absent.cfg")])
     assert rc == 2
     assert "absent.cfg" in capsys.readouterr().err
+    # so is a config that cannot be read as UTF-8 text: one Latin-1 byte, or a directory
+    latin1, directory = tmp_path / "latin1.cfg", tmp_path / "dir.cfg"
+    latin1.write_bytes(TINY_CONFIG.replace("[network]", "# r\xe9seau\n[network]").encode("latin-1"))
+    directory.mkdir()
+    for path, reason in [(latin1, "'utf-8' codec can't decode byte 0xe9"),
+                         (directory, "Is a directory")]:
+        for argv in (["pretrain"], ["unlearn", "--method", "neggrad"]):
+            assert main([*argv, str(path)]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"orthograd: {path}: cannot read config file: {reason}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir.cfg", "latin1.cfg"]
 
 
 def test_bad_config_key_is_usage_error(workdir, capsys):
@@ -169,14 +180,35 @@ def test_key_of_another_kind_or_mode_is_usage_error(tmp_path, capsys, old, new, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("[paths]", "[extra]\nx = 1\n\n[paths]", "{cfg}: unknown section [extra]"),
+    (TINY_CONFIG[TINY_CONFIG.index("[paths]"):], "", "{cfg}: missing required section [paths]"),
+    ("[unlearn]\n", "[unlearn]\n = 3\n", "{cfg}:27: empty key"),
+    ("[unlearn]\n", "[ ]\n", "{cfg}:26: empty section name"),
+], ids=["unknown-section", "missing-section", "empty-key", "empty-section-name"])
+def test_malformed_config_layout_is_usage_error_naming_the_file(workdir, capsys, old, new,
+                                                                message):
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace(old, new), encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"orthograd: {message.format(cfg=cfg_path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 def test_csv_dataset_runs_like_the_blobs_it_holds(tmp_path):
     # the CSV files hold TINY_CONFIG's blobs exactly, so every output must match
-    # the blobs run byte for byte; the paths resolve against the config's directory
+    # the blobs run byte for byte; the paths resolve against the config's directory,
+    # and blank and '#' lines are skipped
     blobs_dir, csv_dir = tmp_path / "blobs", tmp_path / "csv"
     blobs_dir.mkdir()
     csv_dir.mkdir()
     (blobs_dir / "exp.cfg").write_text(TINY_CONFIG, encoding="utf-8")
     (csv_dir / "exp.cfg").write_text(_csv_config(csv_dir), encoding="utf-8")
+    train = csv_dir / "data" / "train.csv"
+    lines = train.read_text(encoding="utf-8").splitlines()   # 40 rows of each class
+    lines[40:40] = ["", "  # class 1"]
+    lines.insert(0, "# x1,x2,x3,x4,x5,label")
+    train.write_text("\n".join(lines) + "\n", encoding="utf-8")
     for d in (blobs_dir, csv_dir):
         assert main(["pretrain", str(d / "exp.cfg")]) == 0
         assert main(["unlearn", str(d / "exp.cfg"), "--method", "neggrad",
@@ -205,6 +237,11 @@ def test_non_finite_csv_feature_is_runtime_error_before_any_write(tmp_path, caps
     train.write_text(bad, encoding="utf-8")
     assert main(["pretrain", str(cfg_path)]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    train.write_bytes(good.encode("utf-8") + b"# donn\xe9es\n")   # a Latin-1 byte
+    assert main(["pretrain", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"orthograd: {train}: cannot read dataset file: 'utf-8' codec can't decode byte 0xe9")
     assert not (tmp_path / "out").exists()
 
     train.write_text(good, encoding="utf-8")
@@ -413,10 +450,14 @@ def test_out_of_range_unlearn_value_is_usage_error_before_any_run(workdir, capsy
     (["--method", "neggrad", "--seed-list", "3,-1"], "", "--seed-list: seed must be >= 0, got -1"),
     (["--method", "all"], "\n[unlearn.neggrad]\nseed = -1\n",
      "{cfg}: neggrad settings: seed must be >= 0, got -1"),
-], ids=["flag", "config"])
+    (["--method", "neggrad", "--seed-list", "x"], "",
+     "--seed-list expects comma-separated integers, got 'x'"),
+    (["--method", "neggrad", "--seed-list", ","], "", "--seed-list must list at least one value"),
+], ids=["flag", "config", "flag-not-integers", "flag-no-value"])
 def test_negative_unlearn_seed_is_usage_error_before_any_run(workdir, capsys, argv, table,
                                                              message):
-    # seed 3, or the methods before neggrad, may not write before the negative seed is rejected
+    # seed 3, or the methods before neggrad, may not write before the negative seed is rejected;
+    # neither may a run when the flag lists no seed or a seed that is no integer
     tmp_path, cfg_path = workdir
     assert main(["pretrain", str(cfg_path)]) == 0
     results = (tmp_path / "out" / "results.txt").read_bytes()
@@ -774,6 +815,17 @@ def test_compare_on_malformed_results_is_usage_error(tmp_path, capsys):
     bad.write_text("methodx\n", encoding="utf-8")
     assert main(["compare", str(bad)]) == 2
     assert main(["compare", str(tmp_path / "none.txt")]) == 2
+    # a file that cannot be read as UTF-8 text names itself: one Latin-1 byte, or a directory
+    bad.write_bytes(b"# r\xe9sultats\n")
+    for path, reason in [(bad, "'utf-8' codec can't decode byte 0xe9"), (tmp_path, "Is a directory")]:
+        capsys.readouterr()
+        assert main(["compare", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"orthograd: {path}: cannot read results file: {reason}")
+    # an empty file is not malformed: it holds no records
+    bad.write_text("", encoding="utf-8")
+    assert main(["compare", str(bad)]) == 0
+    assert capsys.readouterr().out == "(no records)\n"
 
 
 def test_malformed_results_file_fails_pretrain_before_any_training(workdir, capsys,
@@ -787,10 +839,16 @@ def test_malformed_results_file_fails_pretrain_before_any_training(workdir, caps
     assert capsys.readouterr().err == (
         f"orthograd: {results}:2: expected key=value tokens, got 'not-a-record'\n")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["results.txt"]
+    results.write_bytes(b"# r\xe9sultats\n")   # a Latin-1 byte
+    assert main(["pretrain", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"orthograd: {results}: cannot read results file: 'utf-8' codec can't decode byte 0xe9")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["results.txt"]
 
 
 def test_malformed_results_file_fails_unlearn_before_any_run(workdir, capsys):
-    # a row missing fields, then the pretrain row with one value malformed, which names its key
+    # a row missing fields, then the pretrain row with one value malformed, which names its
+    # key, or with a key repeated; pretrain fails on each before it writes, and compare too
     tmp_path, cfg_path = workdir
     assert main(["pretrain", str(cfg_path)]) == 0
     results = tmp_path / "out" / "results.txt"
@@ -807,14 +865,17 @@ def test_malformed_results_file_fails_unlearn_before_any_run(workdir, capsys):
         (with_value("stopped_early=maybe"),
          "key 'stopped_early' expects 'true' or 'false', got 'maybe'"),
         (with_value("A_u=nan"), "key 'A_u' expects a finite number, got 'nan'"),
+        (good.strip() + " seed=7", "repeats key 'seed'"),
     ]:
         results.write_text(good + line + "\n", encoding="utf-8")
-        before = results.read_bytes()
+        written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
         capsys.readouterr()
-        assert main(["unlearn", str(cfg_path), "--method", "all", "--seed-list", "0,1"]) == 1
-        assert capsys.readouterr().err == f"orthograd: {results}:2: {message}\n"
+        for argv, rc in [(["unlearn", str(cfg_path), "--method", "all", "--seed-list", "0,1"], 1),
+                         (["pretrain", str(cfg_path)], 1), (["compare", str(results)], 2)]:
+            assert main(argv) == rc
+            assert capsys.readouterr().err == f"orthograd: {results}:2: {message}\n"
         assert not (tmp_path / "out" / "runs").exists()
-        assert results.read_bytes() == before
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
 
 
 def test_unlearn_reads_the_results_file_once(workdir, monkeypatch):

@@ -75,6 +75,14 @@ def test_csv_errors_name_line_numbers(tmp_path):
     with pytest.raises(ValueError, match=r"bad\.csv:2.*label 2 out of range"):
         load_csv_dataset(path, n_features=2, n_classes=2)
 
+    # '#' lines are skipped but counted, and a file that is not UTF-8 text names itself
+    path.write_text("# x1,x2,label\n0.5,1.5,0\n0.1,0.2,0.3,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.csv:3.*fields"):
+        load_csv_dataset(path, n_features=2, n_classes=2)
+    path.write_bytes(b"0.5,1.5,0\n# donn\xe9es\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: cannot read dataset file: 'utf-8' codec"):
+        load_csv_dataset(path, n_features=2, n_classes=2)
+
     with pytest.raises(FileNotFoundError, match="missing"):
         load_csv_dataset(tmp_path / "missing.csv", n_features=2, n_classes=2)
 

@@ -234,7 +234,7 @@ def test_kernel_keeps_the_reference_loop_columns():
         gram = PerSampleGrads.columns(g).gram()
         tol = default_drop_tol(d)
         w_ref, kept_ref = cholesky_keep_reference(gram, tol, d)
-        w = _cholesky_keep(gram, tol, d)
+        w = _cholesky_keep(gram, d)
         assert np.flatnonzero(w.any(axis=1)).tolist() == kept_ref
         assert w.shape == w_ref.shape
         q, q_ref = g @ w, g @ w_ref
