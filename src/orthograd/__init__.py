@@ -8,9 +8,10 @@ mean retain gradient.  Modules:
 * ``linalg``      the projection kernel
 * ``net``         feed-forward classifier with factored per-sample gradients
 * ``lora``        low-rank adapters for parameter-efficient unlearning
-* ``data``        synthetic blob datasets, CSV ingestion, unlearn/retain splits
+* ``data``        blob and CSV datasets, unlearn/retain splits, and the text layer
 * ``unlearn``     the update rule, stopping rules, the epoch loop
 * ``evaluation``  impact metric and the structured results format
+* ``config``      the checked experiment builder
 * ``cli``         the ``orthograd`` command
 """
 

@@ -10,7 +10,8 @@ import argparse
 import sys
 
 from . import net
-from .config import ConfigError, load_experiment_config, usage_errors, write_atomic
+from .config import load_experiment_config, usage_errors
+from .data import ConfigError, write_atomic
 from .evaluation import (
     RunRecord, emit_records, evaluate_splits, format_record, parse_records, render_table,
     upsert_records, uis,

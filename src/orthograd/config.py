@@ -1,41 +1,24 @@
-"""Flat key=value configuration format with bracketed section headers.
-
-The same text format is reused for experiment config files and for the
-metadata block embedded in checkpoint files.  Layout rules:
-
-* a section starts with ``[name]`` on its own line
-* entries are ``key = value`` lines inside a section
-* blank lines and lines starting with ``#`` are ignored
-* keys are case-sensitive and may not repeat within a section
-
-``parse_sections`` reports errors with the offending line number so config
-typos are easy to find.  ``format_sections`` emits a canonical rendering
-(stable ordering, single spaces around ``=``) so writers are byte-stable.
-"""
+"""The checked experiment builder: ``load_experiment_config`` reads a config file into an
+``ExperimentConfig`` after checking every value that needs no data; the config then builds
+the parts of a run.  The file's section syntax and value types are ``data``'s."""
 
 from __future__ import annotations
 
-import math
-import os
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
-from . import data
+from . import data, net
+from .data import ConfigError, Seed, parse_sections_text, read_value
+from .lora import LoraAdapterSet
+from .unlearn import MethodKind, StoppingRule, UnlearnConfig
 
 __all__ = [
     "ConfigError",
-    "format_sections",
-    "parse_sections_text",
-    "write_atomic",
     "ExperimentConfig",
     "load_experiment_config",
     "usage_errors",
 ]
-
-
-class ConfigError(ValueError):
-    """Raised for malformed or invalid configuration input."""
 
 
 @contextmanager
@@ -47,121 +30,10 @@ def usage_errors(where: str):
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def parse_sections_text(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
-    """Parse config text into ``{section: {key: value}}`` preserving order."""
-    sections: dict[str, dict[str, str]] = {}
-    current: dict[str, str] | None = None
-    current_name = ""
-    for lineno, line in data.content_lines(text):
-        if line.startswith("[") and line.endswith("]"):
-            current_name = line[1:-1].strip()
-            if not current_name:
-                raise ConfigError(f"{source}:{lineno}: empty section name")
-            if current_name in sections:
-                raise ConfigError(f"{source}:{lineno}: duplicate section [{current_name}]")
-            current = {}
-            sections[current_name] = current
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected 'key = value' or '[section]', got {line!r}")
-        if current is None:
-            raise ConfigError(f"{source}:{lineno}: entry before any [section] header")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key:
-            raise ConfigError(f"{source}:{lineno}: empty key")
-        if key in current:
-            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in section [{current_name}]")
-        current[key] = value
-    return sections
-
-
-def parse_sections(path) -> dict[str, dict[str, str]]:
-    """Parse a config file; a file that cannot be read is a ConfigError naming the path."""
-    try:
-        text = data.read_text(path, "config")
-    except (FileNotFoundError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
-    return parse_sections_text(text, source=str(Path(path)))
-
-
-def write_atomic(path, data: bytes) -> None:
-    """Replace ``path`` by ``data`` via a temporary file beside it and ``os.replace``, so a
-    reader sees the old file or the new one; on failure the temporary file is removed."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
-def format_sections(sections) -> str:
-    """Render sections in canonical compact form (insertion order, no blank
-    lines, ``key = value``); no trailing newline."""
-    lines: list[str] = []
-    for name, entries in sections.items():
-        lines.append(f"[{name}]")
-        for key, value in entries.items():
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# experiment configuration
-
-
-def _seed(value: str) -> int:
-    if int(value) < 0:
-        raise ValueError(value)
-    return int(value)
-
-
-def _finite(value: str) -> float:
-    if not math.isfinite(float(value)):   # inf, nan, and literals that overflow to inf
-        raise ValueError(value)
-    return float(value)
-
-
-Seed = int   # a field annotated Seed holds a random seed, which is never negative
-
-# the one text form of each value type a config key, a record field or checkpoint metadata
-# can have, by its annotation: (parse, write, what a bad value should have been); a parse
-# rejects a bad value with ValueError or KeyError, and reads back what write gives
-_VALUE_TYPES = {
-    "str": (str, str, None),
-    "int": (int, str, "an integer"),
-    "float": (_finite, "{:.6g}".format, "a finite number"),
-    "bool": ({"true": True, "false": False}.__getitem__, lambda v: "true" if v else "false",
-             "'true' or 'false'"),
-    "tuple[int, ...]": (lambda v: tuple(int(part) for part in v.split(",")),
-                        lambda v: ",".join(map(str, v)), "comma-separated integers"),
-    "Seed": (_seed, str, "a non-negative integer"),
-}
-
-
-def _write(value, type_name: str) -> str:
-    return _VALUE_TYPES[type_name][1](value)
-
-
-def _convert(value: str, type_name: str, key: str, source: str):
-    parse, _, expects = _VALUE_TYPES[type_name]
-    try:
-        return parse(value)
-    except (ValueError, KeyError):
-        raise ConfigError(f"{source}: key {key!r} expects {expects}, got {value!r}") from None
-
-
-def _unlearn_keys() -> dict[str, str]:
-    """The ``[unlearn]`` keys with their types: ``UnlearnConfig``'s settings plus the
-    ``StoppingRule`` threshold; a key left out keeps its field's or threshold's default."""
-    from .unlearn import UnlearnConfig   # here: unlearn imports net, net imports config
-    keys = {f.name: f.type for f in fields(UnlearnConfig) if f.name not in ("method", "stopping")}
-    return {**keys, "stop_threshold": "float"}
-
+# the [unlearn] keys with their types: UnlearnConfig's settings plus the StoppingRule
+# threshold; a key left out keeps its field's or threshold's default
+_UNLEARN_KEYS = {**{f.name: f.type for f in fields(UnlearnConfig)
+                    if f.name not in ("method", "stopping")}, "stop_threshold": "float"}
 
 # the keys of every other section: key -> its ExperimentConfig field, whose annotation is
 # the key's type.  A key is required exactly when its field has no default, or when the
@@ -252,7 +124,6 @@ class ExperimentConfig:
 
     def network_spec(self):
         """The ``[network]`` architecture, as a ``net.NetworkSpec``."""
-        from . import net   # here: net imports config
         with usage_errors(f"{self.source}: network"):
             return net.NetworkSpec(self.layer_sizes, self.activation)
 
@@ -287,11 +158,9 @@ class ExperimentConfig:
         """``method``'s ``UnlearnConfig``: ``[unlearn.<method>]`` over ``[unlearn]``; a random
         forget stops at the pretrained test accuracy ``a_ref``.  A ``seed`` given here comes
         from ``--seed-list``, and an error in it names that flag."""
-        from .lora import LoraAdapterSet
-        from .unlearn import StoppingRule, UnlearnConfig
-        types = _unlearn_keys()
         table = {**self.unlearn_base, **self.unlearn_overrides.get(method.value, {})}
-        settings = {key: _convert(value, types[key], key, self.source) for key, value in table.items()}
+        settings = {key: read_value(value, _UNLEARN_KEYS[key], key, self.source)
+                    for key, value in table.items()}
         threshold = settings.pop("stop_threshold", None)
         rule = (StoppingRule.random_forget(target=a_ref, threshold=threshold)
                 if self.split_mode == "random" else StoppingRule.class_forget(threshold=threshold))
@@ -308,11 +177,13 @@ def load_experiment_config(path) -> ExperimentConfig:
     """The experiment at ``path``, with every value checked that needs no data, including
     the pretraining schedule, the network against the dataset and each method's
     ``UnlearnConfig``."""
-    from . import net
-    from .unlearn import MethodKind
     source = str(Path(path))
-    sections = parse_sections(path)
-    methods, unlearn_keys = [m.value for m in MethodKind], _unlearn_keys()
+    try:
+        text = data.read_text(path, "config")
+    except (FileNotFoundError, ValueError) as exc:   # a file that cannot be read is a usage error
+        raise ConfigError(str(exc)) from None
+    sections = parse_sections_text(text, source)
+    methods = [m.value for m in MethodKind]
     for name, table in sections.items():
         if name.startswith("unlearn."):
             method = name[len("unlearn."):]
@@ -323,7 +194,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         elif name != "unlearn" and name not in _SECTION_KEYS:
             raise ConfigError(f"{source}: unknown section [{name}]")
         for key in table:
-            if key not in _SECTION_KEYS.get(name, unlearn_keys):
+            if key not in _SECTION_KEYS.get(name, _UNLEARN_KEYS):
                 raise ConfigError(f"{source}: unknown key {key!r} in section [{name}]")
 
     for name in (*_SECTION_KEYS, "unlearn"):
@@ -335,7 +206,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         table = sections[name]
         for key, attr in keys.items():
             if key in table:
-                values[attr] = _convert(table[key], config_fields[attr].type, key, source)
+                values[attr] = read_value(table[key], config_fields[attr].type, key, source)
             elif config_fields[attr].default is MISSING:
                 raise ConfigError(f"{source}: missing key {key!r} in section [{name}]")
     cfg = ExperimentConfig(

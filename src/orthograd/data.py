@@ -1,15 +1,29 @@
-"""Datasets and unlearn/retain/test splits, and the one reader of text files.
+"""Datasets and unlearn/retain/test splits, and the text layer under the library.
 
 A Dataset is a pair of arrays (float64 features, int64 labels) plus the
 class count.  Splits carve one training set
 into the unlearn set D_u and retain set D_r, keeping them disjoint; for
 class forgetting the test set is partitioned as well so the test metric
 never sees the forgotten class.
+
+The text layer reads text files, replaces files atomically, and holds the text form of
+each value type (``_VALUE_TYPES``) and the section syntax of experiment config files and
+of the metadata block embedded in checkpoint files.  Layout rules:
+
+* a section starts with ``[name]`` on its own line
+* entries are ``key = value`` lines inside a section
+* blank lines and lines starting with ``#`` are ignored
+* keys are case-sensitive and may not repeat within a section
+
+``parse_sections_text`` reports errors with the offending line number so config
+typos are easy to find.  ``format_sections`` emits a canonical rendering
+(stable ordering, single spaces around ``=``) so writers are byte-stable.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,15 +36,22 @@ __all__ = [
     "partition_train_test",
     "load_csv_dataset",
     "make_unlearn_split",
+    "ConfigError", "read_text", "content_lines", "parse_sections_text", "format_sections",
+    "write_atomic", "read_value", "write_value",
 ]
 
 
+class ConfigError(ValueError):
+    """Raised for malformed or invalid configuration input."""
+
+
 def read_text(path, what: str) -> str:
-    """The UTF-8 text of the ``what`` file at ``path``: a FileNotFoundError if it is missing,
-    else a ValueError for any fault (a directory, no permission, not UTF-8); each names it."""
+    """The UTF-8 text of the ``what`` file at ``path``, less a leading byte-order mark: a
+    FileNotFoundError if it is missing, else a ValueError for any fault (a directory, no
+    permission, not UTF-8); each names it."""
     p = Path(path)
     try:
-        return p.read_text(encoding="utf-8")
+        return p.read_text(encoding="utf-8-sig")
     except FileNotFoundError:
         raise FileNotFoundError(f"{what} file not found: {p}") from None
     except (OSError, UnicodeDecodeError) as exc:   # an OSError's own text repeats the path
@@ -38,11 +59,107 @@ def read_text(path, what: str) -> str:
 
 
 def content_lines(text: str):
-    """``(line number from 1, stripped line)`` of each line neither blank nor a ``#`` comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    """``(line number from 1, stripped line)`` of each line neither blank nor a ``#`` comment;
+    only a newline character ends a line, so the numbers match an editor's."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
+
+
+def parse_sections_text(text: str, source: str = "<config>") -> dict[str, dict[str, str]]:
+    """Parse config text into ``{section: {key: value}}`` preserving order."""
+    sections: dict[str, dict[str, str]] = {}
+    current: dict[str, str] | None = None
+    current_name = ""
+    for lineno, line in content_lines(text):
+        if line.startswith("[") and line.endswith("]"):
+            current_name = line[1:-1].strip()
+            if not current_name:
+                raise ConfigError(f"{source}:{lineno}: empty section name")
+            if current_name in sections:
+                raise ConfigError(f"{source}:{lineno}: duplicate section [{current_name}]")
+            current = {}
+            sections[current_name] = current
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{source}:{lineno}: expected 'key = value' or '[section]', got {line!r}")
+        if current is None:
+            raise ConfigError(f"{source}:{lineno}: entry before any [section] header")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        value = value.strip()
+        if not key:
+            raise ConfigError(f"{source}:{lineno}: empty key")
+        if key in current:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} in section [{current_name}]")
+        current[key] = value
+    return sections
+
+
+def format_sections(sections) -> str:
+    """Render sections in canonical compact form (insertion order, no blank
+    lines, ``key = value``); no trailing newline."""
+    lines: list[str] = []
+    for name, entries in sections.items():
+        lines.append(f"[{name}]")
+        for key, value in entries.items():
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines)
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` via a temporary file beside it and ``os.replace``, so a
+    reader sees the old file or the new one; on failure the temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _seed(value: str) -> int:
+    if int(value) < 0:
+        raise ValueError(value)
+    return int(value)
+
+
+def _finite(value: str) -> float:
+    if not math.isfinite(float(value)):   # inf, nan, and literals that overflow to inf
+        raise ValueError(value)
+    return float(value)
+
+
+Seed = int   # a field annotated Seed holds a random seed, which is never negative
+
+# the one text form of each value type a config key, a record field or checkpoint metadata
+# can have, by its annotation: (parse, write, what a bad value should have been); a parse
+# rejects a bad value with ValueError or KeyError, and reads back what write gives
+_VALUE_TYPES = {
+    "str": (str, str, None),
+    "int": (int, str, "an integer"),
+    "float": (_finite, "{:.6g}".format, "a finite number"),
+    "bool": ({"true": True, "false": False}.__getitem__, lambda v: "true" if v else "false",
+             "'true' or 'false'"),
+    "tuple[int, ...]": (lambda v: tuple(int(part) for part in v.split(",")),
+                        lambda v: ",".join(map(str, v)), "comma-separated integers"),
+    "Seed": (_seed, str, "a non-negative integer"),
+}
+
+
+def write_value(value, type_name: str) -> str:
+    return _VALUE_TYPES[type_name][1](value)
+
+
+def read_value(value: str, type_name: str, key: str, source: str):
+    parse, _, expects = _VALUE_TYPES[type_name]
+    try:
+        return parse(value)
+    except (ValueError, KeyError):
+        raise ConfigError(f"{source}: key {key!r} expects {expects}, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import net
-from .config import ConfigError, _convert, _write, write_atomic
-from .data import Splits, content_lines, read_text
+from .data import ConfigError, Splits, content_lines, read_text, read_value, write_atomic, write_value
 
 __all__ = [
     "uis",
@@ -88,7 +87,7 @@ class RunRecord:
 
 def format_record(rec) -> str:
     """A record dataclass as ``key=value`` tokens in field order, each written by its type."""
-    return " ".join(f"{f.name}={_write(getattr(rec, f.name), f.type)}" for f in fields(rec))
+    return " ".join(f"{f.name}={write_value(getattr(rec, f.name), f.type)}" for f in fields(rec))
 
 
 def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> RunRecord:
@@ -105,7 +104,7 @@ def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> 
     if missing:
         raise ValueError(f"{where}: record missing fields {missing}")
     try:
-        return RunRecord(**{f.name: _convert(entries[f.name], f.type, f.name, where)
+        return RunRecord(**{f.name: read_value(entries[f.name], f.type, f.name, where)
                             for f in fields(RunRecord)})
     except ConfigError as exc:   # a results file is data: a bad value is a runtime error
         raise ValueError(str(exc)) from None

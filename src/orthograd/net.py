@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, _convert, _write, format_sections, parse_sections_text, write_atomic
-from .data import Dataset
+from .data import ConfigError, Dataset, format_sections, parse_sections_text, read_value
+from .data import write_atomic, write_value
 
 __all__ = [
     "NetworkSpec",
@@ -415,7 +415,7 @@ def save_checkpoint(path, params: ParamVector, seed: int) -> None:
     """Write a model checkpoint atomically; round-trips bit-exactly via load_checkpoint."""
     values = {"layer_sizes": params.spec.layer_sizes, "activation": params.spec.activation,
               "seed": seed, "d": params.dim}
-    meta = {key: _write(values[key], type_name) for key, type_name in CHECKPOINT_KEYS.items()}
+    meta = {key: write_value(values[key], type_name) for key, type_name in CHECKPOINT_KEYS.items()}
     # metadata must stay free of blank lines: the first blank line is the
     # metadata/payload boundary
     text = CHECKPOINT_HEADER + "\n" + format_sections({"model": meta})
@@ -446,7 +446,7 @@ def load_checkpoint(path) -> tuple[ParamVector, dict]:
         missing = [key for key in CHECKPOINT_KEYS if key not in meta]
         if missing:
             raise ValueError(f"checkpoint [model] metadata missing {', '.join(missing)}")
-        values = {key: _convert(meta[key], type_name, key, str(path))
+        values = {key: read_value(meta[key], type_name, key, str(path))
                   for key, type_name in CHECKPOINT_KEYS.items()}
         spec = NetworkSpec(values["layer_sizes"], values["activation"])
         d = values["d"]

@@ -13,10 +13,11 @@ from helpers import edit_metadata, save_csv_dataset
 from orthograd import cli, net
 from orthograd.cli import main
 from orthograd.config import (
-    _SECTION_KEYS, ConfigError, ExperimentConfig, _unlearn_keys, format_sections,
-    load_experiment_config, parse_sections_text,
+    _SECTION_KEYS, _UNLEARN_KEYS, ConfigError, ExperimentConfig, load_experiment_config,
 )
-from orthograd.data import gen_gaussian_blobs, partition_train_test
+from orthograd.data import (
+    format_sections, gen_gaussian_blobs, parse_sections_text, partition_train_test,
+)
 from orthograd.evaluation import parse_records
 from orthograd.net import load_checkpoint
 
@@ -81,6 +82,15 @@ def test_config_parsing_round_trip(workdir):
     assert cfg.retain_size == 40
 
 
+def test_config_with_a_byte_order_mark_loads_like_one_without(workdir):
+    tmp_path, cfg_path = workdir
+    bom_path = tmp_path / "bom.cfg"
+    bom_path.write_text(TINY_CONFIG, encoding="utf-8-sig")
+    assert bom_path.read_bytes().startswith(b"\xef\xbb\xbf")
+    bom_cfg = load_experiment_config(bom_path)
+    assert dataclasses.replace(bom_cfg, source=str(cfg_path)) == load_experiment_config(cfg_path)
+
+
 def test_config_errors_name_lines():
     with pytest.raises(ConfigError, match=":2"):
         parse_sections_text("[a]\nnot a pair\n", source="cfg")
@@ -88,6 +98,9 @@ def test_config_errors_name_lines():
         parse_sections_text("[a]\nx = 1\nx = 2\n", source="cfg")
     with pytest.raises(ConfigError, match="before any"):
         parse_sections_text("x = 1\n", source="cfg")
+    # only a newline ends a line: a line of form feeds, separators and the like is blank
+    with pytest.raises(ConfigError, match="^cfg:3: expected"):
+        parse_sections_text("[a]\n\x0b\x0c\x1c\x85\u2028\u2029\nx\n", source="cfg")
 
 
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
@@ -323,7 +336,7 @@ def _float_keys() -> set[tuple[str, str]]:
     def key_type(section, key):
         if section in _SECTION_KEYS:
             return field_types[_SECTION_KEYS[section][key]]
-        return _unlearn_keys()[key]   # [unlearn] and [unlearn.<method>]
+        return _UNLEARN_KEYS[key]   # [unlearn] and [unlearn.<method>]
 
     return {(section, key) for section, table in parse_sections_text(TINY_CONFIG).items()
             for key in table if key_type(section, key) == "float"}
