@@ -9,9 +9,9 @@ never adapted.
 
 Adapter parameters live in their own flat vector (dimension
 ``sum_l rank * (n_in + n_out)``).  ``AdaptedModel`` is a ``net.Model``: it
-supplies the adapted layer blocks and its one chain-rule map to factor blocks,
-and inherits every gradient operation, so the unlearning steps treat the
-adapter vector exactly like the full-model parameter vector.
+supplies its merged full vector, which every pass runs on, and its one chain-rule
+map to factor blocks, and inherits every gradient operation, so the unlearning
+steps treat the adapter vector exactly like the full-model parameter vector.
 """
 
 from __future__ import annotations
@@ -70,8 +70,8 @@ class AdaptedModel(Model):
 
     Differentiates with respect to the adapter coordinates only.
     ``apply_update`` returns a new model; the base parameters are shared,
-    never copied or mutated.  The effective layer blocks are built once, on first
-    use, and the forward and gradient passes and ``merged`` read that one copy.
+    never copied or mutated.  The merged parameter vector is built once, on first
+    use, and the forward and gradient passes and ``merged`` read that one vector.
     """
 
     def __init__(self, base: ParamVector, adapters: LoraAdapterSet, theta: np.ndarray):
@@ -106,16 +106,12 @@ class AdaptedModel(Model):
         return self.adapters.multiplier * (self.b_matrix(layer) @ self.a_matrix(layer))
 
     @cached_property
-    def effective_layers(self) -> tuple[np.ndarray, ...]:
-        """Per layer the base block with ``(scale/rank) (B A)^T`` added to its weight rows;
-        shared by every use, do not modify."""
-        layers = tuple(w.copy() for w in self.base._layers())
-        for l, w in enumerate(layers):
-            w[:-1] += self.weight_delta(l).T
-        return layers
-
-    def _layers(self):
-        return self.effective_layers
+    def _merged(self) -> ParamVector:
+        merged = ParamVector(self.base.flat.copy(), self.spec)
+        for l in range(self.spec.n_layers):
+            w = merged.weights(l)
+            w += self.weight_delta(l).T
+        return merged
 
     def _blocks(self, acts, deltas):
         # per layer, with m the multiplier: the A block (m delta_i B) (x) a_i
@@ -131,8 +127,8 @@ class AdaptedModel(Model):
         return AdaptedModel(self.base, self.adapters, theta)
 
     def merged(self) -> ParamVector:
-        """The effective layer blocks, concatenated into a full parameter vector."""
-        return ParamVector(np.concatenate([w.ravel() for w in self.effective_layers]), self.spec)
+        """The adapted weights as one full vector per model, shared: treat it as immutable."""
+        return self._merged
 
 
 def attach_lora(base: ParamVector, rank: int, scale: float, seed: int = 0) -> AdaptedModel:

@@ -7,10 +7,10 @@ layers are laid out in network order.
 
 ``Model`` holds the gradient operations of every parameter space once:
 forward, mean loss and gradient, factored per-sample gradients, update and
-merge.  A space supplies its coordinates, the layer blocks its forward pass runs,
-one chain-rule map from the engine pass to factor blocks, and a copy of
-itself at new coordinates; ``ParamVector`` is the full space and
-``lora.AdaptedModel`` the adapter space.  Per-sample gradients come out
+merge.  A space supplies its coordinates, one chain-rule map from the engine
+pass to factor blocks, and a copy of itself at new coordinates, and every pass
+runs on the layer blocks of its merged full vector; ``ParamVector`` is the full
+space and ``lora.AdaptedModel`` the adapter space.  Per-sample gradients come out
 factored per layer (``PerSampleGrads``), never as a dense (d, k) matrix, and
 the mean gradient is the row sum of the factors of the mean-scaled pass.
 Every batch is a ``data.Dataset``; the gradient calls check it against the
@@ -40,7 +40,12 @@ __all__ = [
     "load_checkpoint",
 ]
 
-ACTIVATIONS = ("relu", "tanh")
+# hidden activation: name -> (apply in place, derivative from its output, init variance gain);
+# relu's output is > 0 exactly where its input is, and the bool mask multiplies as 1.0 or 0.0
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda a: a > 0.0, 2.0),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda a: 1.0 - a * a, 1.0),
+}
 
 CHECKPOINT_HEADER = "ORTHOGRAD-CKPT v1"
 # the [model] metadata keys of a checkpoint, in the order written, with their value types
@@ -63,7 +68,7 @@ class NetworkSpec:
         if any(s < 1 for s in sizes):
             raise ValueError(f"layer sizes must be positive, got {sizes}")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
+            raise ValueError(f"activation must be one of {tuple(ACTIVATIONS)}, got {self.activation!r}")
         slots = []
         off = 0
         for n_in, n_out in zip(sizes, sizes[1:]):
@@ -92,11 +97,11 @@ class NetworkSpec:
 class Model:
     """Gradient operations shared by every parameter space, written once.
 
-    A model supplies ``spec`` and four things: ``coords``, the vector its
-    gradients live in; ``_layers()``, the layer blocks its forward pass
-    runs; ``_blocks(acts, deltas)``, its one chain-rule map from the engine
-    pass to ``PerSampleGrads`` blocks over ``coords``; and ``_at(coords)``, a
-    copy of itself at new coordinates.
+    A model supplies ``spec`` and three hooks: ``coords``, the vector its
+    gradients live in; ``_blocks(acts, deltas)``, its one chain-rule map from
+    the engine pass to ``PerSampleGrads`` blocks over ``coords``; and
+    ``_at(coords)``, a copy of itself at new coordinates.  A space other than
+    the full one also supplies ``merged()``, whose layer blocks every pass runs.
     """
 
     @property
@@ -135,6 +140,10 @@ class Model:
         """The model as a full parameter vector; a full-space model is its own."""
         return self
 
+    def _layers(self):
+        merged = self.merged()
+        return [merged.layer(l) for l in range(self.spec.n_layers)]
+
 
 @dataclass(frozen=True)
 class ParamVector(Model):
@@ -167,9 +176,6 @@ class ParamVector(Model):
 
     def biases(self, l: int) -> np.ndarray:
         return self.layer(l)[-1]
-
-    def _layers(self):
-        return [self.layer(l) for l in range(self.spec.n_layers)]
 
     def _blocks(self, acts, deltas):
         # per layer block, sample i's gradient is [a_i, 1] (x) delta_i
@@ -244,15 +250,7 @@ def _check_batch(batch: Dataset, spec: NetworkSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared forward/backward engine (also used with LoRA effective layers)
-
-
-def _activate(name: str, z: np.ndarray) -> None:
-    """The hidden activation, in place."""
-    if name == "relu":
-        np.maximum(z, 0.0, out=z)
-    else:
-        np.tanh(z, out=z)
+# shared forward/backward engine over the layer blocks of a merged parameter vector
 
 
 def _forward_layers(layers, activation, x):
@@ -262,6 +260,7 @@ def _forward_layers(layers, activation, x):
     layer is linear (logits), hidden layers apply the activation.  Each
     layer allocates one array: the bias row and the activation apply in place.
     """
+    activate = ACTIVATIONS[activation][0]
     a = np.asarray(x, dtype=np.float64)
     acts = [a]
     last = len(layers) - 1
@@ -269,7 +268,7 @@ def _forward_layers(layers, activation, x):
         a = a @ block[:-1]
         a += block[-1]
         if l != last:
-            _activate(activation, a)
+            activate(a)
         acts.append(a)
     return acts[-1], acts
 
@@ -326,17 +325,13 @@ def _engine_pass(layers, spec: NetworkSpec, batch: Dataset, per_sample: bool):
     delta[np.arange(k), batch.labels] -= 1.0
     if not per_sample:
         delta /= k
+    derivative = ACTIVATIONS[spec.activation][1]
     deltas = [None] * len(layers)
     for l in range(len(layers) - 1, -1, -1):
         deltas[l] = delta
         if l > 0:
-            # the activation's derivative, from its stored output: relu's output is > 0
-            # exactly where its input is, and the bool mask multiplies as 1.0 or 0.0
             delta = delta @ layers[l][:-1].T
-            if spec.activation == "relu":
-                delta *= acts[l] > 0.0
-            else:
-                delta *= 1.0 - acts[l] * acts[l]
+            delta *= derivative(acts[l])
     return logits, acts, deltas
 
 
@@ -347,12 +342,12 @@ def _engine_pass(layers, spec: NetworkSpec, batch: Dataset, per_sample: bool):
 def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
     """Deterministic parameter init.
 
-    Weights are zero-mean normal with variance 2/n_in for relu and 1/n_in
-    for tanh; biases start at zero.
+    Weights are zero-mean normal with variance gain/n_in, the activation's
+    init gain in ``ACTIVATIONS``; biases start at zero.
     """
     rng = np.random.default_rng(seed)
     params = ParamVector(np.zeros(spec.param_dim), spec)
-    gain = 2.0 if spec.activation == "relu" else 1.0
+    gain = ACTIVATIONS[spec.activation][2]
     for l in range(spec.n_layers):
         w = params.weights(l)
         w[...] = rng.normal(0.0, np.sqrt(gain / w.shape[0]), size=w.shape)

@@ -13,6 +13,13 @@ from orthograd.net import ParamVector, init_params
 from orthograd.unlearn import MethodKind
 
 
+def random_batch(spec, k: int, seed: int) -> Dataset:
+    """k standard-normal input rows with uniform labels for ``spec``, deterministic in seed."""
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.normal(size=(k, spec.in_dim)),
+                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
+
+
 def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     """Reference oracle for ``linalg.project_out_span``: modified Gram-Schmidt.
 
@@ -154,8 +161,8 @@ def step_reference(model, batch_u: Dataset, batch_r: Dataset, cfg):
 
 
 def merge_reference(base: ParamVector, model) -> ParamVector:
-    """Reference for ``AdaptedModel.merged``: the fold it replaced, which adds each
-    layer's ``(scale/rank) (B A)^T`` to a copy of the base weights in place."""
+    """Reference for ``AdaptedModel.merged``: a fresh fold, which adds each layer's
+    ``(scale/rank) (B A)^T`` to a copy of the base weights in place."""
     if base.spec != model.spec:
         raise ValueError("base parameters and adapted model disagree on the architecture")
     flat = base.flat.copy()
@@ -173,8 +180,9 @@ def adapter_mean_grad_reference(model, batch: Dataset) -> np.ndarray:
     Per layer, with ``gw = a^T delta`` the layer's mean weight gradient
     (input-major) and m the multiplier: ``dA = m (gw B)^T`` and ``dB = m gw^T A^T``.
     """
-    _, acts, deltas = net._engine_pass(model.effective_layers, model.spec, batch,
-                                       per_sample=False)
+    merged = model.merged()
+    layers = [merged.layer(l) for l in range(model.spec.n_layers)]
+    _, acts, deltas = net._engine_pass(layers, model.spec, batch, per_sample=False)
     mult = model.adapters.multiplier
     grad = np.empty(model.dim)
     for l, (a_off, _, b_off, _) in enumerate(model.adapters.layout()):

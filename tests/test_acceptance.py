@@ -19,7 +19,7 @@ import pytest
 
 from helpers import (
     cholesky_keep_reference, cosine, gram_schmidt_basis, least_squares_residual,
-    loss_change_ratios,
+    loss_change_ratios, random_batch,
 )
 from orthograd import linalg, unlearn
 from orthograd.cli import main
@@ -45,12 +45,6 @@ from orthograd.unlearn import (
 
 RETAIN_SIZES = (100, 500, 2000)
 SEEDS = (0, 1, 2)
-
-
-def random_batch(spec: NetworkSpec, k: int, seed: int) -> Dataset:
-    rng = np.random.default_rng(seed)
-    return Dataset(rng.normal(size=(k, spec.in_dim)),
-                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 # ---------------------------------------------------------------------------

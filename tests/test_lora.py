@@ -5,20 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from helpers import adapter_mean_grad_reference, check_factors_against_dense, merge_reference
-from orthograd.data import Dataset
+from helpers import (
+    adapter_mean_grad_reference, check_factors_against_dense, merge_reference, random_batch,
+)
 from orthograd.lora import AdaptedModel, LoraAdapterSet, attach_lora
 from orthograd.net import NetworkSpec, ParamVector, init_params
 
 
 def make_base(sizes=(4, 8, 3), activation="tanh", seed=0):
     return init_params(NetworkSpec(sizes, activation), seed)
-
-
-def random_batch(spec, k, seed):
-    rng = np.random.default_rng(seed)
-    return Dataset(rng.normal(size=(k, spec.in_dim)),
-                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 def test_adapter_dimension_arithmetic():
@@ -204,16 +199,22 @@ def test_attach_deterministic_in_seed():
 
 
 def test_reused_effective_layers_equal_recomputed_bitwise():
-    # the adapted layer blocks are built once per model; every read, and every
-    # updated model, must see exactly what a fresh computation gives
+    # the merged vector is built once per model and shared by every pass; every read,
+    # and every updated model, must see exactly what a fresh fold gives, and no pass
+    # may write into it
     base = make_base((6, 12, 5, 3), "relu", seed=12)
     model = attach_lora(base, rank=2, scale=8.0, seed=13)
     rng = np.random.default_rng(14)
     for _ in range(3):
         model = model.apply_update(rng.normal(size=model.dim), 0.05)
-        fresh = [np.vstack((base.weights(l) + model.weight_delta(l).T, base.biases(l)))
-                 for l in range(base.spec.n_layers)]
-        reused = model.effective_layers
-        assert reused is model.effective_layers
-        assert len(reused) == len(fresh)
-        assert all(np.array_equal(a, b) for a, b in zip(reused, fresh))
+        merged = model.merged()
+        assert merged is model.merged()
+        for l in range(base.spec.n_layers):
+            fresh = np.vstack((base.weights(l) + model.weight_delta(l).T, base.biases(l)))
+            assert np.array_equal(merged.layer(l), fresh)
+        before = merged.flat.copy()
+        batch = random_batch(model.spec, 5, 15)
+        model.forward(batch.inputs)
+        model.mean_loss_and_grad(batch)
+        model.per_sample_factors(batch)
+        assert merged.flat.tobytes() == before.tobytes()

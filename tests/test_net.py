@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     check_factors_against_dense, edit_metadata, forward_reference, pretrain_reference,
+    random_batch,
 )
 from orthograd import net
 from orthograd.data import Dataset, gen_gaussian_blobs, partition_train_test
@@ -29,12 +30,6 @@ def finite_difference_grad(params: ParamVector, batch: Dataset, eps: float = 1e-
         lm, _ = ParamVector(bumped, params.spec).mean_loss_and_grad(batch)
         grad[i] = (lp - lm) / (2.0 * eps)
     return grad
-
-
-def random_batch(spec: NetworkSpec, k: int, seed: int) -> Dataset:
-    rng = np.random.default_rng(seed)
-    return Dataset(rng.normal(size=(k, spec.in_dim)),
-                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 def test_param_dim_arithmetic():
@@ -90,6 +85,7 @@ def test_init_params_statistics_and_determinism():
     ((3, 4, 2), "tanh", 0),
     ((3, 4, 2), "relu", 1),
     ((5, 7, 6, 3), "tanh", 2),
+    ((5, 7, 6, 3), "relu", 3),
 ])
 def test_mean_grad_matches_finite_differences(sizes, activation, seed):
     spec = NetworkSpec(sizes, activation)
@@ -431,9 +427,9 @@ def test_chunked_logits_match_one_unchunked_pass(activation):
     for n in (1, c - 1, c, c + 1, 3 * c + 7):
         x = rng.normal(size=(n, spec.in_dim))
         y = rng.integers(0, spec.n_classes, size=n)
-        for layers, got, params in (
-                ([base.layer(l) for l in range(spec.n_layers)], base.forward(x), base),
-                (adapted.effective_layers, adapted.forward(x), adapted.merged())):
+        for model, got in ((base, base.forward(x)), (adapted, adapted.forward(x))):
+            params = model.merged()
+            layers = [params.layer(l) for l in range(spec.n_layers)]
             want = forward_reference(layers, activation, x)
             assert got.shape == want.shape == (n, spec.n_classes)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

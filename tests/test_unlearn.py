@@ -9,7 +9,7 @@ import pytest
 
 from helpers import (
     CyclicSamplerReference, cholesky_keep_reference, combine_update_reference, cosine,
-    gram_schmidt_basis, loss_change_ratios, project_off, step_reference,
+    gram_schmidt_basis, loss_change_ratios, project_off, random_batch, step_reference,
 )
 from orthograd import unlearn
 from orthograd.data import Dataset, gen_gaussian_blobs, make_unlearn_split, partition_train_test
@@ -29,12 +29,6 @@ NEVER = StoppingRule.class_forget(threshold=-1.0)  # accuracy is never negative
 
 def make_cfg(method=MethodKind.ORTHOGRAD_PER_SAMPLE, stopping=NEVER, **kw):
     return UnlearnConfig(method=method, stopping=stopping, **kw)
-
-
-def random_batch(spec, k, seed):
-    rng = np.random.default_rng(seed)
-    return Dataset(rng.normal(size=(k, spec.in_dim)),
-                   rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
 # ---------------------------------------------------------------------------
