@@ -39,13 +39,10 @@ def cmd_pretrain(args) -> int:
                               seed=cfg.pretrain_seed)
 
     ckpt_path = cfg.resolve(cfg.checkpoint_path)
-    ckpt_path.parent.mkdir(parents=True, exist_ok=True)
     net.save_checkpoint(ckpt_path, params, seed=cfg.pretrain_seed)
 
     report = evaluate_splits(params, splits)
     train_acc = net.evaluate_accuracy(params, train)
-
-    results_path.parent.mkdir(parents=True, exist_ok=True)
     emit_records(upsert_records(results, [RunRecord(
         method="original", seed=cfg.pretrain_seed, A_u=report.A_u, A_r=report.A_r,
         A_test=report.A_test, uis=0.0, stop_epoch=0, stopped_early=False,
@@ -107,8 +104,6 @@ def cmd_unlearn(args) -> int:
                  for method in methods for seed in seeds]
 
     runs_dir = cfg.resolve(cfg.runs_dir)
-    runs_dir.mkdir(parents=True, exist_ok=True)
-    results_path.parent.mkdir(parents=True, exist_ok=True)
     records = []   # each run writes its checkpoint, trace and results row as it ends
     for splits, a_p_test, ucfg in runs:
         method, seed, size = ucfg.method, ucfg.seed, splits.n_retain

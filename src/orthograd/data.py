@@ -109,9 +109,10 @@ def format_sections(sections) -> str:
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Replace ``path`` by ``data`` via a temporary file beside it and ``os.replace``, so a
-    reader sees the old file or the new one; on failure the temporary file is removed."""
+    """Replace ``path`` by ``data`` via a temporary file in its directory, made if missing, and
+    ``os.replace``, so a reader sees the old file or the new one; on failure it is removed."""
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)   # before the try: its failure leaves no file
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(data)

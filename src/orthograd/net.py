@@ -13,7 +13,7 @@ runs on the layer blocks of its merged full vector; ``ParamVector`` is the full
 space and ``lora.AdaptedModel`` the adapter space.  Per-sample gradients come out
 factored per layer (``PerSampleGrads``), never as a dense (d, k) matrix, and
 the mean gradient is the row sum of the factors of the mean-scaled pass.
-Every batch is a ``data.Dataset``; the gradient calls check it against the
+Every set of rows is a ``data.Dataset``; the gradient calls check a batch against the
 network, and pretraining takes its batches as subsets of one checked set.
 """
 
@@ -354,14 +354,12 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
     return params
 
 
-def evaluate_accuracy(params: Model, data) -> float:
+def evaluate_accuracy(params: Model, data: Dataset) -> float:
     """Accuracy in percent of a model in any space; argmax ties resolve to the lowest class index."""
-    x = np.asarray(data.inputs, dtype=np.float64)
-    y = np.asarray(data.labels, dtype=np.int64)
-    if x.shape[0] == 0:
+    if len(data) == 0:
         raise ValueError("cannot evaluate accuracy on an empty dataset")
-    pred = np.argmax(params.forward(x), axis=1)
-    return 100.0 * float(np.count_nonzero(pred == y)) / x.shape[0]
+    pred = np.argmax(params.forward(data.inputs), axis=1)
+    return 100.0 * float(np.count_nonzero(pred == data.labels)) / len(data)
 
 
 def check_schedule(epochs: int, batch_size: int, eta: float) -> None:
@@ -374,26 +372,24 @@ def check_schedule(epochs: int, batch_size: int, eta: float) -> None:
         raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
-def pretrain(spec: NetworkSpec, dataset, epochs: int, batch_size: int,
+def pretrain(spec: NetworkSpec, dataset: Dataset, epochs: int, batch_size: int,
              eta: float, seed: int) -> ParamVector:
-    """Mini-batch gradient descent from a fresh init; deterministic in seed.  The dataset
-    (any object with ``inputs`` and ``labels``) is checked once, and every batch is a subset
-    of its rows; one copy of the init trains in place.  Training that ends with a
-    non-finite parameter, as a too large ``eta`` can, is a ValueError."""
+    """Mini-batch gradient descent from a fresh init; deterministic in seed.  The dataset is
+    checked once, and every batch is a subset of its rows; one copy of the init trains in place.
+    Training that ends with a non-finite parameter, as a too large ``eta`` can, is a ValueError."""
     check_schedule(epochs, batch_size, eta)
-    rows = Dataset(dataset.inputs, dataset.labels, spec.n_classes)
-    if len(rows) == 0:
+    if len(dataset) == 0:
         raise ValueError("cannot pretrain on an empty dataset")
-    _check_batch(rows, spec)
+    _check_batch(dataset, spec)
     flat = init_params(spec, seed).flat.copy()
     params = ParamVector(flat, spec)
     grad = np.empty_like(flat)
     shuffle_rng = np.random.default_rng([seed, 1])
     with np.errstate(over="ignore", invalid="ignore"):   # a diverging run: reported below
         for _ in range(epochs):
-            order = shuffle_rng.permutation(len(rows))
-            for start in range(0, len(rows), batch_size):
-                batch = rows.subset(order[start:start + batch_size])
+            order = shuffle_rng.permutation(len(dataset))
+            for start in range(0, len(dataset), batch_size):
+                batch = dataset.subset(order[start:start + batch_size])
                 params._factors(batch, per_sample=False)[1].matvec(out=grad)
                 grad *= eta   # the bits of flat - eta * grad, without a temporary
                 flat -= grad

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -439,6 +441,22 @@ def test_diverging_unlearn_run_is_usage_error_keeping_the_runs_before_it(workdir
     assert [(r.method, r.seed) for r in records] == [("original", 0), ("orthograd_per_sample", 2)]
 
 
+def test_unlearn_whose_first_run_diverges_leaves_no_runs_dir(workdir, capsys):
+    # each writer makes its own directory, so a command that fails before its first write
+    # leaves none behind; the results file pretrain wrote stays as it was
+    tmp_path, cfg_path = workdir
+    text = TINY_CONFIG.replace("mode = random\nfraction = 0.1", "mode = class\nclass_label = 1")
+    cfg_path.write_text(text + "\n[unlearn.orthograd_mean]\neta = 1e200\n", encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 0
+    written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["unlearn", str(cfg_path), "--method", "orthograd_mean"]) == 2
+    assert capsys.readouterr().err == (f"orthograd: {cfg_path}: orthograd_mean seed=2: "
+                                       "unlearning diverged to non-finite values at epoch 1\n")
+    assert not (tmp_path / "out" / "runs").exists()
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
+
+
 @pytest.mark.parametrize("method, table, named", [
     ("neggrad", "alpha = 1.5", "alpha must lie in [0, 1], got 1.5"),
     ("finetune", "use_lora = true\nlora_rank = 4", "rank 4 exceeds"),   # the last layer is 12 -> 3
@@ -839,6 +857,31 @@ def test_compare_on_malformed_results_is_usage_error(tmp_path, capsys):
     bad.write_text("", encoding="utf-8")
     assert main(["compare", str(bad)]) == 0
     assert capsys.readouterr().out == "(no records)\n"
+
+
+def test_module_entry_point_returns_the_exit_code_to_the_shell(workdir):
+    # ``python -m orthograd.cli`` runs ``sys.exit(main())``: 0, 2 and 1 reach the caller
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    results = tmp_path / "out" / "results.txt"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "orthograd.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = run("compare", str(results))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.split("\n")[1].split()[0] == "original"
+    done = run("compare", str(tmp_path / "none.txt"))
+    assert done.returncode == 2
+    assert done.stderr == f"orthograd: results file not found: {tmp_path / 'none.txt'}\n"
+    results.write_text("not-a-record\n", encoding="utf-8")
+    done = run("pretrain", str(cfg_path))
+    assert done.returncode == 1
+    assert done.stderr == f"orthograd: {results}:1: expected key=value tokens, got 'not-a-record'\n"
 
 
 def test_malformed_results_file_fails_pretrain_before_any_training(workdir, capsys,

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from helpers import save_csv_dataset
 from orthograd.data import (
     Dataset, gen_gaussian_blobs, load_csv_dataset, make_unlearn_split,
-    partition_train_test,
+    partition_train_test, write_atomic,
 )
 from orthograd.net import NetworkSpec, evaluate_accuracy, pretrain
 
@@ -22,6 +24,17 @@ def test_blobs_shapes_counts_and_determinism():
     assert np.array_equal(ds.inputs, again.inputs)
     other = gen_gaussian_blobs(4, 6, 25, spread=1.0, seed=4)
     assert not np.array_equal(ds.inputs, other.inputs)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 4, 10), r"need at least 2 classes, got 1"),
+    ((3, 0, 10), r"dim and per_class must be >= 1, got 0, 10"),
+    ((3, 4, 0), r"dim and per_class must be >= 1, got 4, 0"),
+    ((3, 1, 10), r"degenerate class directions \(duplicate unit vectors\)"),   # 1-D has two
+])
+def test_blobs_reject_shapes_they_cannot_draw(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_gaussian_blobs(*args, seed=0)
 
 
 def test_blobs_class_mean_separation():
@@ -86,6 +99,13 @@ def test_csv_errors_name_line_numbers(tmp_path):
     with pytest.raises(FileNotFoundError, match="missing"):
         load_csv_dataset(tmp_path / "missing.csv", n_features=2, n_classes=2)
 
+    path.write_text("0.5,1.5,0\n0.1,0.2,one\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad\.csv:2: label must be an integer, got 'one'$"):
+        load_csv_dataset(path, n_features=2, n_classes=2)
+    path.write_text("# x1,x2,label\n\n", encoding="utf-8")   # no data lines
+    with pytest.raises(ValueError, match=r"bad\.csv: dataset is empty$"):
+        load_csv_dataset(path, n_features=2, n_classes=2)
+
 
 def _train_test(seed=0):
     full = gen_gaussian_blobs(5, 8, 60, seed=seed)
@@ -141,6 +161,16 @@ def test_split_validation():
         make_unlearn_split(train, test, mode="class", retain_size=10, seed=0, class_label=9)
     with pytest.raises(ValueError):
         make_unlearn_split(train, test, mode="nearest", retain_size=10, seed=0)
+    wider = Dataset(test.inputs, test.labels, 6)
+    with pytest.raises(ValueError, match="^train and test disagree on the number of classes$"):
+        make_unlearn_split(train, wider, mode="random", retain_size=10, seed=0)
+    no_class_3 = train.subset(np.flatnonzero(train.labels != 3))
+    with pytest.raises(ValueError, match="^training set has no points of class 3$"):
+        make_unlearn_split(no_class_3, test, mode="class", retain_size=10, class_label=3)
+    only_class_3 = test.subset(np.flatnonzero(test.labels == 3))
+    with pytest.raises(ValueError,
+                       match="^test set would be empty after removing the forgotten class$"):
+        make_unlearn_split(train, only_class_3, mode="class", retain_size=10, class_label=3)
 
 
 def test_dataset_validation():
@@ -148,3 +178,43 @@ def test_dataset_validation():
         Dataset(np.zeros((3, 2)), np.array([0, 1]), 2)       # length mismatch
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 5]), 2)       # label range
+    with pytest.raises(ValueError, match=r"^inputs must be 2-D, got shape \(4,\)$"):
+        Dataset(np.zeros(4), np.zeros(4, dtype=int), 2)
+    with pytest.raises(ValueError, match="^n_classes must be >= 1, got 0$"):
+        Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int), 0)
+    # the constructor is where rows are typed: float32 or integer features become float64,
+    # and labels int64, with their values kept
+    x = np.array([[0.5, -1.25], [3.0, 2.0]])
+    for inputs in (x.astype(np.float32), np.array([[1, -2], [3, 4]]), x):
+        ds = Dataset(inputs, np.array([1, 0], dtype=np.int32), 2)
+        assert ds.inputs.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert np.array_equal(ds.inputs, inputs) and ds.labels.tolist() == [1, 0]
+
+
+def test_write_atomic_makes_missing_directories(tmp_path):
+    path = tmp_path / "a" / "b" / "out.bin"
+    write_atomic(path, b"first")
+    assert path.read_bytes() == b"first"
+    assert [p.name for p in path.parent.iterdir()] == ["out.bin"]
+
+
+def test_write_atomic_replaces_an_existing_file_whole(tmp_path):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"a longer old content\n" * 100)
+    write_atomic(path, b"new")
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_write_atomic_failed_rename_keeps_the_old_bytes(tmp_path, monkeypatch):
+    path = tmp_path / "out.bin"
+    path.write_bytes(b"old")
+
+    def failing_replace(src, dst):
+        raise OSError("cannot rename")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="cannot rename"):
+        write_atomic(path, b"new")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]   # no .out.bin.<pid>.tmp

@@ -344,3 +344,7 @@ def test_project_out_span_rank_zero_passthrough_and_validation():
         project_out_span(np.ones(4), eye)
     with pytest.raises(ValueError):
         project_out_span(np.array([1.0, np.nan, 0.0]), eye)
+    for v in (np.ones((3, 1)), np.zeros(0)):
+        with pytest.raises(ValueError) as err:
+            project_out_span(v, eye)
+        assert str(err.value) == f"v must be a 1-D vector with at least one entry, got shape {v.shape}"

@@ -187,6 +187,15 @@ def test_attach_validation():
         attach_lora(base, rank=5, scale=1.0)   # rank > min(4, 8) at layer 0
     with pytest.raises(ValueError):
         attach_lora(base, rank=1, scale=-1.0)
+    adapters = LoraAdapterSet(base.spec, rank=2, scale=1.0)
+    with pytest.raises(ValueError) as err:
+        AdaptedModel(base, adapters, np.zeros(adapters.param_dim + 1))
+    assert str(err.value) == (f"adapter vector has shape ({adapters.param_dim + 1},), "
+                              f"expected ({adapters.param_dim},)")
+    relu = LoraAdapterSet(NetworkSpec((4, 8, 3), "relu"), rank=2, scale=1.0)   # same length
+    with pytest.raises(ValueError,
+                       match="^base parameters and adapters disagree on the architecture$"):
+        AdaptedModel(base, relu, np.zeros(relu.param_dim))
 
 
 def test_attach_deterministic_in_seed():

@@ -174,24 +174,31 @@ def test_evaluate_accuracy_hand_built_separator():
     params = ParamVector(flat, spec)
     params.weights(0)[:] = np.array([[1.0, 0.0, -1.0],
                                      [0.0, 1.0, -1.0]])
-
-    class Points:
-        inputs = np.array([[2.0, 0.0], [3.0, 1.0], [0.0, 2.0],
-                           [1.0, 3.0], [-2.0, -2.0], [-3.0, -1.0]])
-        labels = np.array([0, 0, 1, 1, 2, 2])
-
-    assert evaluate_accuracy(params, Points) == 100.0
+    points = Dataset(np.array([[2.0, 0.0], [3.0, 1.0], [0.0, 2.0],
+                               [1.0, 3.0], [-2.0, -2.0], [-3.0, -1.0]]),
+                     np.array([0, 0, 1, 1, 2, 2]), 3)
+    assert evaluate_accuracy(params, points) == 100.0
 
 
 def test_evaluate_accuracy_ties_choose_lowest_class():
     spec = NetworkSpec((3, 4), "relu")
     zero = ParamVector(np.zeros(spec.param_dim), spec)
+    points = Dataset(np.zeros((4, 3)), np.array([0, 0, 1, 2]), 4)
+    assert evaluate_accuracy(zero, points) == 50.0
 
-    class Points:
-        inputs = np.zeros((4, 3))
-        labels = np.array([0, 0, 1, 2])
 
-    assert evaluate_accuracy(zero, Points) == 50.0
+def test_model_rejects_vectors_and_rows_of_the_wrong_size():
+    spec = NetworkSpec((3, 2), "relu")
+    with pytest.raises(ValueError, match=r"^flat vector has shape \(9,\), spec needs \(8,\)$"):
+        ParamVector(np.zeros(9), spec)
+    params = init_params(spec, 0)
+    with pytest.raises(ValueError, match=r"^inputs must be \(k, 3\), got shape \(2, 4\)$"):
+        params.forward(np.zeros((2, 4)))
+    empty = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=int), 2)
+    with pytest.raises(ValueError, match="^cannot evaluate accuracy on an empty dataset$"):
+        evaluate_accuracy(params, empty)
+    with pytest.raises(ValueError, match="^cannot pretrain on an empty dataset$"):
+        pretrain(spec, empty, epochs=1, batch_size=4, eta=0.1, seed=0)
 
 
 def test_apply_update_is_descent_step():
@@ -226,16 +233,10 @@ def test_batch_validation_errors():
                 grad_fn(batch)
 
 
-class _ArrayData:
-    def __init__(self, inputs, labels):
-        self.inputs = inputs
-        self.labels = labels
-
-
 def test_pretrain_zero_epochs_returns_init():
     spec = NetworkSpec((4, 6, 3), "relu")
     rng = np.random.default_rng(8)
-    ds = _ArrayData(rng.normal(size=(30, 4)), rng.integers(0, 3, size=30))
+    ds = Dataset(rng.normal(size=(30, 4)), rng.integers(0, 3, size=30), 3)
     out = pretrain(spec, ds, epochs=0, batch_size=8, eta=0.1, seed=4)
     assert np.array_equal(out.flat, init_params(spec, 4).flat)
 
@@ -245,7 +246,7 @@ def test_pretrain_deterministic_and_learns():
     rng = np.random.default_rng(12)
     x = np.vstack([rng.normal(size=(40, 2)) + [3, 0], rng.normal(size=(40, 2)) - [3, 0]])
     y = np.array([0] * 40 + [1] * 40)
-    ds = _ArrayData(x, y)
+    ds = Dataset(x, y, 2)
     a = pretrain(spec, ds, epochs=40, batch_size=16, eta=0.1, seed=0)
     b = pretrain(spec, ds, epochs=40, batch_size=16, eta=0.1, seed=0)
     assert np.array_equal(a.flat, b.flat)
@@ -274,8 +275,8 @@ def test_pretrain_matches_reference_loop_bitwise(activation, monkeypatch):
 
     monkeypatch.setattr(net, "init_params", recording_init)
     monkeypatch.setattr(net, "_check_batch", counting_check)
-    datasets = (_ArrayData(x, y), _ArrayData(x.astype(np.float32), y),
-                _ArrayData(np.rint(3.0 * x).astype(int), y))
+    datasets = (Dataset(x, y, 3), Dataset(x.astype(np.float32), y, 3),
+                Dataset(np.rint(3.0 * x).astype(int), y, 3))
     for ds in datasets:
         for batch_size in (8, 37, 50):
             for epochs in (0, 1, 4):
@@ -321,7 +322,7 @@ def test_pretrain_checks_every_row_before_any_update(case, monkeypatch):
     passes = []
     monkeypatch.setattr(net, "_engine_pass", lambda *args, **kw: passes.append(1))
     with pytest.raises(ValueError):
-        pretrain(spec, _ArrayData(x, y), epochs=3, batch_size=8, eta=0.1, seed=2)
+        pretrain(spec, Dataset(x, y, 4), epochs=3, batch_size=8, eta=0.1, seed=2)
     assert passes == []
 
 
@@ -357,6 +358,15 @@ def test_checkpoint_rejects_corruption(tmp_path):
         path.write_bytes(blob[:-8] + np.array([bad], dtype="<f8").tobytes())
         with pytest.raises(ValueError, match=r"model.ckpt: payload holds non-finite values$"):
             load_checkpoint(path)
+    path.write_bytes(blob.split(b"\n\n")[0] + b"\n")   # the metadata alone, no blank line
+    with pytest.raises(ValueError, match=r"model.ckpt: malformed checkpoint "
+                                         r"\(no metadata/payload separator\)$"):
+        load_checkpoint(path)
+    path.write_bytes(blob)
+    edit_metadata(path, b"d = 8", b"d = 9")
+    with pytest.raises(ValueError, match=r"model.ckpt: metadata d=9 does not match "
+                                         r"architecture \(8\)$"):
+        load_checkpoint(path)
 
 
 @pytest.mark.parametrize("key", ["layer_sizes", "activation", "seed", "d"])

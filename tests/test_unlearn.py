@@ -12,7 +12,9 @@ from helpers import (
     gram_schmidt_basis, loss_change_ratios, project_off, random_batch, step_reference,
 )
 from orthograd import unlearn
-from orthograd.data import Dataset, gen_gaussian_blobs, make_unlearn_split, partition_train_test
+from orthograd.data import (
+    Dataset, Splits, gen_gaussian_blobs, make_unlearn_split, partition_train_test,
+)
 from orthograd.evaluation import evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
 from orthograd.lora import AdaptedModel, LoraAdapterSet, attach_lora
@@ -136,6 +138,14 @@ def test_max_abs_cos_skips_a_column_the_projection_drops():
                            g_u_perp_norm=float(np.linalg.norm(perp)), grads=grads, g_u_perp=perp)
     assert abs(cosine(perp, cols[:, 6])) > 1e-3
     assert diag.max_abs_cos <= 1e-12
+
+
+def test_max_abs_cos_of_a_zero_projection_is_zero():
+    # v in the span: its projection is zero, and so is every cosine against it, not 0/0
+    cols = np.eye(4)[:, :2]
+    diag = StepDiagnostics(basis_rank=2, g_u_norm=1.0, g_u_perp_norm=0.0,
+                           grads=PerSampleGrads.columns(cols), g_u_perp=np.zeros(4))
+    assert diag.max_abs_cos == 0.0
 
 
 def test_mean_variant_leaks_on_conflicting_retain_batch():
@@ -409,6 +419,16 @@ def small_world(split_seed=3):
 
     params = pretrain(spec, train, epochs=25, batch_size=16, eta=0.1, seed=0)
     return params, splits
+
+
+def test_run_rejects_an_empty_unlearn_or_retain_set():
+    params, splits = small_world()
+    none = splits.retain.subset([])
+    for hand_built in (Splits(none, splits.retain, splits.test, "random"),
+                       Splits(splits.unlearn, none, splits.test, "random")):
+        for method in MethodKind:
+            with pytest.raises(ValueError, match="^unlearn and retain sets must be non-empty$"):
+                run_unlearning(params, hand_built, make_cfg(method=method, max_epochs=1))
 
 
 def test_run_returns_pretrained_when_stop_already_satisfied():
