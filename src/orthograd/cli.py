@@ -13,8 +13,7 @@ from . import net
 from .config import load_experiment_config, usage_errors
 from .data import ConfigError, write_atomic
 from .evaluation import (
-    RunRecord, emit_records, evaluate_splits, format_record, parse_records, render_table,
-    upsert_records, uis,
+    RunRecord, emit_records, evaluate_splits, format_record, parse_records, render_table, uis,
 )
 from .unlearn import MethodKind, run_unlearning
 
@@ -43,10 +42,10 @@ def cmd_pretrain(args) -> int:
 
     report = evaluate_splits(params, splits)
     train_acc = net.evaluate_accuracy(params, train)
-    emit_records(upsert_records(results, [RunRecord(
+    emit_records(results_path, results, [RunRecord(
         method="original", seed=cfg.pretrain_seed, A_u=report.A_u, A_r=report.A_r,
         A_test=report.A_test, uis=0.0, stop_epoch=0, stopped_early=False,
-        n_retain=splits.n_retain)]), results_path)
+        n_retain=splits.n_retain)])
 
     print(f"pretrained {_architecture(spec)} for {cfg.pretrain_epochs} epochs")
     print(f"train accuracy {train_acc:.2f}  test accuracy {report.A_test:.2f}")
@@ -120,8 +119,7 @@ def cmd_unlearn(args) -> int:
         net.save_checkpoint(runs_dir / f"unlearned-{stem}.ckpt", result.params, seed=seed)
         trace_lines = [f"epoch={epoch} {format_record(r)}" for epoch, r in enumerate(result.trace)]
         write_atomic(runs_dir / f"trace-{stem}.txt", ("\n".join(trace_lines) + "\n").encode("utf-8"))
-        results = upsert_records(results, records[-1:])
-        emit_records(results, results_path)
+        results = emit_records(results_path, results, records[-1:])
 
     for rec in sorted(records, key=RunRecord.sort_key):
         early = "stopped" if rec.stopped_early else "epoch cap"

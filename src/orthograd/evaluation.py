@@ -115,19 +115,15 @@ def parse_records(path) -> list[RunRecord]:
             for lineno, line in content_lines(read_text(path, "results"))]
 
 
-def emit_records(records, path) -> None:
-    """Write records sorted by (method, n_retain, seed), atomically; byte-deterministic."""
-    ordered = sorted(records, key=RunRecord.sort_key)
+def emit_records(path, existing, new=()) -> list[RunRecord]:
+    """Put each ``new`` record in place of the ``existing`` one with its (method, n_retain, seed),
+    write all sorted by that key, atomically and byte-deterministically, and return them."""
+    table = {r.sort_key(): r for r in existing}
+    table.update((r.sort_key(), r) for r in new)
+    ordered = [table[key] for key in sorted(table)]
     text = "\n".join(format_record(r) for r in ordered)
     write_atomic(path, (text + "\n" if text else "").encode("utf-8"))
-
-
-def upsert_records(existing, new) -> list[RunRecord]:
-    """Replace records that share (method, n_retain, seed), keep the rest."""
-    table = {r.sort_key(): r for r in existing}
-    for r in new:
-        table[r.sort_key()] = r
-    return list(table.values())
+    return ordered
 
 
 # ---------------------------------------------------------------------------

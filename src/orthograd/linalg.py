@@ -158,7 +158,6 @@ def project_out_span(v: np.ndarray, grads) -> tuple[np.ndarray, int]:
     if not np.all(np.isfinite(gram)):
         raise ValueError("grads contain non-finite entries")
     w = _cholesky_keep(gram, grads.dim)
-    out = v.copy()
-    for _ in range(2):   # rank 0 subtracts exact zeros: v comes back bit for bit
-        out -= grads.matvec(w @ (w.T @ grads.rmatvec(out)))
+    out = v - grads.matvec(w @ (w.T @ grads.rmatvec(v)))   # rank 0: v - 0.0 is v, bit for bit
+    out -= grads.matvec(w @ (w.T @ grads.rmatvec(out)))
     return out, w.shape[1]

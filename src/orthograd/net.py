@@ -212,7 +212,8 @@ class PerSampleGrads:
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """G^T x, (k,): per block, the row sums of (L X) * R with X that block of x."""
-        return sum(np.einsum("ij,ij->i", l @ x[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1), r)
+        return sum(np.einsum("ij,ij->i",
+                             np.dot(l, x[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1)), r)
                    for o, l, r in self.blocks)
 
     def matvec(self, c: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
@@ -220,8 +221,8 @@ class PerSampleGrads:
         Written into ``out`` when given (entries outside every block are then left as they are)."""
         out = np.zeros(self.dim) if out is None else out
         for o, l, r in self.blocks:
-            np.matmul((l if c is None else c[:, None] * l).T, r,
-                      out=out[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1))
+            np.dot((l if c is None else c[:, None] * l).T, r,
+                   out=out[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1))
         return out
 
     def mean(self) -> np.ndarray:
@@ -376,7 +377,7 @@ def pretrain(spec: NetworkSpec, dataset: Dataset, epochs: int, batch_size: int,
              eta: float, seed: int) -> ParamVector:
     """Mini-batch gradient descent from a fresh init; deterministic in seed.  The dataset is
     checked once, and every batch is a subset of its rows; one copy of the init trains in place.
-    Training that ends with a non-finite parameter, as a too large ``eta`` can, is a ValueError."""
+    A run that ends with a non-finite parameter (too large an ``eta`` or input) is a ValueError."""
     check_schedule(epochs, batch_size, eta)
     if len(dataset) == 0:
         raise ValueError("cannot pretrain on an empty dataset")
@@ -394,7 +395,8 @@ def pretrain(spec: NetworkSpec, dataset: Dataset, epochs: int, batch_size: int,
                 grad *= eta   # the bits of flat - eta * grad, without a temporary
                 flat -= grad
     if not np.all(np.isfinite(flat)):
-        raise ValueError(f"training diverged to non-finite parameters at eta = {eta}")
+        raise ValueError(f"training diverged to non-finite parameters at eta = {eta} "
+                         f"(largest input magnitude {np.abs(dataset.inputs).max():.3g})")
     return params
 
 

@@ -417,7 +417,19 @@ def test_pretrain_that_diverges_is_usage_error_before_any_write(workdir, capsys)
     cfg_path.write_text(TINY_CONFIG.replace("eta = 0.1", "eta = 1e10"), encoding="utf-8")
     assert main(["pretrain", str(cfg_path)]) == 2
     assert capsys.readouterr().err == (f"orthograd: {cfg_path}: pretrain: training diverged to "
-                                       f"non-finite parameters at eta = 10000000000.0\n")
+                                       f"non-finite parameters at eta = 10000000000.0 "
+                                       f"(largest input magnitude 7.39)\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_pretrain_that_diverges_on_huge_inputs_names_their_magnitude(workdir, capsys):
+    # eta = 0.1 trains the same rows at spread = 1.0; the message gives the input scale too
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace("spread = 1.0", "spread = 1e150"), encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (f"orthograd: {cfg_path}: pretrain: training diverged to "
+                                       f"non-finite parameters at eta = 0.1 "
+                                       f"(largest input magnitude 7.39e+150)\n")
     assert not (tmp_path / "out").exists()
 
 

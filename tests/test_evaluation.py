@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from orthograd.evaluation import (
-    RunRecord, emit_records, format_record, parse_record_line, parse_records, render_table,
-    uis, upsert_records,
+    RunRecord, emit_records, format_record, parse_record_line, parse_records, render_table, uis,
 )
 
 # Published reference points for the score: an unlearned model at
@@ -71,24 +70,26 @@ def test_emit_is_sorted_and_byte_identical(tmp_path):
         _record(method="finetune", seed=2),
     ]
     path = tmp_path / "results.txt"
-    emit_records(records, path)
+    emit_records(path, records)
     first = path.read_bytes()
     methods = [r.method for r in parse_records(path)]
     seeds = [r.seed for r in parse_records(path)]
     assert methods == ["finetune", "finetune", "neggrad", "neggrad"]
     assert seeds == [0, 2, 0, 1]
-    emit_records(list(reversed(records)), path)
+    emit_records(path, list(reversed(records)))
     assert path.read_bytes() == first
 
 
-def test_upsert_replaces_same_key():
+def test_emit_replaces_same_key(tmp_path):
     old = [_record(seed=0, uis_value=0.5), _record(seed=1, uis_value=0.5)]
     new = [_record(seed=0, uis_value=0.1)]
-    merged = upsert_records(old, new)
+    path = tmp_path / "results.txt"
+    merged = emit_records(path, old, new)
     by_seed = {r.seed: r for r in merged}
     assert len(merged) == 2
     assert by_seed[0].uis == 0.1
     assert by_seed[1].uis == 0.5
+    assert [format_record(r) for r in parse_records(path)] == [format_record(r) for r in merged]
 
 
 def test_parse_errors(tmp_path):
@@ -172,5 +173,5 @@ def test_results_file_of_the_earlier_format_parses_and_tables_alike(tmp_path):
     records = parse_records(path)
     assert render_table(records) == EARLIER_TABLE
     # rewriting the file drops the epoch key and changes nothing else
-    emit_records(records, path)
+    emit_records(path, records)
     assert path.read_text(encoding="utf-8") == re.sub(r" epoch=\d+", "", EARLIER_RECORDS)

@@ -137,6 +137,13 @@ def test_per_sample_factors_act_as_the_dense_matrix():
     assert zero_columns > 0
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_dense_columns_act_as_the_dense_matrix(k):
+    # k = 1 is the one mean retain column orthograd_mean projects against
+    g = np.random.default_rng(k).normal(size=(83, k))
+    check_factors_against_dense(net.PerSampleGrads.columns(g), g, g.mean(axis=1), seed=k)
+
+
 def test_zero_params_loss_is_ln_c_exactly():
     spec = NetworkSpec((5, 3), "relu")
     zero = ParamVector(np.zeros(spec.param_dim), spec)
@@ -300,7 +307,8 @@ def test_pretrain_that_diverges_is_an_error(monkeypatch):
     engine_pass = net._engine_pass
     monkeypatch.setattr(net, "_engine_pass", lambda *args: passes.append(1) or engine_pass(*args))
     with pytest.raises(ValueError, match=r"^training diverged to non-finite parameters at "
-                                         r"eta = 10000000000\.0$"):
+                                         r"eta = 10000000000\.0 "
+                                         r"\(largest input magnitude 7\.39\)$"):
         pretrain(spec, train, epochs=25, batch_size=16, eta=1e10, seed=0)
     assert len(passes) == 25 * 8   # 120 rows in batches of 16
     assert np.all(np.isfinite(pretrain(spec, train, epochs=25, batch_size=16, eta=0.1,
