@@ -45,7 +45,7 @@ def cmd_pretrain(args) -> int:
     emit_records(results_path, results, [RunRecord(
         method="original", seed=cfg.pretrain_seed, A_u=report.A_u, A_r=report.A_r,
         A_test=report.A_test, uis=0.0, stop_epoch=0, stopped_early=False,
-        n_retain=splits.n_retain)])
+        n_retain=len(splits.retain))])
 
     print(f"pretrained {_architecture(spec)} for {cfg.pretrain_epochs} epochs")
     print(f"train accuracy {train_acc:.2f}  test accuracy {report.A_test:.2f}")
@@ -105,7 +105,7 @@ def cmd_unlearn(args) -> int:
     runs_dir = cfg.resolve(cfg.runs_dir)
     records = []   # each run writes its checkpoint, trace and results row as it ends
     for splits, a_p_test, ucfg in runs:
-        method, seed, size = ucfg.method, ucfg.seed, splits.n_retain
+        method, seed, size = ucfg.method, ucfg.seed, len(splits.retain)
         with usage_errors(f"{cfg.source}: {method.value} seed={seed}"):   # e.g. a diverging run
             result = run_unlearning(pretrained, splits, ucfg)
         final = result.trace[-1]

@@ -204,10 +204,6 @@ class Splits:
     test: Dataset
     mode: str                       # "random" or "class"
 
-    @property
-    def n_retain(self) -> int:
-        return len(self.retain)
-
 
 def gen_gaussian_blobs(n_classes: int, dim: int, per_class: int,
                        spread: float = 1.0, seed: int = 0) -> Dataset:

@@ -111,8 +111,16 @@ def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> 
 
 
 def parse_records(path) -> list[RunRecord]:
-    return [parse_record_line(line, source=str(Path(path)), lineno=lineno)
-            for lineno, line in content_lines(read_text(path, "results"))]
+    """The records of a results file in line order; a file holds one row per run, so a line
+    that repeats the (method, n_retain, seed) of an earlier one is an error."""
+    source, first = str(Path(path)), {}
+    for lineno, line in content_lines(read_text(path, "results")):
+        rec = parse_record_line(line, source=source, lineno=lineno)
+        if rec.sort_key() in first:
+            raise ValueError(f"{source}:{lineno}: repeats the run of line {first[rec.sort_key()][0]}"
+                             f" (method={rec.method} n_retain={rec.n_retain} seed={rec.seed})")
+        first[rec.sort_key()] = lineno, rec
+    return [rec for _, rec in first.values()]
 
 
 def emit_records(path, existing, new=()) -> list[RunRecord]:

@@ -32,8 +32,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LoraAdapterSet:
-    """Adapter shapes for one architecture, on every weight layer; ``param_dim``, the
-    length of the adapter vector, is where ``layout()`` ends."""
+    """Adapter shapes for one architecture, on every weight layer. ``layout`` holds, per weight
+    layer, (A offset, A shape, B offset, B shape); ``param_dim``, the length of the adapter
+    vector, is where it ends; ``multiplier`` is the low-rank update's factor scale/rank."""
 
     spec: NetworkSpec
     rank: int
@@ -52,17 +53,9 @@ class LoraAdapterSet:
                     f"rank {self.rank} exceeds min(n_in, n_out)={min(n_in, n_out)} at layer {l}")
             slots.append((off, (self.rank, n_in), off + self.rank * n_in, (n_out, self.rank)))
             off += self.rank * (n_in + n_out)
-        object.__setattr__(self, "_layout", tuple(slots))   # not fields: eq/hash/repr skip them
+        object.__setattr__(self, "layout", tuple(slots))   # not fields: eq/hash/repr skip them
         object.__setattr__(self, "param_dim", off)
-
-    @property
-    def multiplier(self) -> float:
-        """Effective low-rank update multiplier scale/rank."""
-        return self.scale / self.rank
-
-    def layout(self) -> tuple[tuple[int, tuple[int, int], int, tuple[int, int]], ...]:
-        """Per weight layer: (A offset, A shape, B offset, B shape)."""
-        return self._layout
+        object.__setattr__(self, "multiplier", self.scale / self.rank)
 
 
 class AdaptedModel(Model):
@@ -94,11 +87,11 @@ class AdaptedModel(Model):
         return self.theta
 
     def a_matrix(self, layer: int) -> np.ndarray:
-        a_off, a_shape, _, _ = self.adapters.layout()[layer]
+        a_off, a_shape, _, _ = self.adapters.layout[layer]
         return self.theta[a_off:a_off + a_shape[0] * a_shape[1]].reshape(a_shape)
 
     def b_matrix(self, layer: int) -> np.ndarray:
-        _, _, b_off, b_shape = self.adapters.layout()[layer]
+        _, _, b_off, b_shape = self.adapters.layout[layer]
         return self.theta[b_off:b_off + b_shape[0] * b_shape[1]].reshape(b_shape)
 
     def weight_delta(self, layer: int) -> np.ndarray:
@@ -118,7 +111,7 @@ class AdaptedModel(Model):
         # and the B block delta_i (x) (m A a_i)
         mult = self.adapters.multiplier
         blocks = []
-        for l, (a_off, _, b_off, _) in enumerate(self.adapters.layout()):
+        for l, (a_off, _, b_off, _) in enumerate(self.adapters.layout):
             blocks.append((a_off, mult * (deltas[l] @ self.b_matrix(l)), acts[l]))
             blocks.append((b_off, deltas[l], mult * (acts[l] @ self.a_matrix(l).T)))
         return blocks
@@ -141,7 +134,7 @@ def attach_lora(base: ParamVector, rank: int, scale: float, seed: int = 0) -> Ad
     adapters = LoraAdapterSet(spec=base.spec, rank=rank, scale=float(scale))
     rng = np.random.default_rng(seed)
     theta = np.zeros(adapters.param_dim)
-    for a_off, (_, n_in), _, _ in adapters.layout():   # the B blocks stay zero
+    for a_off, (_, n_in), _, _ in adapters.layout:   # the B blocks stay zero
         size = adapters.rank * n_in
         theta[a_off:a_off + size] = rng.normal(0.0, np.sqrt(1.0 / n_in), size=size)
     return AdaptedModel(base, adapters, theta)

@@ -54,8 +54,9 @@ CHECKPOINT_KEYS = {"layer_sizes": "tuple[int, ...]", "activation": "str", "seed"
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture: layer sizes from input to output plus hidden activation; ``param_dim``,
-    the length of the flat parameter vector, is where ``layout()`` ends."""
+    """Architecture: layer sizes from input to output plus hidden activation. ``layout`` holds,
+    per layer, (offset, block shape (n_in + 1, n_out)), the weight rows then the bias row;
+    ``param_dim``, the length of the flat parameter vector, is where it ends."""
 
     layer_sizes: tuple[int, ...]
     activation: str = "relu"
@@ -74,7 +75,7 @@ class NetworkSpec:
         for n_in, n_out in zip(sizes, sizes[1:]):
             slots.append((off, (n_in + 1, n_out)))
             off += (n_in + 1) * n_out
-        object.__setattr__(self, "_layout", tuple(slots))   # not fields: eq/hash/repr skip them
+        object.__setattr__(self, "layout", tuple(slots))   # not fields: eq/hash/repr skip them
         object.__setattr__(self, "param_dim", off)
 
     @property
@@ -88,10 +89,6 @@ class NetworkSpec:
     @property
     def n_classes(self) -> int:
         return self.layer_sizes[-1]
-
-    def layout(self) -> tuple[tuple[int, tuple[int, int]], ...]:
-        """Per layer: (offset, block shape (n_in + 1, n_out)), the weight rows then the bias row."""
-        return self._layout
 
 
 class Model:
@@ -168,7 +165,7 @@ class ParamVector(Model):
         return self.flat
 
     def layer(self, l: int) -> np.ndarray:
-        off, shape = self.spec.layout()[l]
+        off, shape = self.spec.layout[l]
         return self.flat[off:off + shape[0] * shape[1]].reshape(shape)
 
     def weights(self, l: int) -> np.ndarray:
@@ -181,7 +178,7 @@ class ParamVector(Model):
         # per layer block, sample i's gradient is [a_i, 1] (x) delta_i
         ones = np.ones((deltas[0].shape[0], 1))
         return [(off, np.concatenate((acts[l], ones), axis=1), deltas[l])
-                for l, (off, _) in enumerate(self.spec.layout())]
+                for l, (off, _) in enumerate(self.spec.layout)]
 
     def _at(self, flat: np.ndarray) -> "ParamVector":
         return ParamVector(flat, self.spec)

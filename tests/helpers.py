@@ -185,7 +185,7 @@ def adapter_mean_grad_reference(model, batch: Dataset) -> np.ndarray:
     _, acts, deltas = net._engine_pass(layers, model.spec, batch, per_sample=False)
     mult = model.adapters.multiplier
     grad = np.empty(model.dim)
-    for l, (a_off, _, b_off, _) in enumerate(model.adapters.layout()):
+    for l, (a_off, _, b_off, _) in enumerate(model.adapters.layout):
         gw = acts[l].T @ deltas[l]
         da = mult * (gw @ model.b_matrix(l)).T
         db = mult * gw.T @ model.a_matrix(l).T

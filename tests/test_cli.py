@@ -916,7 +916,8 @@ def test_malformed_results_file_fails_pretrain_before_any_training(workdir, caps
 
 def test_malformed_results_file_fails_unlearn_before_any_run(workdir, capsys):
     # a row missing fields, then the pretrain row with one value malformed, which names its
-    # key, or with a key repeated; pretrain fails on each before it writes, and compare too
+    # key, or with a key repeated, then the pretrain row repeated; pretrain fails on each
+    # before it writes, and compare too
     tmp_path, cfg_path = workdir
     assert main(["pretrain", str(cfg_path)]) == 0
     results = tmp_path / "out" / "results.txt"
@@ -934,6 +935,7 @@ def test_malformed_results_file_fails_unlearn_before_any_run(workdir, capsys):
          "key 'stopped_early' expects 'true' or 'false', got 'maybe'"),
         (with_value("A_u=nan"), "key 'A_u' expects a finite number, got 'nan'"),
         (good.strip() + " seed=7", "repeats key 'seed'"),
+        (good.strip(), "repeats the run of line 1 (method=original n_retain=40 seed=0)"),
     ]:
         results.write_text(good + line + "\n", encoding="utf-8")
         written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}

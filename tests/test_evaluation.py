@@ -102,6 +102,11 @@ def test_parse_errors(tmp_path):
         parse_records(path)
     with pytest.raises(FileNotFoundError):
         parse_records(tmp_path / "absent.txt")
+    row = format_record(_record(method="neggrad", seed=0))
+    path.write_text(f"{row}\n# again\n{row.replace('uis=', 'uis=1')}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path}:3: repeats the run of line 1 (method=neggrad n_retain=500 seed=0)")):
+        parse_records(path)
 
 
 def test_table_reprints_reference_scores():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,13 +29,21 @@ def test_adapter_dimension_arithmetic():
                         ((20, 128, 128, 10), 8)]:
         adapters = LoraAdapterSet(NetworkSpec(sizes), rank, 1.0)
         off = 0
-        for (a_off, a_shape, b_off, b_shape), n_in, n_out in zip(adapters.layout(), sizes,
+        for (a_off, a_shape, b_off, b_shape), n_in, n_out in zip(adapters.layout, sizes,
                                                                  sizes[1:]):
             assert (a_off, a_shape, b_off, b_shape) == (
                 off, (rank, n_in), off + rank * n_in, (n_out, rank))
             off += rank * (n_in + n_out)
-        assert len(adapters.layout()) == len(sizes) - 1
+        assert len(adapters.layout) == len(sizes) - 1
         assert off == adapters.param_dim == sum(rank * (a + b) for a, b in zip(sizes, sizes[1:]))
+    # layout, param_dim and multiplier are derived, not fields: dataclasses.replace derives
+    # them afresh
+    assert [f.name for f in dataclasses.fields(LoraAdapterSet)] == ["spec", "rank", "scale"]
+    adapters = LoraAdapterSet(NetworkSpec((4, 8, 3)), 2, 6.0)
+    one, fresh = dataclasses.replace(adapters, rank=1), LoraAdapterSet(adapters.spec, 1, 6.0)
+    assert (one.layout, one.param_dim) == (fresh.layout, fresh.param_dim) == (
+        ((0, (1, 4), 4, (8, 1)), (12, (1, 8), 20, (3, 1))), 23)
+    assert (adapters.multiplier, one.multiplier) == (3.0, one.scale)
 
 
 def test_effective_multiplier():

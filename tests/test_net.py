@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,9 +38,9 @@ def test_param_dim_arithmetic():
     assert NetworkSpec((3, 4, 2)).param_dim == 3 * 4 + 4 + 4 * 2 + 2
     assert NetworkSpec((20, 64, 10)).param_dim == 20 * 64 + 64 + 64 * 10 + 10
     spec = NetworkSpec((5, 7, 6, 3))
-    offsets = [slot[0] for slot in spec.layout()]
+    offsets = [slot[0] for slot in spec.layout]
     assert offsets == sorted(offsets)
-    total = sum(shape[0] * shape[1] for _, shape in spec.layout())
+    total = sum(shape[0] * shape[1] for _, shape in spec.layout)
     assert total == spec.param_dim
     # each layer's (n_in + 1, n_out) block, weight rows then bias row, contiguous from 0;
     # param_dim is where they end and equals the closed formula
@@ -46,7 +48,7 @@ def test_param_dim_arithmetic():
         spec = NetworkSpec(sizes)
         params = ParamVector(np.arange(spec.param_dim, dtype=np.float64), spec)
         off = 0
-        for l, ((b_off, b_shape), n_in, n_out) in enumerate(zip(spec.layout(), sizes[:-1],
+        for l, ((b_off, b_shape), n_in, n_out) in enumerate(zip(spec.layout, sizes[:-1],
                                                                 sizes[1:], strict=True)):
             assert (b_off, b_shape) == (off, (n_in + 1, n_out))
             assert params.weights(l).ravel().tolist() == list(range(off, off + n_in * n_out))
@@ -54,6 +56,14 @@ def test_param_dim_arithmetic():
                                                            off + (n_in + 1) * n_out))
             off += n_in * n_out + n_out
         assert off == spec.param_dim == sum(a * b + b for a, b in zip(sizes, sizes[1:]))
+    # layout and param_dim are derived, not fields: eq, hash and repr skip them, and
+    # dataclasses.replace derives them afresh
+    assert [f.name for f in dataclasses.fields(NetworkSpec)] == ["layer_sizes", "activation"]
+    spec, same = NetworkSpec((5, 7, 3)), NetworkSpec([5, 7, 3])
+    assert spec == same and hash(spec) == hash(same)
+    assert "layout" not in repr(spec) and "param_dim" not in repr(spec)
+    moved, fresh = dataclasses.replace(spec, layer_sizes=(5, 9, 3)), NetworkSpec((5, 9, 3))
+    assert (moved.layout, moved.param_dim) == (fresh.layout, fresh.param_dim)
 
 
 def test_spec_validation():
