@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration failure.  ``pretrain``
 and ``unlearn`` read the results file once, before any work, and rewrite it as each run ends.
+Each command returns its report, which ``main`` prints once every file is written, so a
+reader that closes stdout early ends the command quietly with 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import net
@@ -47,10 +50,9 @@ def cmd_pretrain(args) -> int:
         A_test=report.A_test, uis=0.0, stop_epoch=0, stopped_early=False,
         n_retain=len(splits.retain))])
 
-    print(f"pretrained {_architecture(spec)} for {cfg.pretrain_epochs} epochs")
-    print(f"train accuracy {train_acc:.2f}  test accuracy {report.A_test:.2f}")
-    print(f"checkpoint written to {ckpt_path}")
-    return 0
+    return (f"pretrained {_architecture(spec)} for {cfg.pretrain_epochs} epochs\n"
+            f"train accuracy {train_acc:.2f}  test accuracy {report.A_test:.2f}\n"
+            f"checkpoint written to {ckpt_path}")
 
 
 def _parse_methods(raw: str) -> list[MethodKind]:
@@ -121,13 +123,13 @@ def cmd_unlearn(args) -> int:
         write_atomic(runs_dir / f"trace-{stem}.txt", ("\n".join(trace_lines) + "\n").encode("utf-8"))
         results = emit_records(results_path, results, records[-1:])
 
+    lines = []
     for rec in sorted(records, key=RunRecord.sort_key):
         early = "stopped" if rec.stopped_early else "epoch cap"
-        print(f"{rec.method:<22} seed={rec.seed} n_retain={rec.n_retain} "
-              f"A_u={rec.A_u:.2f} A_test={rec.A_test:.2f} uis={rec.uis:.3f} "
-              f"({early} at {rec.stop_epoch})")
-    print(f"{len(records)} records written to {results_path}")
-    return 0
+        lines.append(f"{rec.method:<22} seed={rec.seed} n_retain={rec.n_retain} "
+                     f"A_u={rec.A_u:.2f} A_test={rec.A_test:.2f} uis={rec.uis:.3f} "
+                     f"({early} at {rec.stop_epoch})")
+    return "\n".join(lines + [f"{len(records)} records written to {results_path}"])
 
 
 def cmd_compare(args) -> int:
@@ -135,8 +137,7 @@ def cmd_compare(args) -> int:
         records = parse_records(args.results)
     except (FileNotFoundError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    print(render_table(records))
-    return 0
+    return render_table(records)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -167,7 +168,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handlers = {"pretrain": cmd_pretrain, "unlearn": cmd_unlearn, "compare": cmd_compare}
     try:
-        return handlers[args.command](args)
+        report = handlers[args.command](args)
+        try:   # every file is written by now, so a reader that left early is no failure
+            print(report)
+            sys.stdout.flush()   # a buffered write fails here, not at interpreter exit
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigError as exc:
         print(f"orthograd: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -187,7 +187,11 @@ class Dataset:
         return self.inputs.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices, dtype=np.int64)
+        """The rows at integer ``indices``; a boolean mask or a float array is a ValueError."""
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"subset takes integer row indices, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         return Dataset(self.inputs[idx], self.labels[idx], self.n_classes)
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "RunRecord",
     "evaluate_splits",
     "format_record",
-    "parse_record_line",
     "parse_records",
     "emit_records",
     "render_table",
@@ -90,34 +89,29 @@ def format_record(rec) -> str:
     return " ".join(f"{f.name}={write_value(getattr(rec, f.name), f.type)}" for f in fields(rec))
 
 
-def parse_record_line(line: str, source: str = "<records>", lineno: int = 0) -> RunRecord:
-    where = f"{source}:{lineno}" if lineno else source
-    entries = {}
-    for token in line.split():
-        key, sep, value = token.partition("=")
-        if not sep:
-            raise ValueError(f"{where}: expected key=value tokens, got {token!r}")
-        if key in entries:
-            raise ValueError(f"{where}: repeats key {key!r}")
-        entries[key] = value
-    missing = [f.name for f in fields(RunRecord) if f.name not in entries]
-    if missing:
-        raise ValueError(f"{where}: record missing fields {missing}")
-    try:
-        return RunRecord(**{f.name: read_value(entries[f.name], f.type, f.name, where)
-                            for f in fields(RunRecord)})
-    except ConfigError as exc:   # a results file is data: a bad value is a runtime error
-        raise ValueError(str(exc)) from None
-
-
 def parse_records(path) -> list[RunRecord]:
     """The records of a results file in line order; a file holds one row per run, so a line
     that repeats the (method, n_retain, seed) of an earlier one is an error."""
     source, first = str(Path(path)), {}
     for lineno, line in content_lines(read_text(path, "results")):
-        rec = parse_record_line(line, source=source, lineno=lineno)
+        where, entries = f"{source}:{lineno}", {}
+        for token in line.split():
+            key, sep, value = token.partition("=")
+            if not sep:
+                raise ValueError(f"{where}: expected key=value tokens, got {token!r}")
+            if key in entries:
+                raise ValueError(f"{where}: repeats key {key!r}")
+            entries[key] = value
+        missing = [f.name for f in fields(RunRecord) if f.name not in entries]
+        if missing:
+            raise ValueError(f"{where}: record missing fields {missing}")
+        try:
+            rec = RunRecord(**{f.name: read_value(entries[f.name], f.type, f.name, where)
+                               for f in fields(RunRecord)})
+        except ConfigError as exc:   # a results file is data: a bad value is a runtime error
+            raise ValueError(str(exc)) from None
         if rec.sort_key() in first:
-            raise ValueError(f"{source}:{lineno}: repeats the run of line {first[rec.sort_key()][0]}"
+            raise ValueError(f"{where}: repeats the run of line {first[rec.sort_key()][0]}"
                              f" (method={rec.method} n_retain={rec.n_retain} seed={rec.seed})")
         first[rec.sort_key()] = lineno, rec
     return [rec for _, rec in first.values()]

@@ -94,16 +94,12 @@ class AdaptedModel(Model):
         _, _, b_off, b_shape = self.adapters.layout[layer]
         return self.theta[b_off:b_off + b_shape[0] * b_shape[1]].reshape(b_shape)
 
-    def weight_delta(self, layer: int) -> np.ndarray:
-        """Scaled low-rank update (scale/rank) B A, output-major (n_out, n_in)."""
-        return self.adapters.multiplier * (self.b_matrix(layer) @ self.a_matrix(layer))
-
     @cached_property
     def _merged(self) -> ParamVector:
         merged = ParamVector(self.base.flat.copy(), self.spec)
-        for l in range(self.spec.n_layers):
+        for l in range(self.spec.n_layers):   # (scale/rank) B A is output-major (n_out, n_in)
             w = merged.weights(l)
-            w += self.weight_delta(l).T
+            w += (self.adapters.multiplier * (self.b_matrix(l) @ self.a_matrix(l))).T
         return merged
 
     def _blocks(self, acts, deltas):

@@ -106,8 +106,14 @@ class Model:
         return self.coords.shape[0]
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        """Logits for a batch of inputs, shape (k, n_classes)."""
-        return _logits(self._layers(), self.spec, inputs)
+        """Logits for a batch of inputs, shape (k, n_classes), computed in row chunks."""
+        spec, x = self.spec, np.asarray(inputs, dtype=np.float64)
+        if x.ndim != 2 or x.shape[1] != spec.in_dim:
+            raise ValueError(f"inputs must be (k, {spec.in_dim}), got shape {x.shape}")
+        layers, rows, out = self._layers(), _chunk_rows(spec), np.empty((x.shape[0], spec.n_classes))
+        for start in range(0, x.shape[0], rows):
+            out[start:start + rows] = _forward_layers(layers, spec.activation, x[start:start + rows])[0]
+        return out
 
     def _factors(self, batch: Dataset, per_sample: bool):
         """(logits, factored gradients) of a checked batch; see ``_engine_pass`` for the scale."""
@@ -118,7 +124,9 @@ class Model:
         """Mean softmax cross-entropy over the batch and its gradient over ``coords``."""
         _check_batch(batch, self.spec)
         logits, grads = self._factors(batch, per_sample=False)
-        return float(np.mean(_cross_entropy_losses(logits, batch.labels))), grads.matvec()
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return float(np.mean(-logp[np.arange(len(batch)), batch.labels])), grads.matvec()
 
     def per_sample_factors(self, batch: Dataset) -> PerSampleGrads:
         """Each sample's own loss gradient over ``coords``, factored; ``mean()`` matches
@@ -146,7 +154,7 @@ class Model:
 class ParamVector(Model):
     """Flat parameter vector bound to its architecture.
 
-    ``layer(l)`` and its rows ``weights(l)`` / ``biases(l)`` are views into ``flat``;
+    ``layer(l)`` and its weight rows ``weights(l)`` are views into ``flat``;
     treat the vector as immutable and produce updates through ``apply_update``.
     """
 
@@ -170,9 +178,6 @@ class ParamVector(Model):
 
     def weights(self, l: int) -> np.ndarray:
         return self.layer(l)[:-1]
-
-    def biases(self, l: int) -> np.ndarray:
-        return self.layer(l)[-1]
 
     def _blocks(self, acts, deltas):
         # per layer block, sample i's gradient is [a_i, 1] (x) delta_i
@@ -282,34 +287,6 @@ def _chunk_rows(spec: NetworkSpec) -> int:
     return max(1, _CHUNK_BYTES // (8 * max(spec.layer_sizes)))
 
 
-def _logits(layers, spec: NetworkSpec, inputs) -> np.ndarray:
-    """Logits of every row of ``inputs``, computed in row chunks."""
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.in_dim:
-        raise ValueError(f"inputs must be (k, {spec.in_dim}), got shape {x.shape}")
-    out = np.empty((x.shape[0], spec.n_classes))
-    rows = _chunk_rows(spec)
-    for start in range(0, x.shape[0], rows):
-        out[start:start + rows] = _forward_layers(layers, spec.activation, x[start:start + rows])[0]
-    return out
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _cross_entropy_losses(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    logp = _log_softmax(logits)
-    return -logp[np.arange(logits.shape[0]), labels]
-
-
 def _engine_pass(layers, spec: NetworkSpec, batch: Dataset, per_sample: bool):
     """Forward and backward pass over a checked batch; returns (logits, acts, deltas).
 
@@ -319,7 +296,8 @@ def _engine_pass(layers, spec: NetworkSpec, batch: Dataset, per_sample: bool):
     """
     logits, acts = _forward_layers(layers, spec.activation, batch.inputs)
     k = len(batch)
-    delta = _softmax(logits)
+    delta = np.exp(logits - logits.max(axis=1, keepdims=True))   # the softmax
+    delta /= delta.sum(axis=1, keepdims=True)
     delta[np.arange(k), batch.labels] -= 1.0
     if not per_sample:
         delta /= k

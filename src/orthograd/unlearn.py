@@ -92,7 +92,7 @@ class StoppingRule:
 
 @dataclass(frozen=True)
 class UnlearnConfig:
-    method: MethodKind
+    method: MethodKind   # or its value
     stopping: StoppingRule
     alpha: float = 0.9
     eta: float = 0.001
@@ -106,6 +106,11 @@ class UnlearnConfig:
 
     def __post_init__(self):
         # each message starts with the field's name, so a config error names its key
+        try:   # a method's value names it too; orthograd_step compares members by identity
+            object.__setattr__(self, "method", MethodKind(self.method))
+        except ValueError:
+            raise ValueError(f"method must be one of {tuple(m.value for m in MethodKind)}, "
+                             f"got {self.method!r}") from None
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0 < self.eta < np.inf:

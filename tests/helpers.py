@@ -169,7 +169,7 @@ def merge_reference(base: ParamVector, model) -> ParamVector:
     merged = ParamVector(flat, base.spec)
     for l in range(base.spec.n_layers):
         w = merged.weights(l)
-        w += model.weight_delta(l).T
+        w += (model.adapters.multiplier * (model.b_matrix(l) @ model.a_matrix(l))).T
     return merged
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import edit_metadata, save_csv_dataset
-from orthograd import cli, net
+from orthograd import cli, evaluation, net
 from orthograd.cli import main
 from orthograd.config import (
     _SECTION_KEYS, _UNLEARN_KEYS, ConfigError, ExperimentConfig, load_experiment_config,
@@ -894,6 +894,37 @@ def test_module_entry_point_returns_the_exit_code_to_the_shell(workdir):
     done = run("pretrain", str(cfg_path))
     assert done.returncode == 1
     assert done.stderr == f"orthograd: {results}:1: expected key=value tokens, got 'not-a-record'\n"
+
+
+def test_closed_stdout_ends_a_command_quietly(workdir):
+    # the reader of the pipe is gone before the command starts, so its first print fails
+    tmp_path, cfg_path = workdir
+    assert main(["pretrain", str(cfg_path)]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "orthograd.cli", "compare",
+                               str(tmp_path / "out" / "results.txt")], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_broken_pipe_writing_a_file_is_runtime_error(workdir, capsys, monkeypatch):
+    # only stdout's reader may leave quietly: the results file is the command's output
+    tmp_path, cfg_path = workdir
+
+    def broken(path, data):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(evaluation, "write_atomic", broken)
+    assert main(["pretrain", str(cfg_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "orthograd: [Errno 32] Broken pipe\n")
 
 
 def test_malformed_results_file_fails_pretrain_before_any_training(workdir, capsys,

@@ -191,6 +191,18 @@ def test_dataset_validation():
         assert np.array_equal(ds.inputs, inputs) and ds.labels.tolist() == [1, 0]
 
 
+def test_subset_takes_integer_row_indices_only():
+    # a boolean mask would become rows 0 and 1, and a float array would be truncated
+    d = Dataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 0, 1, 0]), 2)
+    for indices, dtype in [(d.labels == 1, "bool"), (np.array([1.0, 3.5]), "float64")]:
+        with pytest.raises(ValueError, match=f"^subset takes integer row indices, got dtype {dtype}$"):
+            d.subset(indices)
+    picked = d.subset(np.array([3, 1], dtype=np.int32))
+    assert picked.labels.tolist() == [1, 1] and picked.inputs[:, 0].tolist() == [6.0, 2.0]
+    assert np.array_equal(d.subset([4, 0]).inputs, d.inputs[[4, 0]])
+    assert len(d.subset([])) == 0
+
+
 def test_write_atomic_makes_missing_directories(tmp_path):
     path = tmp_path / "a" / "b" / "out.bin"
     write_atomic(path, b"first")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from orthograd.evaluation import (
-    RunRecord, emit_records, format_record, parse_record_line, parse_records, render_table, uis,
+    RunRecord, emit_records, format_record, parse_records, render_table, uis,
 )
 
 # Published reference points for the score: an unlearned model at
@@ -53,9 +53,10 @@ def test_record_format_fixed_order_and_six_digits():
     assert line.split()[-1] == "n_retain=500"
 
 
-def test_record_round_trip():
+def test_record_round_trip(tmp_path):
     rec = _record(uis_value=0.0176412534)
-    parsed = parse_record_line(format_record(rec))
+    emit_records(tmp_path / "results.txt", [rec])
+    [parsed] = parse_records(tmp_path / "results.txt")
     # numeric fields survive at print precision; re-formatting is stable
     assert format_record(parsed) == format_record(rec)
     assert parsed.uis == float(f"{rec.uis:.6g}")

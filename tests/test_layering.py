@@ -1,9 +1,11 @@
 """The package's import graph: every import at module level, no import of another module's
-private name, and no module that fails when it is the first one loaded."""
+private name, and no module that fails when it is the first one loaded; and every exported
+name exists."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -46,3 +48,12 @@ def test_imports_are_module_level_public_and_free_of_cycles():
                           env=dict(os.environ, PYTHONPATH=pythonpath), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_exported_name_resolves():
+    # a stale ``__all__`` entry breaks ``from <module> import *``
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "orthograd" if path.stem == "__init__" else f"orthograd.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+        assert missing == [], f"{path.name}: __all__ names {missing}"

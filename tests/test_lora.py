@@ -71,7 +71,7 @@ def test_hand_rank_one_merge_delta():
     adapters = LoraAdapterSet(spec=base.spec, rank=1, scale=1.0)
     theta = np.array([1.0, 0.0, 0.0, 1.0])  # A block then B block
     model = AdaptedModel(base, adapters, theta)
-    assert np.array_equal(model.weight_delta(0), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert np.array_equal(model.b_matrix(0) @ model.a_matrix(0), np.array([[0.0, 0.0], [1.0, 0.0]]))
     merged = model.merged()
     gain = merged.weights(0) - base.weights(0)
     assert np.array_equal(gain, np.array([[0.0, 0.0], [1.0, 0.0]]).T)
@@ -186,7 +186,7 @@ def test_biases_never_adapted():
     model = model.apply_update(np.ones(model.dim), 0.3)
     merged = model.merged()
     for l in range(base.spec.n_layers):
-        assert np.array_equal(merged.biases(l), base.biases(l))
+        assert np.array_equal(merged.layer(l)[-1], base.layer(l)[-1])
 
 
 def test_attach_validation():
@@ -229,7 +229,8 @@ def test_reused_effective_layers_equal_recomputed_bitwise():
         merged = model.merged()
         assert merged is model.merged()
         for l in range(base.spec.n_layers):
-            fresh = np.vstack((base.weights(l) + model.weight_delta(l).T, base.biases(l)))
+            delta = model.adapters.multiplier * (model.b_matrix(l) @ model.a_matrix(l))
+            fresh = np.vstack((base.weights(l) + delta.T, base.layer(l)[-1]))
             assert np.array_equal(merged.layer(l), fresh)
         before = merged.flat.copy()
         batch = random_batch(model.spec, 5, 15)

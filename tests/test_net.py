@@ -52,8 +52,8 @@ def test_param_dim_arithmetic():
                                                                 sizes[1:], strict=True)):
             assert (b_off, b_shape) == (off, (n_in + 1, n_out))
             assert params.weights(l).ravel().tolist() == list(range(off, off + n_in * n_out))
-            assert params.biases(l).tolist() == list(range(off + n_in * n_out,
-                                                           off + (n_in + 1) * n_out))
+            assert params.layer(l)[-1].tolist() == list(range(off + n_in * n_out,
+                                                              off + (n_in + 1) * n_out))
             off += n_in * n_out + n_out
         assert off == spec.param_dim == sum(a * b + b for a, b in zip(sizes, sizes[1:]))
     # layout and param_dim are derived, not fields: eq, hash and repr skip them, and
@@ -80,7 +80,7 @@ def test_init_params_statistics_and_determinism():
     p = init_params(spec, seed=0)
     w = p.weights(0)
     assert abs(float(w.var()) - 0.002) <= 0.1 * 0.002  # 2 / fan_in
-    assert np.all(p.biases(0) == 0.0)
+    assert np.all(p.layer(0)[-1] == 0.0)
     q = init_params(spec, seed=0)
     assert np.array_equal(p.flat, q.flat)
     r = init_params(spec, seed=1)
