@@ -55,16 +55,6 @@ def cmd_pretrain(args) -> int:
             f"checkpoint written to {ckpt_path}")
 
 
-def _parse_methods(raw: str) -> list[MethodKind]:
-    if raw == "all":
-        return list(MethodKind)
-    try:
-        return [MethodKind(raw)]
-    except ValueError:
-        raise ConfigError(f"unknown method {raw!r}; expected 'all' or one of "
-                          + ", ".join(m.value for m in MethodKind)) from None
-
-
 def _parse_int_csv(raw: str, what: str) -> list[int]:
     try:
         values = [int(part) for part in raw.split(",") if part != ""]
@@ -91,7 +81,11 @@ def cmd_unlearn(args) -> int:
         raise ConfigError(f"{cfg.source}: [network] is {_architecture(spec)}, but checkpoint "
                           f"{ckpt_path} holds {_architecture(pretrained.spec)}")
 
-    methods = _parse_methods(args.method)
+    try:
+        methods = list(MethodKind) if args.method == "all" else [MethodKind(args.method)]
+    except ValueError:
+        raise ConfigError(f"unknown method {args.method!r}; expected 'all' or one of "
+                          + ", ".join(m.value for m in MethodKind)) from None
     # None: each method's configured seed, or the config's retain_size
     seeds = _parse_int_csv(args.seed_list, "--seed-list") if args.seed_list else [None]
     sizes = _parse_int_csv(args.retain_sizes, "--retain-sizes") if args.retain_sizes else [None]

@@ -171,13 +171,19 @@ class Dataset:
 
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        given = np.asarray(self.labels)
+        y = given.astype(np.int64, copy=False)
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y)
         if x.ndim != 2:
             raise ValueError(f"inputs must be 2-D, got shape {x.shape}")
         if y.shape != (x.shape[0],):
             raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
+        if given.dtype.kind not in "iu" and not np.array_equal(y, given):   # integers: no scan
+            raise ValueError(f"labels must be integers, got {given.dtype} values int64 would truncate")
+        if int(self.n_classes) != self.n_classes:
+            raise ValueError(f"n_classes must be an integer, got {self.n_classes}")
+        object.__setattr__(self, "n_classes", int(self.n_classes))
         if self.n_classes < 1:
             raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
         if x.shape[0] > 0 and (y.min() < 0 or y.max() >= self.n_classes):

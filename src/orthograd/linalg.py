@@ -34,15 +34,6 @@ def default_drop_tol(dim: int) -> float:
     return 1e-10 * math.sqrt(dim)
 
 
-def _check_vector(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.shape[0] < 1:
-        raise ValueError(f"{name} must be a 1-D vector with at least one entry, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
-
-
 def _keep_block(s: np.ndarray, floor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(idx, t)``: the in-order drop rule on one symmetric block ``s``.
 
@@ -151,7 +142,11 @@ def project_out_span(v: np.ndarray, grads) -> tuple[np.ndarray, int]:
     v : (d,) vector to project.
     grads : ``net.PerSampleGrads`` spanning the subspace to remove.
     """
-    v = _check_vector(v, "v")
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1 or v.shape[0] < 1:
+        raise ValueError(f"v must be a 1-D vector with at least one entry, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("v contains non-finite entries")
     if grads.dim != v.shape[0]:
         raise ValueError(f"dimension mismatch: v has length {v.shape[0]}, grads have dim {grads.dim}")
     gram = grads.gram()

@@ -56,13 +56,16 @@ CHECKPOINT_KEYS = {"layer_sizes": "tuple[int, ...]", "activation": "str", "seed"
 class NetworkSpec:
     """Architecture: layer sizes from input to output plus hidden activation. ``layout`` holds,
     per layer, (offset, block shape (n_in + 1, n_out)), the weight rows then the bias row;
-    ``param_dim``, the length of the flat parameter vector, is where it ends."""
+    ``param_dim``, the length of the flat parameter vector, is where it ends. ``n_layers``,
+    ``in_dim`` and ``n_classes`` are read off the sizes; like those two, they are not fields."""
 
     layer_sizes: tuple[int, ...]
     activation: str = "relu"
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
+        if sizes != tuple(self.layer_sizes):   # 20.0 and np.int64(20) pass; 20.9 would truncate
+            raise ValueError(f"layer sizes must be integers, got {tuple(self.layer_sizes)}")
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise ValueError(f"layer_sizes needs at least input and output, got {sizes}")
@@ -77,18 +80,9 @@ class NetworkSpec:
             off += (n_in + 1) * n_out
         object.__setattr__(self, "layout", tuple(slots))   # not fields: eq/hash/repr skip them
         object.__setattr__(self, "param_dim", off)
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
-
-    @property
-    def in_dim(self) -> int:
-        return self.layer_sizes[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.layer_sizes[-1]
+        object.__setattr__(self, "n_layers", len(sizes) - 1)
+        object.__setattr__(self, "in_dim", sizes[0])
+        object.__setattr__(self, "n_classes", sizes[-1])
 
 
 class Model:
@@ -110,6 +104,8 @@ class Model:
         spec, x = self.spec, np.asarray(inputs, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != spec.in_dim:
             raise ValueError(f"inputs must be (k, {spec.in_dim}), got shape {x.shape}")
+        if not np.all(np.isfinite(x)):   # NaN logits would argmax to class 0 and score
+            raise ValueError("inputs contain non-finite values")
         layers, rows, out = self._layers(), _chunk_rows(spec), np.empty((x.shape[0], spec.n_classes))
         for start in range(0, x.shape[0], rows):
             out[start:start + rows] = _forward_layers(layers, spec.activation, x[start:start + rows])[0]
@@ -167,10 +163,7 @@ class ParamVector(Model):
         if flat.ndim != 1 or flat.shape[0] != self.spec.param_dim:
             raise ValueError(
                 f"flat vector has shape {flat.shape}, spec needs ({self.spec.param_dim},)")
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.flat
+        object.__setattr__(self, "coords", flat)   # the same array: frozen, so they cannot drift
 
     def layer(self, l: int) -> np.ndarray:
         off, shape = self.spec.layout[l]

@@ -22,6 +22,7 @@ projections and diagnostics come from factored per-sample gradients
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -111,6 +112,11 @@ class UnlearnConfig:
         except ValueError:
             raise ValueError(f"method must be one of {tuple(m.value for m in MethodKind)}, "
                              f"got {self.method!r}") from None
+        for name in ("unlearn_batch", "retain_batch", "max_epochs", "lora_rank", "seed"):
+            try:   # 2.5 would pass the range checks below and fail at the run's first step
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0 < self.eta < np.inf:

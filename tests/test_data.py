@@ -191,6 +191,19 @@ def test_dataset_validation():
         assert np.array_equal(ds.inputs, inputs) and ds.labels.tolist() == [1, 0]
 
 
+def test_dataset_rejects_labels_and_class_counts_int64_would_truncate():
+    x = np.zeros((3, 2))
+    with pytest.raises(ValueError,
+                       match="^labels must be integers, got float64 values int64 would truncate$"):
+        Dataset(x, [0.9, 1.5, 2.99], 3)   # would load as [0, 1, 2]
+    with pytest.raises(ValueError, match=r"^n_classes must be an integer, got 2\.5$"):
+        Dataset(x, [0, 1, 2], 2.5)
+    for labels, n_classes in (([0.0, 1.0, 2.0], 3), ([0, 1, 2], 3.0), ([0, 1, 2], np.int64(3))):
+        ds = Dataset(x, labels, n_classes)
+        assert ds.labels.tolist() == [0, 1, 2] and ds.labels.dtype == np.int64
+        assert ds.n_classes == 3 and type(ds.n_classes) is int
+
+
 def test_subset_takes_integer_row_indices_only():
     # a boolean mask would become rows 0 and 1, and a float array would be truncated
     d = Dataset(np.arange(10.0).reshape(5, 2), np.array([0, 1, 0, 1, 0]), 2)

@@ -75,6 +75,17 @@ def test_spec_validation():
         NetworkSpec((4, 3), activation="sigmoid")
 
 
+def test_spec_rejects_sizes_that_int_would_truncate():
+    # 20.9 would build a 20-wide input layer without a word
+    with pytest.raises(ValueError, match=r"^layer sizes must be integers, got \(20\.9, 128\.5, 10\)$"):
+        NetworkSpec((20.9, 128.5, 10))
+    want = NetworkSpec((20, 128, 10))
+    for sizes in ((20.0, 128, 10), np.array([20, 128, 10])):
+        spec = NetworkSpec(sizes)
+        assert spec == want and spec.param_dim == want.param_dim
+        assert [type(s) for s in spec.layer_sizes] == [int, int, int]
+
+
 def test_init_params_statistics_and_determinism():
     spec = NetworkSpec((1000, 1000), activation="relu")
     p = init_params(spec, seed=0)
@@ -216,6 +227,16 @@ def test_model_rejects_vectors_and_rows_of_the_wrong_size():
         evaluate_accuracy(params, empty)
     with pytest.raises(ValueError, match="^cannot pretrain on an empty dataset$"):
         pretrain(spec, empty, epochs=1, batch_size=4, eta=0.1, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_forward_rejects_non_finite_inputs(bad):
+    # NaN logits argmax to class 0: all-NaN rows would score 100 on labels of 0 and 0 on
+    # labels of 1, and inf rows warn and are then scored
+    params = init_params(NetworkSpec((3, 2), "relu"), 0)
+    for label in (0, 1):
+        with pytest.raises(ValueError, match="^inputs contain non-finite values$"):
+            evaluate_accuracy(params, Dataset(np.full((4, 3), bad), [label] * 4, 2))
 
 
 def test_apply_update_is_descent_step():

@@ -448,6 +448,18 @@ def test_run_rejects_an_empty_unlearn_or_retain_set():
                 run_unlearning(params, hand_built, make_cfg(method=method, max_epochs=1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_run_rejects_a_non_finite_test_row_before_any_step(bad):
+    # an inf row read as divergence at epoch 0, and a NaN row ran silently
+    params, splits = small_world()
+    x = splits.test.inputs.copy()
+    x[0, 0] = bad
+    test = Dataset(x, splits.test.labels, splits.test.n_classes)
+    with pytest.raises(ValueError, match="^inputs contain non-finite values$"):
+        run_unlearning(params, Splits(splits.unlearn, splits.retain, test, "random"),
+                       make_cfg(max_epochs=1))
+
+
 def test_run_returns_pretrained_when_stop_already_satisfied():
     params, splits = small_world()
     rule = StoppingRule.random_forget(target=200.0)   # always satisfied
@@ -581,6 +593,15 @@ def test_config_validation():
     for field, bad in (("unlearn_batch", 0), ("retain_batch", 0), ("max_epochs", -1)):
         with pytest.raises(ValueError, match=f"^{field} "):
             make_cfg(**{field: bad})
+
+
+@pytest.mark.parametrize("name", ["unlearn_batch", "retain_batch", "max_epochs", "lora_rank", "seed"])
+def test_integer_setting_is_rejected_at_a_float_naming_its_field(name):
+    # 2.5 passes every range check, and the run then failed at its first step
+    for bad in (2.5, 2.0):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+            make_cfg(**{name: bad})
+    assert getattr(make_cfg(**{name: np.int64(3)}), name) == 3
 
 
 @pytest.mark.parametrize("build, name", [
