@@ -172,7 +172,11 @@ class Dataset:
     def __post_init__(self):
         x = np.asarray(self.inputs, dtype=np.float64)
         given = np.asarray(self.labels)
-        y = given.astype(np.int64, copy=False)
+        if given.dtype.kind in "iu":
+            y = given.astype(np.int64, copy=False)
+        else:   # NaN, inf and huge floats cast, without a warning, to values rejected below
+            with np.errstate(invalid="ignore"):
+                y = given.astype(np.int64)
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "labels", y)
         if x.ndim != 2:
@@ -181,7 +185,7 @@ class Dataset:
             raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
         if given.dtype.kind not in "iu" and not np.array_equal(y, given):   # integers: no scan
             raise ValueError(f"labels must be integers, got {given.dtype} values int64 would truncate")
-        if int(self.n_classes) != self.n_classes:
+        if not np.isfinite(float(self.n_classes)) or int(self.n_classes) != self.n_classes:
             raise ValueError(f"n_classes must be an integer, got {self.n_classes}")
         object.__setattr__(self, "n_classes", int(self.n_classes))
         if self.n_classes < 1:

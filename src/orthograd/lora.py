@@ -16,6 +16,7 @@ steps treat the adapter vector exactly like the full-model parameter vector.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +42,10 @@ class LoraAdapterSet:
     scale: float
 
     def __post_init__(self):
+        try:
+            operator.index(self.rank)
+        except TypeError:
+            raise ValueError(f"rank must be an integer, got {self.rank!r}") from None
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not 0 < self.scale < np.inf:
@@ -58,48 +63,40 @@ class LoraAdapterSet:
         object.__setattr__(self, "multiplier", self.scale / self.rank)
 
 
+@dataclass(frozen=True, eq=False)
 class AdaptedModel(Model):
     """Base parameters plus a flat adapter vector ``theta``, the model's coordinates.
 
-    Differentiates with respect to the adapter coordinates only.
-    ``apply_update`` returns a new model; the base parameters are shared,
-    never copied or mutated.  The merged parameter vector is built once, on first
-    use, and the forward and gradient passes and ``merged`` read that one vector.
+    Differentiates with respect to ``theta`` only; ``coords`` is ``theta`` itself, and ``a[l]``
+    and ``b[l]``, layer l's A and B, are views into it.  ``apply_update`` returns a new model
+    sharing the base parameters, never copied or mutated.  The merge happens on first use:
+    the merged vector is built then, once, and every pass and ``merged`` read that one vector.
     """
 
-    def __init__(self, base: ParamVector, adapters: LoraAdapterSet, theta: np.ndarray):
-        theta = np.asarray(theta, dtype=np.float64)
+    base: ParamVector
+    adapters: LoraAdapterSet
+    theta: np.ndarray
+
+    def __post_init__(self):
+        theta, adapters = np.asarray(self.theta, dtype=np.float64), self.adapters
         if theta.shape != (adapters.param_dim,):
             raise ValueError(f"adapter vector has shape {theta.shape}, "
                              f"expected ({adapters.param_dim},)")
-        if base.spec != adapters.spec:
+        if self.base.spec != adapters.spec:
             raise ValueError("base parameters and adapters disagree on the architecture")
-        self.base = base
-        self.adapters = adapters
-        self.theta = theta
-
-    @property
-    def spec(self) -> NetworkSpec:
-        return self.base.spec
-
-    @property
-    def coords(self) -> np.ndarray:
-        return self.theta
-
-    def a_matrix(self, layer: int) -> np.ndarray:
-        a_off, a_shape, _, _ = self.adapters.layout[layer]
-        return self.theta[a_off:a_off + a_shape[0] * a_shape[1]].reshape(a_shape)
-
-    def b_matrix(self, layer: int) -> np.ndarray:
-        _, _, b_off, b_shape = self.adapters.layout[layer]
-        return self.theta[b_off:b_off + b_shape[0] * b_shape[1]].reshape(b_shape)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "spec", self.base.spec)
+        object.__setattr__(self, "coords", theta)   # the same array: frozen, so they cannot drift
+        object.__setattr__(self, "dim", theta.shape[0])
+        layout = adapters.layout
+        object.__setattr__(self, "a", tuple(theta[o:o + s[0] * s[1]].reshape(s) for o, s, _, _ in layout))
+        object.__setattr__(self, "b", tuple(theta[o:o + s[0] * s[1]].reshape(s) for _, _, o, s in layout))
 
     @cached_property
     def _merged(self) -> ParamVector:
         merged = ParamVector(self.base.flat.copy(), self.spec)
-        for l in range(self.spec.n_layers):   # (scale/rank) B A is output-major (n_out, n_in)
-            w = merged.weights(l)
-            w += (self.adapters.multiplier * (self.b_matrix(l) @ self.a_matrix(l))).T
+        for block, a, b in zip(merged.layers, self.a, self.b):   # (scale/rank) B A: (n_out, n_in)
+            block[:-1] += (self.adapters.multiplier * (b @ a)).T
         return merged
 
     def _blocks(self, acts, deltas):
@@ -108,8 +105,8 @@ class AdaptedModel(Model):
         mult = self.adapters.multiplier
         blocks = []
         for l, (a_off, _, b_off, _) in enumerate(self.adapters.layout):
-            blocks.append((a_off, mult * (deltas[l] @ self.b_matrix(l)), acts[l]))
-            blocks.append((b_off, deltas[l], mult * (acts[l] @ self.a_matrix(l).T)))
+            blocks.append((a_off, mult * (deltas[l] @ self.b[l]), acts[l]))
+            blocks.append((b_off, deltas[l], mult * (acts[l] @ self.a[l].T)))
         return blocks
 
     def _at(self, theta: np.ndarray) -> "AdaptedModel":

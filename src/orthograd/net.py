@@ -63,9 +63,10 @@ class NetworkSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.layer_sizes)
-        if sizes != tuple(self.layer_sizes):   # 20.0 and np.int64(20) pass; 20.9 would truncate
-            raise ValueError(f"layer sizes must be integers, got {tuple(self.layer_sizes)}")
+        given = tuple(self.layer_sizes)
+        sizes = tuple(int(s) for s in given) if all(np.isfinite(float(s)) for s in given) else None
+        if sizes != given:   # 20.0 and np.int64(20) pass; 20.9 would truncate; inf and NaN have no int
+            raise ValueError(f"layer sizes must be integers, got {given}")
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
             raise ValueError(f"layer_sizes needs at least input and output, got {sizes}")
@@ -88,16 +89,11 @@ class NetworkSpec:
 class Model:
     """Gradient operations shared by every parameter space, written once.
 
-    A model supplies ``spec`` and three hooks: ``coords``, the vector its
-    gradients live in; ``_blocks(acts, deltas)``, its one chain-rule map from
-    the engine pass to ``PerSampleGrads`` blocks over ``coords``; and
-    ``_at(coords)``, a copy of itself at new coordinates.  A space other than
-    the full one also supplies ``merged()``, whose layer blocks every pass runs.
+    A model is a frozen value: ``spec``, ``coords`` (the vector its gradients live in) and
+    ``dim`` are set where it is made, and every pass runs on ``merged().layers``.  A space
+    supplies two hooks: ``_blocks(acts, deltas)``, its one chain-rule map from the engine pass
+    to ``PerSampleGrads`` blocks over ``coords``; and ``_at(coords)``, a copy at new coordinates.
     """
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Logits for a batch of inputs, shape (k, n_classes), computed in row chunks."""
@@ -106,14 +102,14 @@ class Model:
             raise ValueError(f"inputs must be (k, {spec.in_dim}), got shape {x.shape}")
         if not np.all(np.isfinite(x)):   # NaN logits would argmax to class 0 and score
             raise ValueError("inputs contain non-finite values")
-        layers, rows, out = self._layers(), _chunk_rows(spec), np.empty((x.shape[0], spec.n_classes))
+        layers, rows, out = self.merged().layers, _chunk_rows(spec), np.empty((len(x), spec.n_classes))
         for start in range(0, x.shape[0], rows):
             out[start:start + rows] = _forward_layers(layers, spec.activation, x[start:start + rows])[0]
         return out
 
     def _factors(self, batch: Dataset, per_sample: bool):
         """(logits, factored gradients) of a checked batch; see ``_engine_pass`` for the scale."""
-        logits, acts, deltas = _engine_pass(self._layers(), self.spec, batch, per_sample)
+        logits, acts, deltas = _engine_pass(self.merged().layers, self.spec, batch, per_sample)
         return logits, PerSampleGrads(self.dim, self._blocks(acts, deltas))
 
     def mean_loss_and_grad(self, batch: Dataset) -> tuple[float, np.ndarray]:
@@ -141,17 +137,13 @@ class Model:
         """The model as a full parameter vector; a full-space model is its own."""
         return self
 
-    def _layers(self):
-        merged = self.merged()
-        return [merged.layer(l) for l in range(self.spec.n_layers)]
-
 
 @dataclass(frozen=True)
 class ParamVector(Model):
     """Flat parameter vector bound to its architecture.
 
-    ``layer(l)`` and its weight rows ``weights(l)`` are views into ``flat``;
-    treat the vector as immutable and produce updates through ``apply_update``.
+    ``layers[l]``, layer l's block, is a view into ``flat`` and ``layers[l][:-1]`` its weight
+    rows; treat the vector as immutable and produce updates through ``apply_update``.
     """
 
     flat: np.ndarray
@@ -164,13 +156,9 @@ class ParamVector(Model):
             raise ValueError(
                 f"flat vector has shape {flat.shape}, spec needs ({self.spec.param_dim},)")
         object.__setattr__(self, "coords", flat)   # the same array: frozen, so they cannot drift
-
-    def layer(self, l: int) -> np.ndarray:
-        off, shape = self.spec.layout[l]
-        return self.flat[off:off + shape[0] * shape[1]].reshape(shape)
-
-    def weights(self, l: int) -> np.ndarray:
-        return self.layer(l)[:-1]
+        object.__setattr__(self, "dim", flat.shape[0])
+        object.__setattr__(self, "layers", tuple(flat[off:off + shape[0] * shape[1]].reshape(shape)
+                                                 for off, shape in self.spec.layout))
 
     def _blocks(self, acts, deltas):
         # per layer block, sample i's gradient is [a_i, 1] (x) delta_i
@@ -317,8 +305,7 @@ def init_params(spec: NetworkSpec, seed: int) -> ParamVector:
     rng = np.random.default_rng(seed)
     params = ParamVector(np.zeros(spec.param_dim), spec)
     gain = ACTIVATIONS[spec.activation][2]
-    for l in range(spec.n_layers):
-        w = params.weights(l)
+    for w in (block[:-1] for block in params.layers):
         w[...] = rng.normal(0.0, np.sqrt(gain / w.shape[0]), size=w.shape)
     return params
 

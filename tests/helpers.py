@@ -168,8 +168,8 @@ def merge_reference(base: ParamVector, model) -> ParamVector:
     flat = base.flat.copy()
     merged = ParamVector(flat, base.spec)
     for l in range(base.spec.n_layers):
-        w = merged.weights(l)
-        w += (model.adapters.multiplier * (model.b_matrix(l) @ model.a_matrix(l))).T
+        w = merged.layers[l][:-1]
+        w += (model.adapters.multiplier * (model.b[l] @ model.a[l])).T
     return merged
 
 
@@ -181,14 +181,14 @@ def adapter_mean_grad_reference(model, batch: Dataset) -> np.ndarray:
     (input-major) and m the multiplier: ``dA = m (gw B)^T`` and ``dB = m gw^T A^T``.
     """
     merged = model.merged()
-    layers = [merged.layer(l) for l in range(model.spec.n_layers)]
+    layers = merged.layers
     _, acts, deltas = net._engine_pass(layers, model.spec, batch, per_sample=False)
     mult = model.adapters.multiplier
     grad = np.empty(model.dim)
     for l, (a_off, _, b_off, _) in enumerate(model.adapters.layout):
         gw = acts[l].T @ deltas[l]
-        da = mult * (gw @ model.b_matrix(l)).T
-        db = mult * gw.T @ model.a_matrix(l).T
+        da = mult * (gw @ model.b[l]).T
+        db = mult * gw.T @ model.a[l].T
         grad[a_off:a_off + da.size] = da.reshape(-1)
         grad[b_off:b_off + db.size] = db.reshape(-1)
     return grad

@@ -196,8 +196,15 @@ def test_dataset_rejects_labels_and_class_counts_int64_would_truncate():
     with pytest.raises(ValueError,
                        match="^labels must be integers, got float64 values int64 would truncate$"):
         Dataset(x, [0.9, 1.5, 2.99], 3)   # would load as [0, 1, 2]
+    for labels in ([0.0, 1.0, np.nan], [0.0, 1.0, np.inf], [0.0, 1.0, 1e30]):   # no cast warning
+        with pytest.raises(ValueError,
+                           match="^labels must be integers, got float64 values int64 would truncate$"):
+            Dataset(x, labels, 3)
     with pytest.raises(ValueError, match=r"^n_classes must be an integer, got 2\.5$"):
         Dataset(x, [0, 1, 2], 2.5)
+    for n_classes in (np.inf, np.nan):   # no int(): OverflowError at inf, ValueError at NaN
+        with pytest.raises(ValueError, match=f"^n_classes must be an integer, got {n_classes}$"):
+            Dataset(x, [0, 1, 2], n_classes)
     for labels, n_classes in (([0.0, 1.0, 2.0], 3), ([0, 1, 2], 3.0), ([0, 1, 2], np.int64(3))):
         ds = Dataset(x, labels, n_classes)
         assert ds.labels.tolist() == [0, 1, 2] and ds.labels.dtype == np.int64

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 
-import numpy as np
 import pytest
 
 from orthograd.evaluation import (

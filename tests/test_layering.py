@@ -1,6 +1,6 @@
 """The package's import graph: every import at module level, no import of another module's
-private name, and no module that fails when it is the first one loaded; and every exported
-name exists."""
+private name, and no module that fails when it is the first one loaded; every exported
+name exists; and every module-level import has a use."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "orthograd"
+ROOT = PACKAGE.parent.parent
 
 # each named module loaded first under a bare package object, so the package's own imports
 # in __init__ cannot load its dependencies before it; "orthograd" itself loads as usual
@@ -57,3 +58,21 @@ def test_every_exported_name_resolves():
             "orthograd" if path.stem == "__init__" else f"orthograd.{path.stem}")
         missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
         assert missing == [], f"{path.name}: __all__ names {missing}"
+
+
+def test_every_module_level_import_is_used():
+    # a name is used when the module reads it, or exports it through ``__all__``
+    unused = []
+    for path in sorted([*PACKAGE.glob("*.py"), *ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+                used |= {elt.value for elt in node.value.elts}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                names = [(alias.asname or alias.name).partition(".")[0] for alias in node.names]
+                unused += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                           for name in names if name != "*" and name not in used]
+    assert unused == []

@@ -56,8 +56,8 @@ def test_attach_is_zero_delta_bitwise():
     base = make_base((5, 10, 4), "relu", seed=3)
     model = attach_lora(base, rank=3, scale=16.0, seed=7)
     for l in range(base.spec.n_layers):
-        assert np.all(model.b_matrix(l) == 0.0)
-        assert not np.all(model.a_matrix(l) == 0.0)
+        assert np.all(model.b[l] == 0.0)
+        assert not np.all(model.a[l] == 0.0)
     x = np.random.default_rng(11).normal(size=(6, 5))
     assert np.array_equal(model.forward(x), base.forward(x))
     merged = model.merged()
@@ -71,9 +71,9 @@ def test_hand_rank_one_merge_delta():
     adapters = LoraAdapterSet(spec=base.spec, rank=1, scale=1.0)
     theta = np.array([1.0, 0.0, 0.0, 1.0])  # A block then B block
     model = AdaptedModel(base, adapters, theta)
-    assert np.array_equal(model.b_matrix(0) @ model.a_matrix(0), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert np.array_equal(model.b[0] @ model.a[0], np.array([[0.0, 0.0], [1.0, 0.0]]))
     merged = model.merged()
-    gain = merged.weights(0) - base.weights(0)
+    gain = merged.layers[0][:-1] - base.layers[0][:-1]
     assert np.array_equal(gain, np.array([[0.0, 0.0], [1.0, 0.0]]).T)
 
 
@@ -186,7 +186,7 @@ def test_biases_never_adapted():
     model = model.apply_update(np.ones(model.dim), 0.3)
     merged = model.merged()
     for l in range(base.spec.n_layers):
-        assert np.array_equal(merged.layer(l)[-1], base.layer(l)[-1])
+        assert np.array_equal(merged.layers[l][-1], base.layers[l][-1])
 
 
 def test_attach_validation():
@@ -229,12 +229,43 @@ def test_reused_effective_layers_equal_recomputed_bitwise():
         merged = model.merged()
         assert merged is model.merged()
         for l in range(base.spec.n_layers):
-            delta = model.adapters.multiplier * (model.b_matrix(l) @ model.a_matrix(l))
-            fresh = np.vstack((base.weights(l) + delta.T, base.layer(l)[-1]))
-            assert np.array_equal(merged.layer(l), fresh)
+            delta = model.adapters.multiplier * (model.b[l] @ model.a[l])
+            fresh = np.vstack((base.layers[l][:-1] + delta.T, base.layers[l][-1]))
+            assert np.array_equal(merged.layers[l], fresh)
         before = merged.flat.copy()
         batch = random_batch(model.spec, 5, 15)
         model.forward(batch.inputs)
         model.mean_loss_and_grad(batch)
         model.per_sample_factors(batch)
         assert merged.flat.tobytes() == before.tobytes()
+
+
+def test_rank_must_be_an_integer():
+    # a float rank would give a float param_dim (38.0), and attach_lora would die inside NumPy
+    spec = NetworkSpec((4, 6, 3))
+    for rank in (2.0, 2.5):
+        with pytest.raises(ValueError, match=f"^rank must be an integer, got {rank}$"):
+            LoraAdapterSet(spec, rank, 4.0)
+    with pytest.raises(ValueError, match=r"^rank must be an integer, got 2\.5$"):
+        attach_lora(init_params(spec, 0), rank=2.5, scale=4.0)
+    assert LoraAdapterSet(spec, np.int64(2), 4.0).param_dim == 38   # NumPy integers pass
+
+
+def test_adapted_model_is_a_frozen_value():
+    # a new theta set on a model would reach coords but not the merged weights every pass
+    # runs on; like ParamVector, the model cannot be changed after it is made
+    base = make_base((4, 8, 3), "relu", seed=40)
+    model = attach_lora(base, rank=2, scale=4.0, seed=41)
+    model = model.apply_update(np.random.default_rng(42).normal(size=model.dim), 0.1)
+    model.forward(random_batch(model.spec, 3, 43).inputs)
+    for target, name, value in ((model, "theta", np.zeros(model.dim)),
+                                (model, "coords", np.zeros(model.dim)),
+                                (model, "base", base), (base, "flat", np.zeros(base.dim))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(target, name, value)
+    assert model.coords is model.theta and model.dim == model.theta.shape[0]
+    for view in (*model.a, *model.b):
+        assert np.shares_memory(view, model.theta)
+    assert [v.shape for v in model.a] == [(2, 4), (2, 8)]
+    assert [v.shape for v in model.b] == [(8, 2), (3, 2)]
+    assert model.merged() is model.merged()

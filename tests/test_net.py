@@ -51,9 +51,9 @@ def test_param_dim_arithmetic():
         for l, ((b_off, b_shape), n_in, n_out) in enumerate(zip(spec.layout, sizes[:-1],
                                                                 sizes[1:], strict=True)):
             assert (b_off, b_shape) == (off, (n_in + 1, n_out))
-            assert params.weights(l).ravel().tolist() == list(range(off, off + n_in * n_out))
-            assert params.layer(l)[-1].tolist() == list(range(off + n_in * n_out,
-                                                              off + (n_in + 1) * n_out))
+            assert params.layers[l][:-1].ravel().tolist() == list(range(off, off + n_in * n_out))
+            assert params.layers[l][-1].tolist() == list(range(off + n_in * n_out,
+                                                               off + (n_in + 1) * n_out))
             off += n_in * n_out + n_out
         assert off == spec.param_dim == sum(a * b + b for a, b in zip(sizes, sizes[1:]))
     # layout and param_dim are derived, not fields: eq, hash and repr skip them, and
@@ -79,6 +79,9 @@ def test_spec_rejects_sizes_that_int_would_truncate():
     # 20.9 would build a 20-wide input layer without a word
     with pytest.raises(ValueError, match=r"^layer sizes must be integers, got \(20\.9, 128\.5, 10\)$"):
         NetworkSpec((20.9, 128.5, 10))
+    for sizes, shown in (((np.inf, 3), "inf"), ((np.nan, 3), "nan"), (("4", 3), "'4'")):
+        with pytest.raises(ValueError, match=rf"^layer sizes must be integers, got \({shown}, 3\)$"):
+            NetworkSpec(sizes)
     want = NetworkSpec((20, 128, 10))
     for sizes in ((20.0, 128, 10), np.array([20, 128, 10])):
         spec = NetworkSpec(sizes)
@@ -89,16 +92,16 @@ def test_spec_rejects_sizes_that_int_would_truncate():
 def test_init_params_statistics_and_determinism():
     spec = NetworkSpec((1000, 1000), activation="relu")
     p = init_params(spec, seed=0)
-    w = p.weights(0)
+    w = p.layers[0][:-1]
     assert abs(float(w.var()) - 0.002) <= 0.1 * 0.002  # 2 / fan_in
-    assert np.all(p.layer(0)[-1] == 0.0)
+    assert np.all(p.layers[0][-1] == 0.0)
     q = init_params(spec, seed=0)
     assert np.array_equal(p.flat, q.flat)
     r = init_params(spec, seed=1)
     assert not np.array_equal(p.flat, r.flat)
 
     tanh_spec = NetworkSpec((500, 200), activation="tanh")
-    tw = init_params(tanh_spec, seed=2).weights(0)
+    tw = init_params(tanh_spec, seed=2).layers[0][:-1]
     assert abs(float(tw.var()) - 1.0 / 500) <= 0.1 / 500
 
 
@@ -200,8 +203,8 @@ def test_evaluate_accuracy_hand_built_separator():
     spec = NetworkSpec((2, 3), "relu")
     flat = np.zeros(spec.param_dim)
     params = ParamVector(flat, spec)
-    params.weights(0)[:] = np.array([[1.0, 0.0, -1.0],
-                                     [0.0, 1.0, -1.0]])
+    params.layers[0][:-1] = np.array([[1.0, 0.0, -1.0],
+                                      [0.0, 1.0, -1.0]])
     points = Dataset(np.array([[2.0, 0.0], [3.0, 1.0], [0.0, 2.0],
                                [1.0, 3.0], [-2.0, -2.0], [-3.0, -1.0]]),
                      np.array([0, 0, 1, 1, 2, 2]), 3)
@@ -478,7 +481,7 @@ def test_chunked_logits_match_one_unchunked_pass(activation):
         y = rng.integers(0, spec.n_classes, size=n)
         for model, got in ((base, base.forward(x)), (adapted, adapted.forward(x))):
             params = model.merged()
-            layers = [params.layer(l) for l in range(spec.n_layers)]
+            layers = params.layers
             want = forward_reference(layers, activation, x)
             assert got.shape == want.shape == (n, spec.n_classes)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()

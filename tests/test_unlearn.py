@@ -527,7 +527,7 @@ def test_run_with_lora_touches_only_weights():
     result = run_unlearning(params, splits, cfg)
     assert result.params.spec == params.spec
     for l in range(params.spec.n_layers):
-        assert np.array_equal(result.params.layer(l)[-1], params.layer(l)[-1])
+        assert np.array_equal(result.params.layers[l][-1], params.layers[l][-1])
     assert not np.array_equal(result.params.flat, params.flat)
 
 
