@@ -35,88 +35,54 @@ def usage_errors(where: str):
 _UNLEARN_KEYS = {**{f.name: f.type for f in fields(UnlearnConfig)
                     if f.name not in ("method", "stopping")}, "stop_threshold": "float"}
 
-# the keys of every other section: key -> its ExperimentConfig field, whose annotation is
-# the key's type.  A key is required exactly when its field has no default, or when the
-# dataset kind or split mode requires it (_OWN_KEYS); a key of another kind or mode is rejected
-_SECTION_KEYS = {
-    "dataset": {
-        "kind": "dataset_kind", "classes": "classes",
-        "dim": "dim", "per_class": "per_class",
-        "test_per_class": "test_per_class", "spread": "spread",
-        "seed": "dataset_seed", "train_path": "train_path",
-        "test_path": "test_path",
-    },
-    "network": {"layer_sizes": "layer_sizes", "activation": "activation"},
-    "pretrain": {
-        "epochs": "pretrain_epochs", "batch_size": "pretrain_batch",
-        "eta": "pretrain_eta", "seed": "pretrain_seed",
-    },
-    "splits": {
-        "mode": "split_mode", "fraction": "fraction",
-        "class_label": "class_label", "retain_size": "retain_size",
-        "seed": "split_seed",
-    },
-    "paths": {
-        "checkpoint": "checkpoint_path", "results": "results_path",
-        "runs_dir": "runs_dir",
-    },
-}
-# section -> (the key that selects, {each value it takes: (the keys it requires, the keys
-# it allows), which apply under that value only})
-_OWN_KEYS = {
-    "dataset": ("kind", {"blobs": (("per_class", "test_per_class"), ("spread", "seed")),
-                         "csv": (("train_path", "test_path"), ())}),
-    "splits": ("mode", {"random": ((), ("fraction",)), "class": (("class_label",), ())}),
-}
+
+def _key(section: str, name: str, default=MISSING, only: str = "", required: bool = False):
+    """The field that key ``name`` of ``[section]`` sets; a key left out keeps ``default``, and
+    is required if there is none.  A key of one dataset kind or split mode (``only``) is
+    rejected under another, and is required under its own if ``required``."""
+    return field(default=default, metadata={"section": section, "key": name, "only": only,
+                                            "required": required})
+
+
+# the key of a section whose value, a dataset kind or split mode, its ``only`` keys follow
+_SELECTORS = {"dataset": "kind", "splits": "mode"}
 
 
 @dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Fully parsed experiment description, and the parts of a run it builds.
 
-    A field's default is the value of a config key left out (see ``_SECTION_KEYS``).
-    ``unlearn_base`` and ``unlearn_overrides`` hold the raw ``[unlearn]`` and
-    ``[unlearn.<method>]`` tables, which ``unlearn_config`` converts.
+    Every field but ``source``, the file's path, and the two unlearn tables is set by the
+    config key its ``_key`` names.  ``unlearn_base`` and ``unlearn_overrides`` hold the raw
+    ``[unlearn]`` and ``[unlearn.<method>]`` tables, which ``unlearn_config`` converts.
     """
 
     source: str
-
-    # dataset
-    dataset_kind: str           # "blobs" or "csv"
-    classes: int
-    dim: int
-    per_class: int = 0          # blobs only
-    test_per_class: int = 0     # blobs only
-    spread: float = 1.0
-    dataset_seed: Seed = 0
-    train_path: str = ""        # csv only
-    test_path: str = ""         # csv only
-
-    # network
-    layer_sizes: tuple[int, ...]
-    activation: str = "relu"
-
-    # pretrain
-    pretrain_epochs: int
-    pretrain_batch: int = 64
-    pretrain_eta: float = 0.1
-    pretrain_seed: Seed = 0
-
-    # splits
-    split_mode: str             # "random" or "class"
-    fraction: float = 0.05
-    class_label: int = -1       # class mode only
-    retain_size: int
-    split_seed: Seed = 0
-
-    # unlearn base settings (strings resolved later per method)
+    dataset_kind: str = _key("dataset", "kind")
+    classes: int = _key("dataset", "classes")
+    dim: int = _key("dataset", "dim")
+    per_class: int = _key("dataset", "per_class", 0, "blobs", required=True)
+    test_per_class: int = _key("dataset", "test_per_class", 0, "blobs", required=True)
+    spread: float = _key("dataset", "spread", 1.0, "blobs")
+    dataset_seed: Seed = _key("dataset", "seed", 0, "blobs")
+    train_path: str = _key("dataset", "train_path", "", "csv", required=True)
+    test_path: str = _key("dataset", "test_path", "", "csv", required=True)
+    layer_sizes: tuple[int, ...] = _key("network", "layer_sizes")
+    activation: str = _key("network", "activation", "relu")
+    pretrain_epochs: int = _key("pretrain", "epochs")
+    pretrain_batch: int = _key("pretrain", "batch_size", 64)
+    pretrain_eta: float = _key("pretrain", "eta", 0.1)
+    pretrain_seed: Seed = _key("pretrain", "seed", 0)
+    split_mode: str = _key("splits", "mode")
+    fraction: float = _key("splits", "fraction", 0.05, "random")
+    class_label: int = _key("splits", "class_label", -1, "class", required=True)
+    retain_size: int = _key("splits", "retain_size")
+    split_seed: Seed = _key("splits", "seed", 0)
     unlearn_base: dict = field(default_factory=dict)
     unlearn_overrides: dict = field(default_factory=dict)
-
-    # paths (resolved relative to the config file directory)
-    checkpoint_path: str
-    results_path: str
-    runs_dir: str = "runs"
+    checkpoint_path: str = _key("paths", "checkpoint")
+    results_path: str = _key("paths", "results")
+    runs_dir: str = _key("paths", "runs_dir", "runs")
 
     def resolve(self, relpath: str) -> Path:
         """A path from the config, relative to the config file's directory."""
@@ -183,6 +149,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     except (FileNotFoundError, ValueError) as exc:   # a file that cannot be read is a usage error
         raise ConfigError(str(exc)) from None
     sections = parse_sections_text(text, source)
+    keys = {}   # section -> key -> the field it sets, in field order
+    for f in fields(ExperimentConfig):
+        if f.metadata:
+            keys.setdefault(f.metadata["section"], {})[f.metadata["key"]] = f
     methods = [m.value for m in MethodKind]
     for name, table in sections.items():
         if name.startswith("unlearn."):
@@ -191,41 +161,40 @@ def load_experiment_config(path) -> ExperimentConfig:
                 raise ConfigError(
                     f"{source}: unknown method {method!r} in section [{name}]; "
                     f"expected one of {', '.join(methods)}")
-        elif name != "unlearn" and name not in _SECTION_KEYS:
+        elif name != "unlearn" and name not in keys:
             raise ConfigError(f"{source}: unknown section [{name}]")
         for key in table:
-            if key not in _SECTION_KEYS.get(name, _UNLEARN_KEYS):
+            if key not in keys.get(name, _UNLEARN_KEYS):
                 raise ConfigError(f"{source}: unknown key {key!r} in section [{name}]")
 
-    for name in (*_SECTION_KEYS, "unlearn"):
+    for name in (*keys, "unlearn"):
         if name not in sections:
             raise ConfigError(f"{source}: missing required section [{name}]")
-    config_fields = {f.name: f for f in fields(ExperimentConfig)}
     values = {}
-    for name, keys in _SECTION_KEYS.items():
-        table = sections[name]
-        for key, attr in keys.items():
-            if key in table:
-                values[attr] = read_value(table[key], config_fields[attr].type, key, source)
-            elif config_fields[attr].default is MISSING:
+    for name, section_keys in keys.items():
+        for key, f in section_keys.items():
+            if key in sections[name]:
+                values[f.name] = read_value(sections[name][key], f.type, key, source)
+            elif f.default is MISSING:
                 raise ConfigError(f"{source}: missing key {key!r} in section [{name}]")
     cfg = ExperimentConfig(
         source=source, **values, unlearn_base=dict(sections["unlearn"]),
         unlearn_overrides={name[len("unlearn."):]: dict(table) for name, table in sections.items()
                            if name.startswith("unlearn.")})
 
-    for name, (selector, own_keys) in _OWN_KEYS.items():
-        value = sections[name][selector]
-        if value not in own_keys:
+    for name, selector in _SELECTORS.items():
+        table, value = sections[name], sections[name][selector]
+        own = dict.fromkeys(f.metadata["only"] for f in keys[name].values() if f.metadata["only"])
+        if value not in own:
             raise ConfigError(f"{source}: {name} {selector} must be "
-                              f"{' or '.join(map(repr, own_keys))}, got {value!r}")
-        for other, (required, allowed) in own_keys.items():
-            for key in required + allowed:
-                if other != value and key in sections[name]:
-                    raise ConfigError(f"{source}: key {key!r} in section [{name}] applies "
-                                      f"only to {selector} = {other}, not {value}")
-                if other == value and key in required and key not in sections[name]:
-                    raise ConfigError(f"{source}: missing key {key!r} in section [{name}]")
+                              f"{' or '.join(map(repr, own))}, got {value!r}")
+        for key, f in keys[name].items():
+            only = f.metadata["only"]
+            if only and only != value and key in table:
+                raise ConfigError(f"{source}: key {key!r} in section [{name}] applies "
+                                  f"only to {selector} = {only}, not {value}")
+            if only == value and f.metadata["required"] and key not in table:
+                raise ConfigError(f"{source}: missing key {key!r} in section [{name}]")
     if cfg.resolve(cfg.checkpoint_path).resolve() == cfg.resolve(cfg.results_path).resolve():
         raise ConfigError(f"{source}: [paths] checkpoint and results name the same file "
                           f"{cfg.results_path!r}")

@@ -23,6 +23,7 @@ typos are easy to find.  ``format_sections`` emits a canonical rendering
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,12 +38,21 @@ __all__ = [
     "load_csv_dataset",
     "make_unlearn_split",
     "ConfigError", "read_text", "content_lines", "parse_sections_text", "format_sections",
-    "write_atomic", "read_value", "write_value",
+    "write_atomic", "read_value", "write_value", "check_integer",
 ]
 
 
 class ConfigError(ValueError):
     """Raised for malformed or invalid configuration input."""
+
+
+def check_integer(name: str, value) -> None:
+    """Reject a count or seed that is not an integer (2.5, or 2.0); a NumPy integer passes.
+    Such a value passes every range check and then fails deep inside ``range`` or NumPy."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def read_text(path, what: str) -> str:
@@ -342,6 +352,7 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
     else:
         raise ValueError(f"mode must be 'random' or 'class', got {mode!r}")
 
+    check_integer("retain_size", retain_size)
     if not 1 <= retain_size <= pool.size:
         raise ValueError(f"retain_size must lie in [1, {pool.size}], got {retain_size}")
     retain_idx = np.sort(rng.choice(pool, size=retain_size, replace=False))

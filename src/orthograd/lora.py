@@ -16,12 +16,12 @@ steps treat the adapter vector exactly like the full-model parameter vector.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from .data import check_integer
 from .net import Model, NetworkSpec, ParamVector
 
 __all__ = [
@@ -42,10 +42,7 @@ class LoraAdapterSet:
     scale: float
 
     def __post_init__(self):
-        try:
-            operator.index(self.rank)
-        except TypeError:
-            raise ValueError(f"rank must be an integer, got {self.rank!r}") from None
+        check_integer("rank", self.rank)
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
         if not 0 < self.scale < np.inf:

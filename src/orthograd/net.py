@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigError, Dataset, format_sections, parse_sections_text, read_value
-from .data import write_atomic, write_value
+from .data import ConfigError, Dataset, check_integer, format_sections, parse_sections_text
+from .data import read_value, write_atomic, write_value
 
 __all__ = [
     "NetworkSpec",
@@ -138,12 +138,13 @@ class Model:
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamVector(Model):
     """Flat parameter vector bound to its architecture.
 
     ``layers[l]``, layer l's block, is a view into ``flat`` and ``layers[l][:-1]`` its weight
-    rows; treat the vector as immutable and produce updates through ``apply_update``.
+    rows; treat the vector as immutable and produce updates through ``apply_update``.  Two
+    vectors are equal only when they are one object; compare ``flat`` to compare values.
     """
 
     flat: np.ndarray
@@ -320,6 +321,8 @@ def evaluate_accuracy(params: Model, data: Dataset) -> float:
 
 def check_schedule(epochs: int, batch_size: int, eta: float) -> None:
     """Reject a pretraining schedule ``pretrain`` cannot run."""
+    check_integer("epochs", epochs)
+    check_integer("batch_size", batch_size)
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:

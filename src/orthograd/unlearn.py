@@ -22,7 +22,6 @@ projections and diagnostics come from factored per-sample gradients
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -30,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import net
-from .data import Dataset, Splits
+from .data import Dataset, Splits, check_integer
 from .evaluation import AccuracyReport, evaluate_splits
 from .linalg import kept_columns, project_out_span
 from .lora import attach_lora
@@ -113,10 +112,7 @@ class UnlearnConfig:
             raise ValueError(f"method must be one of {tuple(m.value for m in MethodKind)}, "
                              f"got {self.method!r}") from None
         for name in ("unlearn_batch", "retain_batch", "max_epochs", "lora_rank", "seed"):
-            try:   # 2.5 would pass the range checks below and fail at the run's first step
-                operator.index(getattr(self, name))
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            check_integer(name, getattr(self, name))
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not 0 < self.eta < np.inf:

@@ -15,7 +15,7 @@ from helpers import edit_metadata, save_csv_dataset
 from orthograd import cli, evaluation, net
 from orthograd.cli import main
 from orthograd.config import (
-    _SECTION_KEYS, _UNLEARN_KEYS, ConfigError, ExperimentConfig, load_experiment_config,
+    _UNLEARN_KEYS, ConfigError, ExperimentConfig, load_experiment_config,
 )
 from orthograd.data import (
     format_sections, gen_gaussian_blobs, parse_sections_text, partition_train_test,
@@ -180,18 +180,23 @@ def test_kind_specific_key_is_required(tmp_path, capsys, kind, key):
     assert f"exp.cfg: missing key '{key}' in section [{section}]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("old, new, section, key", [
-    ("kind = blobs", "kind = blobs\ntrain_path = nowhere.csv", "dataset", "train_path"),
-    ("kind = csv", "kind = csv\nseed = 7", "dataset", "seed"),
-    ("mode = random", "mode = random\nclass_label = 2", "splits", "class_label"),
-    ("mode = random", "mode = class\nclass_label = 2", "splits", "fraction"),  # TINY_CONFIG's own
+@pytest.mark.parametrize("old, new, section, key, applies", [
+    ("kind = blobs", "kind = blobs\ntrain_path = nowhere.csv", "dataset", "train_path",
+     "kind = csv, not blobs"),
+    ("kind = csv", "kind = csv\nseed = 7", "dataset", "seed", "kind = blobs, not csv"),
+    ("mode = random", "mode = random\nclass_label = 2", "splits", "class_label",
+     "mode = class, not random"),
+    ("mode = random", "mode = class\nclass_label = 2", "splits", "fraction",  # TINY_CONFIG's own
+     "mode = random, not class"),
 ], ids=["blobs-train_path", "csv-seed", "random-class_label", "class-fraction"])
-def test_key_of_another_kind_or_mode_is_usage_error(tmp_path, capsys, old, new, section, key):
+def test_key_of_another_kind_or_mode_is_usage_error(tmp_path, capsys, old, new, section, key,
+                                                    applies):
     config = _csv_config(tmp_path) if old == "kind = csv" else TINY_CONFIG
     cfg_path = tmp_path / "exp.cfg"
     cfg_path.write_text(config.replace(old, new), encoding="utf-8")
     assert main(["pretrain", str(cfg_path)]) == 2
-    assert f"exp.cfg: key '{key}' in section [{section}] applies only to" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"orthograd: {cfg_path}: key '{key}' in section [{section}] applies only to {applies}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -200,7 +205,11 @@ def test_key_of_another_kind_or_mode_is_usage_error(tmp_path, capsys, old, new, 
     (TINY_CONFIG[TINY_CONFIG.index("[paths]"):], "", "{cfg}: missing required section [paths]"),
     ("[unlearn]\n", "[unlearn]\n = 3\n", "{cfg}:27: empty key"),
     ("[unlearn]\n", "[ ]\n", "{cfg}:26: empty section name"),
-], ids=["unknown-section", "missing-section", "empty-key", "empty-section-name"])
+    ("kind = blobs", "kind = sqlite", "{cfg}: dataset kind must be 'blobs' or 'csv', got 'sqlite'"),
+    ("mode = random", "mode = stratified",
+     "{cfg}: splits mode must be 'random' or 'class', got 'stratified'"),
+], ids=["unknown-section", "missing-section", "empty-key", "empty-section-name", "unknown-kind",
+        "unknown-mode"])
 def test_malformed_config_layout_is_usage_error_naming_the_file(workdir, capsys, old, new,
                                                                 message):
     tmp_path, cfg_path = workdir
@@ -333,12 +342,11 @@ def test_malformed_unlearn_value_is_usage_error(workdir, capsys):
 
 def _float_keys() -> set[tuple[str, str]]:
     """Every (section, key) of TINY_CONFIG whose value is a float, by the config's types."""
-    field_types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+    key_types = {(f.metadata["section"], f.metadata["key"]): f.type
+                 for f in dataclasses.fields(ExperimentConfig) if f.metadata}
 
-    def key_type(section, key):
-        if section in _SECTION_KEYS:
-            return field_types[_SECTION_KEYS[section][key]]
-        return _UNLEARN_KEYS[key]   # [unlearn] and [unlearn.<method>]
+    def key_type(section, key):   # an [unlearn] or [unlearn.<method>] key is UnlearnConfig's
+        return key_types.get((section, key)) or _UNLEARN_KEYS[key]
 
     return {(section, key) for section, table in parse_sections_text(TINY_CONFIG).items()
             for key in table if key_type(section, key) == "float"}

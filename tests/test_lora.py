@@ -269,3 +269,7 @@ def test_adapted_model_is_a_frozen_value():
     assert [v.shape for v in model.a] == [(2, 4), (2, 8)]
     assert [v.shape for v in model.b] == [(8, 2), (3, 2)]
     assert model.merged() is model.merged()
+    # a value holding arrays compares by identity: == neither raises nor compares elements
+    twin = make_base((4, 8, 3), "relu", seed=40)
+    assert base == base and base != twin and model == model
+    assert len({base, twin, model}) == 3

@@ -605,6 +605,20 @@ def test_integer_setting_is_rejected_at_a_float_naming_its_field(name):
 
 
 @pytest.mark.parametrize("build, name", [
+    (lambda bad: check_schedule(epochs=bad, batch_size=1, eta=0.1), "epochs"),
+    (lambda bad: check_schedule(epochs=1, batch_size=bad, eta=0.1), "batch_size"),
+    (lambda bad: make_unlearn_split(*partition_train_test(gen_gaussian_blobs(3, 4, 8), 5),
+                                    mode="random", retain_size=bad), "retain_size"),
+], ids=["check_schedule-epochs", "check_schedule-batch_size", "make_unlearn_split-retain_size"])
+def test_run_count_is_rejected_at_a_float_naming_its_field(build, name):
+    # 2.5 passes every range check, and would fail later inside range() or NumPy
+    for bad in (2.5, 2.0):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
+            build(bad)
+    build(np.int64(2))
+
+
+@pytest.mark.parametrize("build, name", [
     (lambda: make_cfg(eta=np.inf), "eta"),
     (lambda: LoraAdapterSet(NetworkSpec((4, 8, 3)), rank=2, scale=np.inf), "scale"),
     (lambda: check_schedule(epochs=1, batch_size=1, eta=np.inf), "eta"),
