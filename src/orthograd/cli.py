@@ -95,6 +95,9 @@ def cmd_unlearn(args) -> int:
     for size in sizes:   # splits and the pretrained reference depend only on the retain size
         splits = cfg.splits(train, test, retain_size=size)
         a_p_test = net.evaluate_accuracy(pretrained, splits.test)
+        if not a_p_test > 0.0:   # the impact score divides by it: fail before any run
+            raise ValueError(f"pretrained test accuracy must be positive, got {a_p_test} "
+                             f"(checkpoint {ckpt_path})")
         runs += [(splits, a_p_test, cfg.unlearn_config(method, seed, a_p_test))
                  for method in methods for seed in seeds]
 

@@ -207,10 +207,14 @@ class Dataset:
         return self.inputs.shape[0]
 
     def subset(self, indices) -> "Dataset":
-        """The rows at integer ``indices``; a boolean mask or a float array is a ValueError."""
+        """The rows at integer ``indices`` in ``[0, len)``; a boolean mask, a float array or an
+        index out of that range is a ValueError."""
         idx = np.asarray(indices)
         if idx.size and idx.dtype.kind not in "iu":
             raise ValueError(f"subset takes integer row indices, got dtype {idx.dtype}")
+        if idx.size and not 0 <= idx.min() <= idx.max() < len(self):   # one scan each
+            bad = idx.min() if idx.min() < 0 else idx.max()
+            raise ValueError(f"subset index {bad} is out of range for {len(self)} rows")
         idx = idx.astype(np.int64, copy=False)
         return Dataset(self.inputs[idx], self.labels[idx], self.n_classes)
 

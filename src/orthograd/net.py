@@ -28,16 +28,8 @@ from .data import ConfigError, Dataset, check_integer, format_sections, parse_se
 from .data import read_value, write_atomic, write_value
 
 __all__ = [
-    "NetworkSpec",
-    "Model",
-    "ParamVector",
-    "PerSampleGrads",
-    "init_params",
-    "evaluate_accuracy",
-    "check_schedule",
-    "pretrain",
-    "save_checkpoint",
-    "load_checkpoint",
+    "NetworkSpec", "Model", "ParamVector", "RowScorer", "PerSampleGrads", "init_params",
+    "evaluate_accuracy", "check_schedule", "pretrain", "save_checkpoint", "load_checkpoint",
 ]
 
 # hidden activation: name -> (apply in place, derivative from its output, init variance gain);
@@ -97,15 +89,7 @@ class Model:
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         """Logits for a batch of inputs, shape (k, n_classes), computed in row chunks."""
-        spec, x = self.spec, np.asarray(inputs, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != spec.in_dim:
-            raise ValueError(f"inputs must be (k, {spec.in_dim}), got shape {x.shape}")
-        if not np.all(np.isfinite(x)):   # NaN logits would argmax to class 0 and score
-            raise ValueError("inputs contain non-finite values")
-        layers, rows, out = self.merged().layers, _chunk_rows(spec), np.empty((len(x), spec.n_classes))
-        for start in range(0, x.shape[0], rows):
-            out[start:start + rows] = _forward_layers(layers, spec.activation, x[start:start + rows])[0]
-        return out
+        return _forward_rows(self, inputs)
 
     def _factors(self, batch: Dataset, per_sample: bool):
         """(logits, factored gradients) of a checked batch; see ``_engine_pass`` for the scale."""
@@ -169,6 +153,61 @@ class ParamVector(Model):
 
     def _at(self, flat: np.ndarray) -> "ParamVector":
         return ParamVector(flat, self.spec)
+
+
+class RowScorer:
+    """The argmax predictions of successive models on fixed rows, each what ``forward`` gives,
+    from a pass over only the rows whose prediction a weight-change bound cannot pin.
+
+    A full pass is the reference: per row its prediction, top-2 logit margin and ``||[a_l, 1]||``
+    at each layer's input, a copy of the weights, and ``sigma_l = ||(W_l^T W_l)^4||_F^(1/8)`` >=
+    each weight block's spectral norm.  Blocks ``delta_l`` away in Frobenius norm move a row's
+    logits by at most ``bounds``' e (Neyshabur et al., arXiv:1707.09564, Lemma 2), and a margin
+    above ``sqrt(2) e (1 + 1e-6) + 1e-9`` pins the argmax (Tsuzuku et al., arXiv:1802.04034);
+    the slack covers float64 roundoff, about 1e-13 in these logits.  Only the other rows are
+    forwarded, and when they are more than half, a new full pass is the reference.
+    """
+
+    def __init__(self, inputs: np.ndarray):
+        self.inputs, self._ref = inputs, None
+
+    def bounds(self, model: Model) -> np.ndarray:
+        """Per row, e >= the 2-norm of ``model``'s logits less the reference's: from e = 0,
+        ``e <- e (sigma_l + delta_l) + ||[a_l, 1]|| delta_l`` by layer, as relu and tanh are
+        1-Lipschitz; inf before a first pass, for another architecture, or where it overflows."""
+        merged = model.merged()
+        if self._ref is None or self._ref[0] != merged.spec:
+            return np.full(len(self.inputs), np.inf)
+        spec, flat, sigma, norms, _, _ = self._ref
+        with np.errstate(all="ignore"):
+            change, e = merged.flat - flat, 0.0
+            for (off, (p, q)), s, norm in zip(spec.layout, sigma, norms):
+                delta = np.linalg.norm(change[off:off + p * q])
+                e = e * (s + delta) + norm * delta
+            return np.where(e >= 0.0, e, np.inf)   # NaN, as from inf * 0, bounds nothing
+
+    def predict(self, model: Model) -> np.ndarray:
+        merged = model.merged()
+        if self._ref is not None:
+            margin, pred = self._ref[4:]
+            pinned = margin > np.sqrt(2.0) * (1.0 + 1e-6) * self.bounds(merged) + 1e-9
+            loose = np.flatnonzero(~pinned)
+            if 2 * len(loose) <= len(pred):
+                pred = pred.copy()
+                pred[loose] = np.argmax(_forward_rows(merged, self.inputs[loose]), axis=1)
+                return pred
+        norms = np.empty((merged.spec.n_layers, len(self.inputs)))
+        logits = _forward_rows(merged, self.inputs, norms)
+        pred, margin, sigma = np.argmax(logits, axis=1), np.inf, []   # one class: nothing moves
+        with np.errstate(all="ignore"):
+            if logits.shape[1] > 1:
+                top2 = np.partition(logits, -2, axis=1)
+                margin = top2[:, -1] - top2[:, -2]
+            for w in (block[:-1] for block in merged.layers):   # the smaller Gram, squared twice
+                gram = np.linalg.matrix_power(w.T @ w if w.shape[0] >= w.shape[1] else w @ w.T, 4)
+                sigma.append(np.linalg.norm(gram) ** 0.125)
+        self._ref = merged.spec, merged.flat.copy(), sigma, norms, margin, pred
+        return pred
 
 
 class PerSampleGrads:
@@ -267,6 +306,22 @@ _CHUNK_BYTES = 256 * 1024
 
 def _chunk_rows(spec: NetworkSpec) -> int:
     return max(1, _CHUNK_BYTES // (8 * max(spec.layer_sizes)))
+
+
+def _forward_rows(model: Model, inputs, norms: np.ndarray | None = None) -> np.ndarray:
+    """``model.forward``, the one chunked pass.  Given an (n_layers, k) ``norms``, it also
+    writes each row's ``||[a_l, 1]||`` at layer l's input there, as inf where that overflows."""
+    spec, x = model.spec, np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != spec.in_dim:
+        raise ValueError(f"inputs must be (k, {spec.in_dim}), got shape {x.shape}")
+    if not np.all(np.isfinite(x)):   # NaN logits would argmax to class 0 and score
+        raise ValueError("inputs contain non-finite values")
+    layers, rows, out = model.merged().layers, _chunk_rows(spec), np.empty((len(x), spec.n_classes))
+    for start in range(0, x.shape[0], rows):
+        out[start:start + rows], acts = _forward_layers(layers, spec.activation, x[start:start + rows])
+        for l, a in enumerate(acts[:-1] if norms is not None else ()):   # overflow reads inf
+            norms[l, start:start + rows] = np.sqrt(np.einsum("ij,ij->i", a, a) + 1.0)
+    return out
 
 
 def _engine_pass(layers, spec: NetworkSpec, batch: Dataset, per_sample: bool):

@@ -1001,3 +1001,22 @@ def test_unlearn_reads_the_results_file_once(workdir, monkeypatch):
     assert main(["unlearn", str(cfg_path), "--method", "all", "--seed-list", "0,1"]) == 0
     assert calls == [tmp_path / "out" / "results.txt"]
     assert len(parse_records(calls[0])) == 11
+
+
+def test_pretrained_model_with_no_test_accuracy_fails_before_any_run(workdir, capsys,
+                                                                    monkeypatch):
+    # an untrained network that scores 0 on the held-out class-2 test rows: the impact
+    # score divides by that accuracy, so unlearn fails before the first run, not after it
+    tmp_path, cfg_path = workdir
+    cfg_path.write_text(TINY_CONFIG.replace("epochs = 25", "epochs = 0")
+                        .replace("mode = random\nfraction = 0.1", "mode = class\nclass_label = 2"),
+                        encoding="utf-8")
+    assert main(["pretrain", str(cfg_path)]) == 0
+    assert "test accuracy 0.00" in capsys.readouterr().out
+    written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    monkeypatch.setattr(cli, "run_unlearning", lambda *a, **kw: pytest.fail("a run started"))
+    assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 1
+    ckpt = tmp_path / "out" / "pretrained.ckpt"
+    assert capsys.readouterr().err == (
+        f"orthograd: pretrained test accuracy must be positive, got 0.0 (checkpoint {ckpt})\n")
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written

@@ -221,6 +221,10 @@ def test_subset_takes_integer_row_indices_only():
     assert picked.labels.tolist() == [1, 1] and picked.inputs[:, 0].tolist() == [6.0, 2.0]
     assert np.array_equal(d.subset([4, 0]).inputs, d.inputs[[4, 0]])
     assert len(d.subset([])) == 0
+    # -1 would pick the last row, and 5 raise NumPy's bare IndexError
+    for indices, bad in [([-1], -1), ([0, 5], 5), ([2, -5, 9], -5), (np.array([7], dtype=np.uint8), 7)]:
+        with pytest.raises(ValueError, match=f"^subset index {bad} is out of range for 5 rows$"):
+            d.subset(indices)
 
 
 def test_write_atomic_makes_missing_directories(tmp_path):

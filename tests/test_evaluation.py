@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
+from orthograd import net
+from orthograd.data import Dataset, Splits
 from orthograd.evaluation import (
-    RunRecord, emit_records, format_record, parse_records, render_table, uis,
+    AccuracyReport, RunRecord, SplitsEvaluator, emit_records, evaluate_splits, format_record,
+    parse_records, render_table, uis,
 )
+from orthograd.net import NetworkSpec, ParamVector, evaluate_accuracy
 
 # Published reference points for the score: an unlearned model at
 # (A_test, A_u) = (78.22, 81.04) against reference 81.06 scores ~0.018,
@@ -180,3 +185,66 @@ def test_results_file_of_the_earlier_format_parses_and_tables_alike(tmp_path):
     # rewriting the file drops the epoch key and changes nothing else
     emit_records(path, records)
     assert path.read_text(encoding="utf-8") == re.sub(r" epoch=\d+", "", EARLIER_RECORDS)
+
+
+# ---------------------------------------------------------------------------
+# per-epoch evaluation: exact on every row
+
+
+def _linear_splits(rows, labels):
+    sets = [Dataset(np.array(r, dtype=float), l, 2) for r, l in zip(rows, labels)]
+    return Splits(*sets, "random")
+
+
+def _three_accuracies(model, splits):
+    return AccuracyReport(*(evaluate_accuracy(model, s)
+                            for s in (splits.unlearn, splits.retain, splits.test)))
+
+
+def test_a_planted_near_tie_is_never_pinned():
+    # one linear layer, logits = inputs: the unlearn row's two logits differ by 5e-10, under
+    # the slack, and a bias change of 1e-9 flips it while every other row stays pinned
+    spec = NetworkSpec((2, 2), "relu")
+    identity = ParamVector(np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0]), spec)
+    splits = _linear_splits([[[1.0, 1.0 + 5e-10]], [[3.0, 0.0], [0.0, 3.0], [4.0, 1.0]],
+                             [[0.0, 2.0], [5.0, 0.0], [1.0, 6.0]]],
+                            [[1], [0, 1, 0], [1, 0, 1]])
+    evaluate = SplitsEvaluator(splits)
+    assert evaluate(identity) == AccuracyReport(100.0, 100.0, 100.0)
+    flipped = ParamVector(identity.flat + np.array([0.0, 0.0, 0.0, 0.0, 1e-9, 0.0]), spec)
+    report = evaluate(flipped)
+    assert report == _three_accuracies(flipped, splits) == AccuracyReport(0.0, 100.0, 100.0)
+
+
+def test_an_overflowing_bound_pins_nothing_and_raises_nothing():
+    # weights near 1e160 overflow the spectral bound and inputs near 1e160 the row norms, while
+    # the logits stay finite: under the epoch loop's error state nothing raises, and every row
+    # is forwarded; a change of 1e150 on inputs near 1e100 overflows the bound's recursion
+    identity = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    rows = np.array([[2.0, 1.0], [1.0, 3.0], [4.0, 0.0]])
+    for weight_scale, row_scale in ((1e160, 1.0), (1.0, 1e160)):
+        model = ParamVector(weight_scale * identity, NetworkSpec((2, 2), "relu"))
+        moved = ParamVector(model.flat * (1.0 + 1e-12), model.spec)
+        splits = _linear_splits([row_scale * rows[i:i + 1] for i in range(3)], [[0], [1], [0]])
+        scorer, evaluate = net.RowScorer(row_scale * rows), SplitsEvaluator(splits)
+        with np.errstate(over="raise", invalid="raise"):
+            scorer.predict(model)
+            assert np.all(scorer.bounds(moved) == np.inf)
+            assert evaluate(model) == evaluate(moved) == _three_accuracies(moved, splits)
+    spec = NetworkSpec((2, 2, 2), "relu")
+    model = ParamVector(np.concatenate([identity, identity]), spec)
+    scorer = net.RowScorer(1e100 * rows)
+    with np.errstate(over="raise", invalid="raise"):
+        scorer.predict(model)
+        assert np.all(scorer.bounds(ParamVector(model.flat + 1e150, spec)) == np.inf)
+
+
+def test_evaluate_splits_rejects_an_empty_set():
+    spec = NetworkSpec((2, 2), "relu")
+    model = ParamVector(np.zeros(spec.param_dim), spec)
+    one = [[[1.0, 0.0]]] * 3
+    for empty in range(3):
+        rows = [r if i != empty else np.zeros((0, 2)) for i, r in enumerate(one)]
+        labels = [[0] if i != empty else [] for i in range(3)]
+        with pytest.raises(ValueError, match="^cannot evaluate accuracy on an empty dataset$"):
+            evaluate_splits(model, _linear_splits(rows, labels))

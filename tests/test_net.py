@@ -487,3 +487,66 @@ def test_chunked_logits_match_one_unchunked_pass(activation):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             want_acc = 100.0 * np.count_nonzero(np.argmax(want, axis=1) == y) / n
             assert evaluate_accuracy(params, Dataset(x, y, spec.n_classes)) == want_acc
+
+
+# ---------------------------------------------------------------------------
+# row scorer: a weight-change bound pins the rows whose prediction cannot move
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_row_scorer_bounds_every_rows_logit_change(activation):
+    # random changes of every block, weight and bias rows, from 1e-6 to 1e-1 of the vector's
+    # norm, then of one bias row alone; no row's logits move further than its bound
+    spec = NetworkSpec((4, 9, 7, 3), activation)
+    rng = np.random.default_rng(5)
+    ref = ParamVector(init_params(spec, 1).flat + 0.3 * rng.normal(size=spec.param_dim), spec)
+    x = 2.0 * rng.normal(size=(60, 4))
+    scorer = net.RowScorer(x)
+    assert np.all(scorer.bounds(ref) == np.inf)   # no reference pass yet
+    assert np.array_equal(scorer.predict(ref), np.argmax(ref.forward(x), axis=1))
+    assert np.all(scorer.bounds(ref) == 0.0)
+    base = ref.forward(x)
+    changes = []
+    for rel in (1e-6, 1e-4, 1e-2, 1e-1):
+        for _ in range(4):
+            change = rng.normal(size=spec.param_dim)
+            changes.append(change * rel * np.linalg.norm(ref.flat) / np.linalg.norm(change))
+    for off, (p, q) in spec.layout:
+        change = np.zeros(spec.param_dim)
+        change[off + (p - 1) * q:off + p * q] = 1e-3 * rng.normal(size=q)   # the bias row
+        changes.append(change)
+    for change in changes:
+        moved = ParamVector(ref.flat + change, spec)
+        bound = scorer.bounds(moved)
+        assert np.all(np.isfinite(bound))
+        assert np.all(np.linalg.norm(moved.forward(x) - base, axis=1) <= bound)
+
+
+def test_row_scorer_forwards_only_the_rows_a_small_change_leaves_loose(monkeypatch):
+    # predictions equal the full pass's; a change that pins most rows forwards only the
+    # loose ones, and one that leaves more than half loose makes a new reference pass
+    spec = NetworkSpec((5, 16, 4), "tanh")
+    rng = np.random.default_rng(2)
+    ref = init_params(spec, 3)
+    x = rng.normal(size=(300, 5))
+    scorer = net.RowScorer(x)
+    scorer.predict(ref)
+    top2 = np.sort(ref.forward(x), axis=1)[:, -2:]
+    forwarded, full_pass = [], net._forward_rows
+
+    def counting(model, rows, norms=None):
+        forwarded.append(len(rows))
+        return full_pass(model, rows, norms)
+
+    monkeypatch.setattr(net, "_forward_rows", counting)
+    small, large = (ParamVector(ref.flat * (1.0 + rel * rng.normal(size=spec.param_dim)), spec)
+                    for rel in (1e-3, 1e-1))
+    loose = [np.count_nonzero(top2[:, 1] - top2[:, 0]
+                              <= np.sqrt(2.0) * (1.0 + 1e-6) * scorer.bounds(m) + 1e-9)
+             for m in (small, large)]
+    assert 0 < loose[0] <= len(x) // 2 < loose[1]
+    for model, rows in ((small, loose[0]), (large, len(x))):
+        forwarded.clear()
+        assert np.array_equal(scorer.predict(model), np.argmax(full_pass(model, x), axis=1))
+        assert forwarded == [rows]
+    assert np.all(scorer.bounds(large) == 0.0)   # the new reference

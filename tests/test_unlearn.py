@@ -11,15 +11,15 @@ from helpers import (
     CyclicSamplerReference, cholesky_keep_reference, combine_update_reference, cosine,
     gram_schmidt_basis, loss_change_ratios, project_off, random_batch, step_reference,
 )
-from orthograd import unlearn
+from orthograd import net, unlearn
 from orthograd.data import (
     Dataset, Splits, gen_gaussian_blobs, make_unlearn_split, partition_train_test,
 )
-from orthograd.evaluation import evaluate_splits
+from orthograd.evaluation import AccuracyReport, evaluate_splits
 from orthograd.linalg import default_drop_tol, project_out_span
 from orthograd.lora import AdaptedModel, LoraAdapterSet, attach_lora
 from orthograd.net import (
-    Model, NetworkSpec, PerSampleGrads, check_schedule, init_params,
+    Model, NetworkSpec, PerSampleGrads, check_schedule, evaluate_accuracy, init_params,
 )
 from orthograd.unlearn import (
     MethodKind, StepDiagnostics, StoppingRule, UnlearnConfig, _retain_batches, orthograd_step,
@@ -426,11 +426,11 @@ def test_stopping_rule_built_directly_takes_its_modes_default():
 # epoch loop
 
 
-def small_world(split_seed=3):
+def small_world(split_seed=3, mode="random"):
     full = gen_gaussian_blobs(3, 6, 70, spread=1.0, seed=1)
     train, test = partition_train_test(full, 50)
-    splits = make_unlearn_split(train, test, mode="random", retain_size=60,
-                                seed=split_seed, fraction=0.1)
+    splits = make_unlearn_split(train, test, mode=mode, retain_size=60,
+                                seed=split_seed, fraction=0.1, class_label=1)
     spec = NetworkSpec((6, 16, 3), "relu")
     from orthograd.net import pretrain
 
@@ -458,6 +458,46 @@ def test_run_rejects_a_non_finite_test_row_before_any_step(bad):
     with pytest.raises(ValueError, match="^inputs contain non-finite values$"):
         run_unlearning(params, Splits(splits.unlearn, splits.retain, test, "random"),
                        make_cfg(max_epochs=1))
+
+
+def test_run_rejects_an_empty_test_set_before_any_step(monkeypatch):
+    params, splits = small_world()
+    monkeypatch.setattr(unlearn, "orthograd_step", lambda *a: pytest.fail("a step ran"))
+    empty = Splits(splits.unlearn, splits.retain, splits.test.subset([]), "random")
+    with pytest.raises(ValueError, match="^cannot evaluate accuracy on an empty dataset$"):
+        run_unlearning(params, empty, make_cfg(max_epochs=1))
+
+
+@pytest.mark.parametrize("use_lora", [False, True], ids=["full", "lora"])
+@pytest.mark.parametrize("mode", ["random", "class"])
+@pytest.mark.parametrize("method", list(MethodKind), ids=[m.value for m in MethodKind])
+def test_every_epochs_report_is_what_a_full_pass_gives(monkeypatch, method, mode, use_lora):
+    # the run's evaluator re-forwards only the rows its bound leaves loose; every epoch's
+    # report still equals evaluate_accuracy on each set, and some epochs forward a part only
+    params, splits = small_world(mode=mode)
+    n_rows = len(splits.unlearn) + len(splits.retain) + len(splits.test)
+    forwarded, models, full_pass = [], [], net._forward_rows
+
+    def counting(model, rows, norms=None):
+        forwarded.append(len(rows))
+        return full_pass(model, rows, norms)
+
+    class Recorded(unlearn.SplitsEvaluator):
+        def __call__(self, model):
+            models.append(model)
+            return super().__call__(model)
+
+    monkeypatch.setattr(net, "_forward_rows", counting)
+    monkeypatch.setattr(unlearn, "SplitsEvaluator", Recorded)
+    cfg = make_cfg(method=method, max_epochs=8, eta=0.02, use_lora=use_lora,
+                   lora_rank=2, lora_scale=8.0)
+    result = run_unlearning(params, splits, cfg)
+    monkeypatch.undo()
+    assert len(models) == len(result.trace) == 9
+    for model, report in zip(models, result.trace):
+        assert report == AccuracyReport(*(evaluate_accuracy(model, s)
+                                          for s in (splits.unlearn, splits.retain, splits.test)))
+    assert forwarded[0] == n_rows and min(forwarded) < n_rows
 
 
 def test_run_returns_pretrained_when_stop_already_satisfied():
