@@ -23,7 +23,6 @@ typos are easy to find.  ``format_sections`` emits a canonical rendering
 from __future__ import annotations
 
 import math
-import operator
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,12 +46,10 @@ class ConfigError(ValueError):
 
 
 def check_integer(name: str, value) -> None:
-    """Reject a count or seed that is not an integer (2.5, or 2.0); a NumPy integer passes.
+    """Reject a count or seed that is not an integer (2.5, 2.0 or True); a NumPy integer passes.
     Such a value passes every range check and then fails deep inside ``range`` or NumPy."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if type(value) is bool or not hasattr(value, "__index__"):   # bool is an int, True no count
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def read_text(path, what: str) -> str:

@@ -25,8 +25,8 @@ from . import net
 from .data import ConfigError, Splits, content_lines, read_text, read_value, write_atomic, write_value
 
 __all__ = [
-    "uis", "AccuracyReport", "RunRecord", "SplitsEvaluator", "evaluate_splits", "format_record",
-    "parse_records", "emit_records", "render_table",
+    "uis", "AccuracyReport", "RunRecord", "evaluate_splits", "format_record", "parse_records",
+    "emit_records", "render_table",
 ]
 
 
@@ -46,26 +46,9 @@ class AccuracyReport:
     A_test: float   # test set (class mode: forgotten class excluded)
 
 
-class SplitsEvaluator:
-    """Reports of successive models in any space on one ``Splits``, each ``evaluate_accuracy``
-    on every set; one ``net.RowScorer`` over all their rows forwards only rows that may change."""
-
-    def __init__(self, splits: Splits):
-        sets = (splits.unlearn, splits.retain, splits.test)
-        if min(map(len, sets)) == 0:
-            raise ValueError("cannot evaluate accuracy on an empty dataset")
-        self._starts = np.cumsum([len(s) for s in sets[:-1]])
-        self._labels = np.concatenate([s.labels for s in sets])
-        self._scorer = net.RowScorer(np.concatenate([s.inputs for s in sets]))
-
-    def __call__(self, params) -> AccuracyReport:
-        hits = np.split(self._scorer.predict(params) == self._labels, self._starts)
-        return AccuracyReport(*(100.0 * float(np.count_nonzero(h)) / len(h) for h in hits))
-
-
 def evaluate_splits(params, splits: Splits) -> AccuracyReport:
     """Accuracy of a model in any space on the unlearn, retain, and test sets."""
-    return SplitsEvaluator(splits)(params)
+    return AccuracyReport(*net.RowScorer(splits.unlearn, splits.retain, splits.test)(params))
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ class NetworkSpec:
     def __post_init__(self):
         given = tuple(self.layer_sizes)
         sizes = tuple(int(s) for s in given) if all(np.isfinite(float(s)) for s in given) else None
-        if sizes != given:   # 20.0 and np.int64(20) pass; 20.9 would truncate; inf and NaN have no int
+        # 20.0 and np.int64(20) pass; 20.9 would truncate; inf and NaN have no int; True == 1
+        if sizes != given or any(np.asarray(s).dtype.kind == "b" for s in given):
             raise ValueError(f"layer sizes must be integers, got {given}")
         object.__setattr__(self, "layer_sizes", sizes)
         if len(sizes) < 2:
@@ -156,20 +157,32 @@ class ParamVector(Model):
 
 
 class RowScorer:
-    """The argmax predictions of successive models on fixed rows, each what ``forward`` gives,
-    from a pass over only the rows whose prediction a weight-change bound cannot pin.
+    """Accuracies of successive models on fixed labelled sets, from argmax predictions that
+    re-forward only the rows whose prediction a weight-change bound cannot pin.
 
-    A full pass is the reference: per row its prediction, top-2 logit margin and ``||[a_l, 1]||``
-    at each layer's input, a copy of the weights, and ``sigma_l = ||(W_l^T W_l)^4||_F^(1/8)`` >=
-    each weight block's spectral norm.  Blocks ``delta_l`` away in Frobenius norm move a row's
-    logits by at most ``bounds``' e (Neyshabur et al., arXiv:1707.09564, Lemma 2), and a margin
-    above ``sqrt(2) e (1 + 1e-6) + 1e-9`` pins the argmax (Tsuzuku et al., arXiv:1802.04034);
-    the slack covers float64 roundoff, about 1e-13 in these logits.  Only the other rows are
-    forwarded, and when they are more than half, a new full pass is the reference.
+    A full pass over all the sets' rows is the reference: per row its prediction, top-2 logit
+    margin and ``||[a_l, 1]||`` at each layer's input, a copy of the weights, and
+    ``sigma_l = ||(W_l^T W_l)^4||_F^(1/8)`` >= each weight block's spectral norm.  Blocks
+    ``delta_l`` away in Frobenius norm move a row's logits by at most ``bounds``' e (Neyshabur
+    et al., arXiv:1707.09564, Lemma 2), and a margin above ``sqrt(2) e (1 + 1e-6) + 1e-9`` pins
+    the argmax (Tsuzuku et al., arXiv:1802.04034).  Only the other rows are forwarded, and when
+    they are more than half, a new full pass is the reference.  A row's logits move in their
+    last bits (about 1e-15 here) with the number of rows in its pass, as BLAS picks its kernel
+    by row count: a prediction is ``forward``'s on all the rows except where the top two logits
+    tie within that roundoff, and ``evaluate_accuracy`` on a set and a superset differs so too.
     """
 
-    def __init__(self, inputs: np.ndarray):
-        self.inputs, self._ref = inputs, None
+    def __init__(self, *sets: Dataset):
+        if min(map(len, sets)) == 0:
+            raise ValueError("cannot evaluate accuracy on an empty dataset")
+        self.inputs, self._ref = np.concatenate([s.inputs for s in sets]), None
+        self._labels = np.concatenate([s.labels for s in sets])
+        self._starts = np.cumsum([len(s) for s in sets[:-1]])
+
+    def __call__(self, model: Model) -> list[float]:
+        """Each set's accuracy in percent, as ``evaluate_accuracy`` computes it."""
+        hits = np.split(self.predict(model) == self._labels, self._starts)
+        return [100.0 * float(np.count_nonzero(h)) / len(h) for h in hits]
 
     def bounds(self, model: Model) -> np.ndarray:
         """Per row, e >= the 2-norm of ``model``'s logits less the reference's: from e = 0,
@@ -239,10 +252,9 @@ class PerSampleGrads:
                              np.dot(l, x[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1)), r)
                    for o, l, r in self.blocks)
 
-    def matvec(self, c: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-        """G c, (d,): per block, (c * L)^T R, or L^T R for the sum G 1 when ``c`` is None.
-        Written into ``out`` when given (entries outside every block are then left as they are)."""
-        out = np.zeros(self.dim) if out is None else out
+    def matvec(self, c: np.ndarray | None = None) -> np.ndarray:
+        """G c, (d,): per block, (c * L)^T R, or L^T R for the sum G 1 when ``c`` is None."""
+        out = np.zeros(self.dim)
         for o, l, r in self.blocks:
             np.dot((l if c is None else c[:, None] * l).T, r,
                    out=out[o:o + l.shape[1] * r.shape[1]].reshape(l.shape[1], -1))
@@ -397,15 +409,14 @@ def pretrain(spec: NetworkSpec, dataset: Dataset, epochs: int, batch_size: int,
     _check_batch(dataset, spec)
     flat = init_params(spec, seed).flat.copy()
     params = ParamVector(flat, spec)
-    grad = np.empty_like(flat)
     shuffle_rng = np.random.default_rng([seed, 1])
     with np.errstate(over="ignore", invalid="ignore"):   # a diverging run: reported below
         for _ in range(epochs):
             order = shuffle_rng.permutation(len(dataset))
             for start in range(0, len(dataset), batch_size):
                 batch = dataset.subset(order[start:start + batch_size])
-                params._factors(batch, per_sample=False)[1].matvec(out=grad)
-                grad *= eta   # the bits of flat - eta * grad, without a temporary
+                grad = params._factors(batch, per_sample=False)[1].matvec()
+                grad *= eta
                 flat -= grad
     if not np.all(np.isfinite(flat)):
         raise ValueError(f"training diverged to non-finite parameters at eta = {eta} "

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import net
 from .data import Dataset, Splits, check_integer
-from .evaluation import AccuracyReport, SplitsEvaluator
+from .evaluation import AccuracyReport
 from .linalg import kept_columns, project_out_span
 from .lora import attach_lora
 
@@ -252,7 +252,7 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
 
     retain_batches = _retain_batches(len(splits.retain), cfg.retain_batch, retain_rng)
     n_u = len(splits.unlearn)
-    evaluate = SplitsEvaluator(splits)   # its reference pass lives as long as the run
+    score = net.RowScorer(splits.unlearn, splits.retain, splits.test)   # lives as long as the run
 
     trace = []
     try:
@@ -263,7 +263,7 @@ def run_unlearning(pretrained: net.ParamVector, splits: Splits,
                     batch_u = splits.unlearn.subset(order[start:start + cfg.unlearn_batch])
                     batch_r = splits.retain.subset(next(retain_batches))
                     model, _ = orthograd_step(model, batch_u, batch_r, cfg)
-                trace.append(evaluate(model))
+                trace.append(AccuracyReport(*score(model)))
                 stopped = stopping_check(trace[-1], cfg.stopping)
                 if stopped:
                     break

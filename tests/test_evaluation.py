@@ -10,8 +10,8 @@ import pytest
 from orthograd import net
 from orthograd.data import Dataset, Splits
 from orthograd.evaluation import (
-    AccuracyReport, RunRecord, SplitsEvaluator, emit_records, evaluate_splits, format_record,
-    parse_records, render_table, uis,
+    AccuracyReport, RunRecord, emit_records, evaluate_splits, format_record, parse_records,
+    render_table, uis,
 )
 from orthograd.net import NetworkSpec, ParamVector, evaluate_accuracy
 
@@ -196,6 +196,11 @@ def _linear_splits(rows, labels):
     return Splits(*sets, "random")
 
 
+def _evaluator(splits):
+    score = net.RowScorer(splits.unlearn, splits.retain, splits.test)
+    return lambda model: AccuracyReport(*score(model))
+
+
 def _three_accuracies(model, splits):
     return AccuracyReport(*(evaluate_accuracy(model, s)
                             for s in (splits.unlearn, splits.retain, splits.test)))
@@ -209,7 +214,7 @@ def test_a_planted_near_tie_is_never_pinned():
     splits = _linear_splits([[[1.0, 1.0 + 5e-10]], [[3.0, 0.0], [0.0, 3.0], [4.0, 1.0]],
                              [[0.0, 2.0], [5.0, 0.0], [1.0, 6.0]]],
                             [[1], [0, 1, 0], [1, 0, 1]])
-    evaluate = SplitsEvaluator(splits)
+    evaluate = _evaluator(splits)
     assert evaluate(identity) == AccuracyReport(100.0, 100.0, 100.0)
     flipped = ParamVector(identity.flat + np.array([0.0, 0.0, 0.0, 0.0, 1e-9, 0.0]), spec)
     report = evaluate(flipped)
@@ -226,14 +231,15 @@ def test_an_overflowing_bound_pins_nothing_and_raises_nothing():
         model = ParamVector(weight_scale * identity, NetworkSpec((2, 2), "relu"))
         moved = ParamVector(model.flat * (1.0 + 1e-12), model.spec)
         splits = _linear_splits([row_scale * rows[i:i + 1] for i in range(3)], [[0], [1], [0]])
-        scorer, evaluate = net.RowScorer(row_scale * rows), SplitsEvaluator(splits)
+        scorer = net.RowScorer(splits.unlearn, splits.retain, splits.test)
+        evaluate = _evaluator(splits)
         with np.errstate(over="raise", invalid="raise"):
             scorer.predict(model)
             assert np.all(scorer.bounds(moved) == np.inf)
             assert evaluate(model) == evaluate(moved) == _three_accuracies(moved, splits)
     spec = NetworkSpec((2, 2, 2), "relu")
     model = ParamVector(np.concatenate([identity, identity]), spec)
-    scorer = net.RowScorer(1e100 * rows)
+    scorer = net.RowScorer(Dataset(1e100 * rows, [0, 1, 0], 2))
     with np.errstate(over="raise", invalid="raise"):
         scorer.predict(model)
         assert np.all(scorer.bounds(ParamVector(model.flat + 1e150, spec)) == np.inf)

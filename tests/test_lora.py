@@ -243,7 +243,7 @@ def test_reused_effective_layers_equal_recomputed_bitwise():
 def test_rank_must_be_an_integer():
     # a float rank would give a float param_dim (38.0), and attach_lora would die inside NumPy
     spec = NetworkSpec((4, 6, 3))
-    for rank in (2.0, 2.5):
+    for rank in (2.0, 2.5, True):
         with pytest.raises(ValueError, match=f"^rank must be an integer, got {rank}$"):
             LoraAdapterSet(spec, rank, 4.0)
     with pytest.raises(ValueError, match=r"^rank must be an integer, got 2\.5$"):

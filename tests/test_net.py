@@ -79,7 +79,8 @@ def test_spec_rejects_sizes_that_int_would_truncate():
     # 20.9 would build a 20-wide input layer without a word
     with pytest.raises(ValueError, match=r"^layer sizes must be integers, got \(20\.9, 128\.5, 10\)$"):
         NetworkSpec((20.9, 128.5, 10))
-    for sizes, shown in (((np.inf, 3), "inf"), ((np.nan, 3), "nan"), (("4", 3), "'4'")):
+    for sizes, shown in (((np.inf, 3), "inf"), ((np.nan, 3), "nan"), (("4", 3), "'4'"),
+                         ((True, 3), "True"), ((np.True_, 3), repr(np.True_))):
         with pytest.raises(ValueError, match=rf"^layer sizes must be integers, got \({shown}, 3\)$"):
             NetworkSpec(sizes)
     want = NetworkSpec((20, 128, 10))
@@ -501,7 +502,7 @@ def test_row_scorer_bounds_every_rows_logit_change(activation):
     rng = np.random.default_rng(5)
     ref = ParamVector(init_params(spec, 1).flat + 0.3 * rng.normal(size=spec.param_dim), spec)
     x = 2.0 * rng.normal(size=(60, 4))
-    scorer = net.RowScorer(x)
+    scorer = net.RowScorer(Dataset(x, np.zeros(len(x), dtype=int), spec.n_classes))
     assert np.all(scorer.bounds(ref) == np.inf)   # no reference pass yet
     assert np.array_equal(scorer.predict(ref), np.argmax(ref.forward(x), axis=1))
     assert np.all(scorer.bounds(ref) == 0.0)
@@ -529,7 +530,7 @@ def test_row_scorer_forwards_only_the_rows_a_small_change_leaves_loose(monkeypat
     rng = np.random.default_rng(2)
     ref = init_params(spec, 3)
     x = rng.normal(size=(300, 5))
-    scorer = net.RowScorer(x)
+    scorer = net.RowScorer(Dataset(x, np.zeros(len(x), dtype=int), spec.n_classes))
     scorer.predict(ref)
     top2 = np.sort(ref.forward(x), axis=1)[:, -2:]
     forwarded, full_pass = [], net._forward_rows

@@ -472,7 +472,7 @@ def test_run_rejects_an_empty_test_set_before_any_step(monkeypatch):
 @pytest.mark.parametrize("mode", ["random", "class"])
 @pytest.mark.parametrize("method", list(MethodKind), ids=[m.value for m in MethodKind])
 def test_every_epochs_report_is_what_a_full_pass_gives(monkeypatch, method, mode, use_lora):
-    # the run's evaluator re-forwards only the rows its bound leaves loose; every epoch's
+    # the run's scorer re-forwards only the rows its bound leaves loose; every epoch's
     # report still equals evaluate_accuracy on each set, and some epochs forward a part only
     params, splits = small_world(mode=mode)
     n_rows = len(splits.unlearn) + len(splits.retain) + len(splits.test)
@@ -482,13 +482,13 @@ def test_every_epochs_report_is_what_a_full_pass_gives(monkeypatch, method, mode
         forwarded.append(len(rows))
         return full_pass(model, rows, norms)
 
-    class Recorded(unlearn.SplitsEvaluator):
+    class Recorded(net.RowScorer):
         def __call__(self, model):
             models.append(model)
             return super().__call__(model)
 
     monkeypatch.setattr(net, "_forward_rows", counting)
-    monkeypatch.setattr(unlearn, "SplitsEvaluator", Recorded)
+    monkeypatch.setattr(net, "RowScorer", Recorded)
     cfg = make_cfg(method=method, max_epochs=8, eta=0.02, use_lora=use_lora,
                    lora_rank=2, lora_scale=8.0)
     result = run_unlearning(params, splits, cfg)
@@ -637,8 +637,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("name", ["unlearn_batch", "retain_batch", "max_epochs", "lora_rank", "seed"])
 def test_integer_setting_is_rejected_at_a_float_naming_its_field(name):
-    # 2.5 passes every range check, and the run then failed at its first step
-    for bad in (2.5, 2.0):
+    # 2.5 passes every range check, and the run then failed at its first step; True == 1
+    for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
             make_cfg(**{name: bad})
     assert getattr(make_cfg(**{name: np.int64(3)}), name) == 3
@@ -651,8 +651,8 @@ def test_integer_setting_is_rejected_at_a_float_naming_its_field(name):
                                     mode="random", retain_size=bad), "retain_size"),
 ], ids=["check_schedule-epochs", "check_schedule-batch_size", "make_unlearn_split-retain_size"])
 def test_run_count_is_rejected_at_a_float_naming_its_field(build, name):
-    # 2.5 passes every range check, and would fail later inside range() or NumPy
-    for bad in (2.5, 2.0):
+    # 2.5 passes every range check, and would fail later inside range() or NumPy; True == 1
+    for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
             build(bad)
     build(np.int64(2))
