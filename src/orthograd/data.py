@@ -37,7 +37,7 @@ __all__ = [
     "load_csv_dataset",
     "make_unlearn_split",
     "ConfigError", "read_text", "content_lines", "parse_sections_text", "format_sections",
-    "write_atomic", "read_value", "write_value", "check_integer",
+    "write_atomic", "read_value", "write_value", "check_integer", "check_positive",
 ]
 
 
@@ -45,11 +45,19 @@ class ConfigError(ValueError):
     """Raised for malformed or invalid configuration input."""
 
 
-def check_integer(name: str, value) -> None:
-    """Reject a count or seed that is not an integer (2.5, 2.0 or True); a NumPy integer passes.
-    Such a value passes every range check and then fails deep inside ``range`` or NumPy."""
+def check_integer(name: str, value, least=None) -> None:
+    """Reject a count or seed that is not an integer (2.5, 2.0 or True; a NumPy integer passes),
+    which fails deep inside ``range`` or NumPy, or that is below ``least`` when one is given."""
     if type(value) is bool or not hasattr(value, "__index__"):   # bool is an int, True no count
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def check_positive(name: str, value) -> None:
+    """Reject a rate or scale that is not positive and finite: 0, a negative, inf or NaN."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def read_text(path, what: str) -> str:
@@ -192,11 +200,11 @@ class Dataset:
             raise ValueError(f"labels must have shape ({x.shape[0]},), got {y.shape}")
         if given.dtype.kind not in "iu" and not np.array_equal(y, given):   # integers: no scan
             raise ValueError(f"labels must be integers, got {given.dtype} values int64 would truncate")
-        if not np.isfinite(float(self.n_classes)) or int(self.n_classes) != self.n_classes:
-            raise ValueError(f"n_classes must be an integer, got {self.n_classes}")
-        object.__setattr__(self, "n_classes", int(self.n_classes))
-        if self.n_classes < 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        n = self.n_classes   # 3.0 and np.int64(3) pass; True is no count of classes
+        if type(n) in (bool, np.bool_) or not np.isfinite(float(n)) or int(n) != n:
+            raise ValueError(f"n_classes must be an integer, got {n}")
+        object.__setattr__(self, "n_classes", int(n))
+        check_integer("n_classes", self.n_classes, 1)
         if x.shape[0] > 0 and (y.min() < 0 or y.max() >= self.n_classes):
             raise ValueError(f"labels out of range [0, {self.n_classes})")
 
@@ -239,6 +247,8 @@ def gen_gaussian_blobs(n_classes: int, dim: int, per_class: int,
     grouped by class (all of class 0 first, then class 1, ...), which keeps
     deterministic train/test partitioning trivial.
     """
+    for name, value in (("n_classes", n_classes), ("dim", dim), ("per_class", per_class)):
+        check_integer(name, value)
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     if dim < 1 or per_class < 1:
@@ -269,6 +279,7 @@ def gen_gaussian_blobs(n_classes: int, dim: int, per_class: int,
 
 def partition_train_test(data: Dataset, train_per_class: int) -> tuple[Dataset, Dataset]:
     """Split a class-grouped dataset into train/test by per-class position."""
+    check_integer("train_per_class", train_per_class)
     counts = np.bincount(data.labels, minlength=data.n_classes)
     if np.any(counts <= train_per_class):
         raise ValueError(

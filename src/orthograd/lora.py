@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import check_integer
+from .data import check_integer, check_positive
 from .net import Model, NetworkSpec, ParamVector
 
 __all__ = [
@@ -42,11 +42,8 @@ class LoraAdapterSet:
     scale: float
 
     def __post_init__(self):
-        check_integer("rank", self.rank)
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if not 0 < self.scale < np.inf:
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
+        check_integer("rank", self.rank, 1)
+        check_positive("scale", self.scale)
         slots = []
         off = 0
         for l, (n_in, n_out) in enumerate(zip(self.spec.layer_sizes, self.spec.layer_sizes[1:])):

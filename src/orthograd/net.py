@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ConfigError, Dataset, check_integer, format_sections, parse_sections_text
-from .data import read_value, write_atomic, write_value
+from .data import (ConfigError, Dataset, check_integer, check_positive, format_sections,
+                   parse_sections_text, read_value, write_atomic, write_value)
 
 __all__ = [
     "NetworkSpec", "Model", "ParamVector", "RowScorer", "PerSampleGrads", "init_params",
@@ -388,14 +388,9 @@ def evaluate_accuracy(params: Model, data: Dataset) -> float:
 
 def check_schedule(epochs: int, batch_size: int, eta: float) -> None:
     """Reject a pretraining schedule ``pretrain`` cannot run."""
-    check_integer("epochs", epochs)
-    check_integer("batch_size", batch_size)
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if not 0 < eta < np.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    check_integer("epochs", epochs, 0)
+    check_integer("batch_size", batch_size, 1)
+    check_positive("eta", eta)
 
 
 def pretrain(spec: NetworkSpec, dataset: Dataset, epochs: int, batch_size: int,

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import net
-from .data import Dataset, Splits, check_integer
+from .data import Dataset, Splits, check_integer, check_positive
 from .evaluation import AccuracyReport
 from .linalg import kept_columns, project_out_span
 from .lora import attach_lora
@@ -111,18 +111,12 @@ class UnlearnConfig:
         except ValueError:
             raise ValueError(f"method must be one of {tuple(m.value for m in MethodKind)}, "
                              f"got {self.method!r}") from None
-        for name in ("unlearn_batch", "retain_batch", "max_epochs", "lora_rank", "seed"):
-            check_integer(name, getattr(self, name))
+        for name, least in (("unlearn_batch", 1), ("retain_batch", 1), ("max_epochs", 0),
+                            ("lora_rank", None), ("seed", 0)):
+            check_integer(name, getattr(self, name), least)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0 < self.eta < np.inf:
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        for name in ("unlearn_batch", "retain_batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("max_epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        check_positive("eta", self.eta)
 
 
 @dataclass(frozen=True)

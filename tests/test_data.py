@@ -202,7 +202,8 @@ def test_dataset_rejects_labels_and_class_counts_int64_would_truncate():
             Dataset(x, labels, 3)
     with pytest.raises(ValueError, match=r"^n_classes must be an integer, got 2\.5$"):
         Dataset(x, [0, 1, 2], 2.5)
-    for n_classes in (np.inf, np.nan):   # no int(): OverflowError at inf, ValueError at NaN
+    # no int(): OverflowError at inf, ValueError at NaN; True == 1 would make one class
+    for n_classes in (np.inf, np.nan, True, np.True_):
         with pytest.raises(ValueError, match=f"^n_classes must be an integer, got {n_classes}$"):
             Dataset(x, [0, 1, 2], n_classes)
     for labels, n_classes in (([0.0, 1.0, 2.0], 3), ([0, 1, 2], 3.0), ([0, 1, 2], np.int64(3))):

@@ -249,6 +249,11 @@ def test_rank_must_be_an_integer():
     with pytest.raises(ValueError, match=r"^rank must be an integer, got 2\.5$"):
         attach_lora(init_params(spec, 0), rank=2.5, scale=4.0)
     assert LoraAdapterSet(spec, np.int64(2), 4.0).param_dim == 38   # NumPy integers pass
+    with pytest.raises(ValueError, match="^rank must be >= 1, got 0$"):
+        LoraAdapterSet(spec, 0, 4.0)
+    for scale in (0, -1, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^scale must be positive and finite, got {scale}$"):
+            LoraAdapterSet(spec, 2, scale)
 
 
 def test_adapted_model_is_a_frozen_value():

@@ -629,10 +629,20 @@ def test_config_validation():
         make_cfg(unlearn_batch=0)
     with pytest.raises(ValueError):
         make_cfg(max_epochs=-1)
-    # each message names its field, which the CLI reports as the config key
-    for field, bad in (("unlearn_batch", 0), ("retain_batch", 0), ("max_epochs", -1)):
-        with pytest.raises(ValueError, match=f"^{field} "):
+    # each message names its field, which the CLI reports as the config key; each count is
+    # tried just below its floor
+    for field, bad, least in (("unlearn_batch", 0, 1), ("retain_batch", 0, 1),
+                              ("max_epochs", -1, 0), ("seed", -1, 0)):
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {bad}$"):
             make_cfg(**{field: bad})
+    for field, bad, least in (("epochs", -1, 0), ("batch_size", 0, 1)):
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {bad}$"):
+            check_schedule(**{"epochs": 1, "batch_size": 1, "eta": 0.1, field: bad})
+    for bad in (0, -1, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^eta must be positive and finite, got {bad}$"):
+            make_cfg(eta=bad)
+        with pytest.raises(ValueError, match=f"^eta must be positive and finite, got {bad}$"):
+            check_schedule(epochs=1, batch_size=1, eta=bad)
 
 
 @pytest.mark.parametrize("name", ["unlearn_batch", "retain_batch", "max_epochs", "lora_rank", "seed"])
@@ -649,9 +659,16 @@ def test_integer_setting_is_rejected_at_a_float_naming_its_field(name):
     (lambda bad: check_schedule(epochs=1, batch_size=bad, eta=0.1), "batch_size"),
     (lambda bad: make_unlearn_split(*partition_train_test(gen_gaussian_blobs(3, 4, 8), 5),
                                     mode="random", retain_size=bad), "retain_size"),
-], ids=["check_schedule-epochs", "check_schedule-batch_size", "make_unlearn_split-retain_size"])
+    (lambda bad: gen_gaussian_blobs(bad, 4, 8), "n_classes"),
+    (lambda bad: gen_gaussian_blobs(3, bad, 8), "dim"),
+    (lambda bad: gen_gaussian_blobs(3, 4, bad), "per_class"),
+    (lambda bad: partition_train_test(gen_gaussian_blobs(3, 4, 8), bad), "train_per_class"),
+], ids=["check_schedule-epochs", "check_schedule-batch_size", "make_unlearn_split-retain_size",
+        "gen_gaussian_blobs-n_classes", "gen_gaussian_blobs-dim", "gen_gaussian_blobs-per_class",
+        "partition_train_test-train_per_class"])
 def test_run_count_is_rejected_at_a_float_naming_its_field(build, name):
-    # 2.5 passes every range check, and would fail later inside range() or NumPy; True == 1
+    # 2.5 passes every range check, and would fail later inside range() or NumPy (a TypeError
+    # naming no parameter); True == 1 would be one class, row or training point
     for bad in (2.5, 2.0, True):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad}$"):
             build(bad)
