@@ -264,22 +264,17 @@ def gen_gaussian_blobs(n_classes: int, dim: int, per_class: int,
         for i in range(n_classes) for j in range(i + 1, n_classes))
     if min_dist <= 0:
         raise ValueError("degenerate class directions (duplicate unit vectors)")
-    inputs = np.empty((n_classes * per_class, dim))
-    labels = np.empty(n_classes * per_class, dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):   # a spread past float64: reported below
-        means = directions * (4.0 * spread / min_dist)
-        for c in range(n_classes):
-            block = slice(c * per_class, (c + 1) * per_class)
-            inputs[block] = means[c] + rng.normal(0.0, spread, size=(per_class, dim))
-            labels[block] = c
+        inputs = rng.normal(0.0, spread, size=(n_classes, per_class, dim))
+        inputs += directions[:, None] * (4.0 * spread / min_dist)
     if not np.all(np.isfinite(inputs)):
         raise ValueError(f"spread {spread} overflows the float64 range")
-    return Dataset(inputs, labels, n_classes)
+    return Dataset(inputs.reshape(-1, dim), np.repeat(np.arange(n_classes), per_class), n_classes)
 
 
 def partition_train_test(data: Dataset, train_per_class: int) -> tuple[Dataset, Dataset]:
     """Split a class-grouped dataset into train/test by per-class position."""
-    check_integer("train_per_class", train_per_class)
+    check_integer("train_per_class", train_per_class, 1)
     counts = np.bincount(data.labels, minlength=data.n_classes)
     if np.any(counts <= train_per_class):
         raise ValueError(
@@ -327,9 +322,9 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
     """Build disjoint D_u / D_r plus the matching test view.
 
     random mode: D_u is a uniform sample of ceil(fraction * N) training
-    points; D_r is a uniform subsample of the remainder.  class mode: D_u is
-    every training point of ``class_label``; D_r is sampled from the other
-    classes; test points of the class leave the test view.
+    points.  class mode: D_u is every training point of ``class_label``, and
+    test points of the class leave the test view.  In both modes D_r is a
+    uniform sample of the training points outside D_u.
 
     The unlearn set is drawn before the retain set, so for a fixed seed D_u
     is identical across different ``retain_size`` values.
@@ -346,9 +341,6 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
             raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
         n_u = math.ceil(fraction * n)
         unlearn_idx = np.sort(rng.choice(n, size=n_u, replace=False))
-        mask = np.ones(n, dtype=bool)
-        mask[unlearn_idx] = False
-        pool = np.flatnonzero(mask)
         test_view = test
     elif mode == "class":
         if not 0 <= class_label < train.n_classes:
@@ -356,7 +348,6 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
         unlearn_idx = np.flatnonzero(train.labels == class_label)
         if unlearn_idx.size == 0:
             raise ValueError(f"training set has no points of class {class_label}")
-        pool = np.flatnonzero(train.labels != class_label)
         test_keep = np.flatnonzero(test.labels != class_label)
         if test_keep.size == 0:
             raise ValueError("test set would be empty after removing the forgotten class")
@@ -364,6 +355,9 @@ def make_unlearn_split(train: Dataset, test: Dataset, mode: str, retain_size: in
     else:
         raise ValueError(f"mode must be 'random' or 'class', got {mode!r}")
 
+    pool = np.setdiff1d(np.arange(n), unlearn_idx, assume_unique=True)
+    if pool.size == 0:
+        raise ValueError("the unlearn set takes every training row, leaving none to retain")
     check_integer("retain_size", retain_size)
     if not 1 <= retain_size <= pool.size:
         raise ValueError(f"retain_size must lie in [1, {pool.size}], got {retain_size}")

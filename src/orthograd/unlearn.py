@@ -117,6 +117,8 @@ class UnlearnConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         check_positive("eta", self.eta)
+        if type(self.use_lora) not in (bool, np.bool_):   # "false" is truthy
+            raise ValueError(f"use_lora must be a bool, got {self.use_lora!r}")
 
 
 @dataclass(frozen=True)

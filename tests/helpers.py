@@ -20,6 +20,46 @@ def random_batch(spec, k: int, seed: int) -> Dataset:
                    rng.integers(0, spec.n_classes, size=k), spec.n_classes)
 
 
+def blobs_reference(n_classes: int, dim: int, per_class: int, spread: float,
+                    seed: int) -> Dataset:
+    """Reference for ``data.gen_gaussian_blobs`` on shapes it accepts: the per-class loop it
+    replaced, one noise draw of ``(per_class, dim)`` per class added to that class's mean and
+    written into preallocated inputs and labels."""
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(n_classes, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    min_dist = min(
+        float(np.linalg.norm(directions[i] - directions[j]))
+        for i in range(n_classes) for j in range(i + 1, n_classes))
+    inputs = np.empty((n_classes * per_class, dim))
+    labels = np.empty(n_classes * per_class, dtype=np.int64)
+    means = directions * (4.0 * spread / min_dist)
+    for c in range(n_classes):
+        block = slice(c * per_class, (c + 1) * per_class)
+        inputs[block] = means[c] + rng.normal(0.0, spread, size=(per_class, dim))
+        labels[block] = c
+    return Dataset(inputs, labels, n_classes)
+
+
+def unlearn_split_reference(train: Dataset, mode: str, retain_size: int, seed: int = 0,
+                            fraction: float = 0.05,
+                            class_label: int = -1) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for the D_u and D_r rows of ``data.make_unlearn_split`` on settings it
+    accepts: the two per-mode retain pools it replaced, a mask over the unsampled rows in
+    random mode and a label test in class mode.  Returns the unlearn and retain indices."""
+    rng = np.random.default_rng(seed)
+    n = len(train)
+    if mode == "random":
+        unlearn_idx = np.sort(rng.choice(n, size=math.ceil(fraction * n), replace=False))
+        mask = np.ones(n, dtype=bool)
+        mask[unlearn_idx] = False
+        pool = np.flatnonzero(mask)
+    else:
+        unlearn_idx = np.flatnonzero(train.labels == class_label)
+        pool = np.flatnonzero(train.labels != class_label)
+    return unlearn_idx, np.sort(rng.choice(pool, size=retain_size, replace=False))
+
+
 def gram_schmidt_basis(g: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
     """Reference oracle for ``linalg.project_out_span``: modified Gram-Schmidt.
 

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import save_csv_dataset
+from helpers import blobs_reference, save_csv_dataset, unlearn_split_reference
 from orthograd.data import (
     Dataset, gen_gaussian_blobs, load_csv_dataset, make_unlearn_split,
     partition_train_test, write_atomic,
@@ -24,6 +24,14 @@ def test_blobs_shapes_counts_and_determinism():
     assert np.array_equal(ds.inputs, again.inputs)
     other = gen_gaussian_blobs(4, 6, 25, spread=1.0, seed=4)
     assert not np.array_equal(ds.inputs, other.inputs)
+    # bit for bit the per-class loop the one draw replaced
+    for shape in ((2, 3, 1), (3, 5, 7), (4, 6, 25), (10, 20, 13)):
+        for seed in (0, 1, 7):
+            for spread in (1e-3, 0.5, 1.0, 3.0):
+                got = gen_gaussian_blobs(*shape, spread=spread, seed=seed)
+                want = blobs_reference(*shape, spread=spread, seed=seed)
+                assert got.inputs.tobytes() == want.inputs.tobytes()
+                assert np.array_equal(got.labels, want.labels)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -63,6 +71,9 @@ def test_partition_train_test_counts():
     assert np.bincount(test.labels).tolist() == [20, 20, 20]
     with pytest.raises(ValueError):
         partition_train_test(ds, 50)
+    for bad in (0, -1):   # -1 would slice from the end, keeping all but one point per class
+        with pytest.raises(ValueError, match=f"^train_per_class must be >= 1, got {bad}$"):
+            partition_train_test(ds, bad)
 
 
 def test_csv_round_trip_exact(tmp_path):
@@ -112,6 +123,21 @@ def _train_test(seed=0):
     return partition_train_test(full, 40)
 
 
+def _check_split_against_reference(train, test, mode, retain_size, seed, **kwargs):
+    splits = make_unlearn_split(train, test, mode=mode, retain_size=retain_size, seed=seed,
+                                **kwargs)
+    unlearn_idx, retain_idx = unlearn_split_reference(train, mode, retain_size, seed, **kwargs)
+    for got, idx in ((splits.unlearn, unlearn_idx), (splits.retain, retain_idx)):
+        want = train.subset(idx)
+        assert got.inputs.tobytes() == want.inputs.tobytes()
+        assert np.array_equal(got.labels, want.labels)
+
+
+def _shuffled(ds, seed=9):
+    """``ds`` with its rows out of class order."""
+    return ds.subset(np.random.default_rng(seed).permutation(len(ds)))
+
+
 def test_random_split_disjoint_and_sized():
     train, test = _train_test()
     splits = make_unlearn_split(train, test, mode="random", retain_size=50,
@@ -126,6 +152,14 @@ def test_random_split_disjoint_and_sized():
         return {tuple(row) for row in ds.inputs}
 
     assert rows(splits.unlearn).isdisjoint(rows(splits.retain))
+    # bit for bit the per-mode pool it replaced, on grouped and ungrouped rows
+    for data_seed in (0, 3):
+        grouped, held_out = _train_test(data_seed)
+        for rows_in in (grouped, _shuffled(grouped)):
+            for seed in (0, 1, 5):
+                for fraction, retain_size in ((0.05, 1), (0.05, 50), (0.3, 140), (0.5, 100)):
+                    _check_split_against_reference(rows_in, held_out, "random", retain_size,
+                                                   seed, fraction=fraction)
 
 
 def test_random_split_deterministic_and_unlearn_fixed_across_retain_sizes():
@@ -147,6 +181,12 @@ def test_class_split_completeness():
     assert not np.any(splits.retain.labels == 3)
     assert not np.any(splits.test.labels == 3)
     assert len(splits.test) == len(test) - int(np.sum(test.labels == 3))
+    # bit for bit the per-mode pool it replaced, on grouped and ungrouped rows
+    for rows_in in (train, _shuffled(train), _shuffled(train, 4)):
+        for class_label in (0, 3, 4):
+            for seed, retain_size in ((0, 1), (2, 60), (7, 160)):
+                _check_split_against_reference(rows_in, test, "class", retain_size, seed,
+                                               class_label=class_label)
 
 
 def test_split_validation():
@@ -171,6 +211,13 @@ def test_split_validation():
     with pytest.raises(ValueError,
                        match="^test set would be empty after removing the forgotten class$"):
         make_unlearn_split(train, only_class_3, mode="class", retain_size=10, class_label=3)
+    # D_u that takes every training row: ceil(0.9999 * 200) = 200, or only the forgotten class
+    everything = "^the unlearn set takes every training row, leaving none to retain$"
+    with pytest.raises(ValueError, match=everything):
+        make_unlearn_split(train, test, mode="random", retain_size=10, fraction=0.9999)
+    with pytest.raises(ValueError, match=everything):
+        make_unlearn_split(train.subset(np.flatnonzero(train.labels == 3)), test,
+                           mode="class", retain_size=10, class_label=3)
 
 
 def test_dataset_validation():

@@ -643,6 +643,11 @@ def test_config_validation():
             make_cfg(eta=bad)
         with pytest.raises(ValueError, match=f"^eta must be positive and finite, got {bad}$"):
             check_schedule(epochs=1, batch_size=1, eta=bad)
+    # a non-empty string is truthy, and would attach adapters
+    for bad in ("false", 1, None):
+        with pytest.raises(ValueError, match=f"^use_lora must be a bool, got {bad!r}$"):
+            make_cfg(use_lora=bad)
+    assert make_cfg(use_lora=np.True_).use_lora
 
 
 @pytest.mark.parametrize("name", ["unlearn_batch", "retain_batch", "max_epochs", "lora_rank", "seed"])
