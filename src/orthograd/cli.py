@@ -81,29 +81,25 @@ def cmd_unlearn(args) -> int:
         raise ConfigError(f"{cfg.source}: [network] is {_architecture(spec)}, but checkpoint "
                           f"{ckpt_path} holds {_architecture(pretrained.spec)}")
 
-    try:
-        methods = list(MethodKind) if args.method == "all" else [MethodKind(args.method)]
-    except ValueError:
-        raise ConfigError(f"unknown method {args.method!r}; expected 'all' or one of "
-                          + ", ".join(m.value for m in MethodKind)) from None
+    methods = list(MethodKind) if args.method == "all" else [MethodKind(args.method)]
     # None: each method's configured seed, or the config's retain_size
     seeds = _parse_int_csv(args.seed_list, "--seed-list") if args.seed_list else [None]
     sizes = _parse_int_csv(args.retain_sizes, "--retain-sizes") if args.retain_sizes else [None]
 
+    # every input is built, and so checked, before the first run writes; D_u and the test
+    # view do not depend on the retain size, so neither does the pretrained reference
     train, test = cfg.datasets()
-    runs = []   # every run's config is built, and so checked, before the first run writes
-    for size in sizes:   # splits and the pretrained reference depend only on the retain size
-        splits = cfg.splits(train, test, retain_size=size)
-        a_p_test = net.evaluate_accuracy(pretrained, splits.test)
-        if not a_p_test > 0.0:   # the impact score divides by it: fail before any run
-            raise ValueError(f"pretrained test accuracy must be positive, got {a_p_test} "
-                             f"(checkpoint {ckpt_path})")
-        runs += [(splits, a_p_test, cfg.unlearn_config(method, seed, a_p_test))
-                 for method in methods for seed in seeds]
+    splits = cfg.splits(train, test)
+    sweep = [splits if size is None else cfg.splits(train, test, size) for size in sizes]
+    a_p_test = net.evaluate_accuracy(pretrained, splits.test)
+    if not a_p_test > 0.0:   # the impact score divides by it: fail before any run
+        raise ValueError(f"pretrained test accuracy must be positive, got {a_p_test} "
+                         f"(checkpoint {ckpt_path})")
+    ucfgs = [cfg.unlearn_config(method, seed, a_p_test) for method in methods for seed in seeds]
 
     runs_dir = cfg.resolve(cfg.runs_dir)
     records = []   # each run writes its checkpoint, trace and results row as it ends
-    for splits, a_p_test, ucfg in runs:
+    for splits, ucfg in [(s, u) for s in sweep for u in ucfgs]:
         method, seed, size = ucfg.method, ucfg.seed, len(splits.retain)
         with usage_errors(f"{cfg.source}: {method.value} seed={seed}"):   # e.g. a diverging run
             result = run_unlearning(pretrained, splits, ucfg)
@@ -148,7 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_un = sub.add_parser("unlearn", help="run unlearning methods against a checkpoint")
     p_un.add_argument("config", help="experiment config file")
-    p_un.add_argument("--method", default="all",
+    p_un.add_argument("--method", default="all", choices=[*(m.value for m in MethodKind), "all"],
                       help="method name or 'all' (default: all)")
     p_un.add_argument("--seed-list", default="",
                       help="comma-separated run seeds (default: config seed)")

@@ -99,26 +99,22 @@ class ExperimentConfig:
             return (data.load_csv_dataset(self.resolve(self.train_path), self.dim, self.classes),
                     data.load_csv_dataset(self.resolve(self.test_path), self.dim, self.classes))
         with usage_errors(f"{self.source}: dataset"):
+            data.check_integer("per_class", self.per_class, 1)
+            data.check_integer("test_per_class", self.test_per_class, 1)
             full = data.gen_gaussian_blobs(self.classes, self.dim,
                                            self.per_class + self.test_per_class,
                                            spread=self.spread, seed=self.dataset_seed)
             return data.partition_train_test(full, self.per_class)
 
     def splits(self, train, test, retain_size: int | None = None) -> data.Splits:
-        """The ``[splits]`` of ``train`` and ``test``; a ``retain_size`` given here comes from
-        ``--retain-sizes``, and is applied once the file's splits are built, so an error in
-        it names that flag, not the file."""
-        def build(size):
+        """The ``[splits]`` of ``train`` and ``test``.  A ``retain_size`` given here comes
+        from ``--retain-sizes``, and an error names that flag: a caller builds the file's
+        own splits first, so every other fault is named by the file."""
+        with usage_errors(f"{self.source}: splits" if retain_size is None else "--retain-sizes"):
             return data.make_unlearn_split(
-                train, test, mode=self.split_mode, retain_size=size, seed=self.split_seed,
-                fraction=self.fraction, class_label=self.class_label)
-
-        with usage_errors(f"{self.source}: splits"):
-            splits = build(self.retain_size)
-        if retain_size is None:
-            return splits
-        with usage_errors("--retain-sizes"):
-            return build(retain_size)
+                train, test, mode=self.split_mode, seed=self.split_seed, fraction=self.fraction,
+                retain_size=self.retain_size if retain_size is None else retain_size,
+                class_label=self.class_label)
 
     def unlearn_config(self, method, seed: int | None = None, a_ref: float = 0.0):
         """``method``'s ``UnlearnConfig``: ``[unlearn.<method>]`` over ``[unlearn]``; a random

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import net
-from .data import Dataset, Splits, check_integer, check_positive
+from .data import Dataset, Seed, Splits, check_integer, check_positive
 from .evaluation import AccuracyReport
 from .linalg import kept_columns, project_out_span
 from .lora import attach_lora
@@ -102,7 +102,7 @@ class UnlearnConfig:
     use_lora: bool = False
     lora_rank: int = 8
     lora_scale: float = 32.0
-    seed: int = 0
+    seed: Seed = 0
 
     def __post_init__(self):
         # each message starts with the field's name, so a config error names its key

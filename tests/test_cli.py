@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from helpers import edit_metadata, save_csv_dataset
-from orthograd import cli, evaluation, net
+from orthograd import cli, data, evaluation, net
 from orthograd.cli import main
 from orthograd.config import (
     _UNLEARN_KEYS, ConfigError, ExperimentConfig, load_experiment_config,
@@ -22,6 +22,7 @@ from orthograd.data import (
 )
 from orthograd.evaluation import parse_records
 from orthograd.net import load_checkpoint
+from orthograd.unlearn import MethodKind
 
 TINY_CONFIG = """\
 [dataset]
@@ -302,13 +303,14 @@ MALFORMED_VALUES = [
     ("unlearn", "max_epochs", "3.0", "an integer"),
     ("unlearn", "alpha", "0,9", "a finite number"),
     ("unlearn", "use_lora", "yes", "'true' or 'false'"),
-    ("unlearn.neggrad", "seed", "two", "an integer"),
+    ("unlearn.neggrad", "seed", "two", "a non-negative integer"),
     ("unlearn.neggrad", "eta", "abc", "a finite number"),
     ("unlearn.neggrad", "use_lora", "True", "'true' or 'false'"),
     ("unlearn.finetune", "lora_rank", "two", "an integer"),
     ("dataset", "seed", "-3", "a non-negative integer"),
     ("pretrain", "seed", "-1", "a non-negative integer"),
     ("splits", "seed", "-1", "a non-negative integer"),
+    ("unlearn", "seed", "-1", "a non-negative integer"),
     ("dataset", "spread", "inf", "a finite number"),
     ("pretrain", "eta", "inf", "a finite number"),
     ("splits", "fraction", "nan", "a finite number"),
@@ -395,13 +397,14 @@ def test_config_mutants_exit_0_or_usage_error_before_any_write(workdir, capsys):
 
 
 @pytest.mark.parametrize("old, new, named", [
-    ("test_per_class = 12", "test_per_class = 0", "dataset: every class needs more than 40"),
+    ("test_per_class = 12", "test_per_class = 0", "dataset: test_per_class must be >= 1, got 0"),
+    ("per_class = 40", "per_class = -1", "dataset: per_class must be >= 1, got -1"),
     ("spread = 1.0", "spread = 0", "dataset: spread must be positive, got 0.0"),
     ("spread = 1.0", "spread = 1e308", "dataset: spread 1e+308 overflows"),
     ("epochs = 25", "epochs = -1", "pretrain: epochs must be >= 0, got -1"),
     ("batch_size = 16", "batch_size = 0", "pretrain: batch_size must be >= 1, got 0"),
     ("eta = 0.1", "eta = -1", "pretrain: eta must be positive and finite, got -1.0"),
-], ids=["test_per_class", "spread", "spread_overflow", "epochs", "batch_size", "eta"])
+], ids=["test_per_class", "per_class", "spread", "spread_overflow", "epochs", "batch_size", "eta"])
 def test_out_of_range_dataset_or_pretrain_value_is_usage_error(workdir, capsys, old, new, named):
     tmp_path, cfg_path = workdir
     cfg_path.write_text(TINY_CONFIG.replace(old, new), encoding="utf-8")
@@ -500,7 +503,7 @@ def test_out_of_range_unlearn_value_is_usage_error_before_any_run(workdir, capsy
 @pytest.mark.parametrize("argv, table, message", [
     (["--method", "neggrad", "--seed-list", "3,-1"], "", "--seed-list: seed must be >= 0, got -1"),
     (["--method", "all"], "\n[unlearn.neggrad]\nseed = -1\n",
-     "{cfg}: neggrad settings: seed must be >= 0, got -1"),
+     "{cfg}: key 'seed' expects a non-negative integer, got '-1'"),
     (["--method", "neggrad", "--seed-list", "x"], "",
      "--seed-list expects comma-separated integers, got 'x'"),
     (["--method", "neggrad", "--seed-list", ","], "", "--seed-list must list at least one value"),
@@ -815,9 +818,16 @@ def test_method_filter_and_unknown_method(workdir, capsys):
     assert main(["unlearn", str(cfg_path), "--method", "neggrad"]) == 0
     records = parse_records(tmp_path / "out" / "results.txt")
     assert sorted({r.method for r in records}) == ["neggrad", "original"]
-    rc = main(["unlearn", str(cfg_path), "--method", "gradient_surgery"])
-    assert rc == 2
-    assert "gradient_surgery" in capsys.readouterr().err
+    # the parser rejects an unknown method, naming it and every choice, before the
+    # config is read: a missing file is not reported
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["unlearn", str(tmp_path / "missing.cfg"), "--method", "gradient_surgery"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: orthograd unlearn") and "'gradient_surgery'" in err
+    assert all(f"'{m.value}'" in err for m in MethodKind) and "'all'" in err
+    assert "not found" not in err
 
 
 def test_rerun_is_byte_identical(workdir):
@@ -842,11 +852,25 @@ def test_rerun_is_byte_identical(workdir):
         assert p.read_bytes() == first_runs[p.name]
 
 
-def test_retain_size_sweep_records_and_summary(workdir, capsys):
+def test_retain_size_sweep_records_and_summary(workdir, capsys, monkeypatch):
     tmp_path, cfg_path = workdir
     assert main(["pretrain", str(cfg_path)]) == 0
+    # a sweep builds the file's splits once and one per size, and scores the pretrained
+    # model once: D_u and the test view do not depend on the retain size
+    calls = {"split": 0, "accuracy": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(data, "make_unlearn_split", counted("split", data.make_unlearn_split))
+    monkeypatch.setattr(net, "evaluate_accuracy", counted("accuracy", net.evaluate_accuracy))
     assert main(["unlearn", str(cfg_path), "--method", "neggrad",
                  "--seed-list", "0", "--retain-sizes", "20,40"]) == 0
+    assert calls == {"split": 3, "accuracy": 1}
+    monkeypatch.undo()
     records = [r for r in parse_records(tmp_path / "out" / "results.txt")
                if r.method == "neggrad"]
     assert sorted(r.n_retain for r in records) == [20, 40]

@@ -168,8 +168,18 @@ def test_random_split_deterministic_and_unlearn_fixed_across_retain_sizes():
     b = make_unlearn_split(train, test, mode="random", retain_size=40, seed=5)
     assert np.array_equal(a.unlearn.inputs, b.unlearn.inputs)
     assert np.array_equal(a.retain.inputs, b.retain.inputs)
-    big = make_unlearn_split(train, test, mode="random", retain_size=120, seed=5)
-    assert np.array_equal(a.unlearn.inputs, big.unlearn.inputs)
+    # in both modes D_u and the test view are bit-identical at every retain size, so a
+    # sweep shares one pretrained reference; class mode's test view is a fresh subset each time
+    for mode, kwargs, sizes in (("random", {}, (1, 40, 120, 190)),
+                                ("class", {"class_label": 3}, (1, 40, 120, 160))):
+        first = make_unlearn_split(train, test, mode=mode, retain_size=sizes[0], seed=5, **kwargs)
+        for size in sizes[1:]:
+            other = make_unlearn_split(train, test, mode=mode, retain_size=size, seed=5, **kwargs)
+            assert len(other.retain) == size
+            for name in ("unlearn", "test"):
+                got, want = getattr(other, name), getattr(first, name)
+                assert got.inputs.tobytes() == want.inputs.tobytes()
+                assert got.labels.tobytes() == want.labels.tobytes()
 
 
 def test_class_split_completeness():
@@ -202,6 +212,10 @@ def test_split_validation():
     with pytest.raises(ValueError):
         make_unlearn_split(train, test, mode="nearest", retain_size=10, seed=0)
     wider = Dataset(test.inputs, test.labels, 6)
+    no_rows = np.array([], dtype=np.int64)
+    for empty_train, empty_test in ((train.subset(no_rows), test), (train, test.subset(no_rows))):
+        with pytest.raises(ValueError, match="^train and test sets must be non-empty$"):
+            make_unlearn_split(empty_train, empty_test, mode="random", retain_size=10, seed=0)
     with pytest.raises(ValueError, match="^train and test disagree on the number of classes$"):
         make_unlearn_split(train, wider, mode="random", retain_size=10, seed=0)
     no_class_3 = train.subset(np.flatnonzero(train.labels != 3))
